@@ -1,9 +1,14 @@
 """Command-line entry points, one subcommand per pipeline stage plus the
 end-to-end runner and the ablation runner.
 
-Every subcommand works standalone on persisted artifacts: delimited files
-(with a schema JSON) or binary ``.rlt`` table caches.  Exit code 0 on
-success; stage-tagged diagnostics on stderr and a nonzero exit otherwise.
+The stage subcommands (adversarial, denoise, encode, train) call the same
+stage functions in :mod:`resplite.pipeline` that ``run`` calls, so a stage
+writes the same artifacts either way.  Every subcommand works standalone on
+persisted artifacts: delimited files (with a schema JSON) or binary ``.rlt``
+table caches.  The delimited inputs of one command are ingested together, so
+they share categorical dictionaries; a command given both ``.rlt`` caches
+and delimited files is rejected.  Exit code 0 on success; stage-tagged
+diagnostics on stderr and a nonzero exit otherwise.
 """
 
 from __future__ import annotations
@@ -15,38 +20,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import advval, denoise as denoise_mod, encoders as enc_mod, metrics, pipeline
-from .gbdt import GbdtParams, feature_importance, fit as gbdt_fit, predict as gbdt_predict, save_model
-from .report import (
-    write_adversarial_csv,
-    write_bar_chart_svg,
-    write_curve_csv,
-    write_importance_csv,
-    write_predictions_csv,
-)
-from .tabular import (
-    Schema,
-    SplitPlan,
-    Table,
-    ingest_csv,
-    ingest_csv_group,
-    load_binary,
-    save_binary,
-    split as temporal_split,
-)
+from . import denoise as denoise_mod, encoders as enc_mod, pipeline
+from .advval import AdvConfig
+from .gbdt import GbdtParams, feature_importance
+from .report import RunReport, report_export
+from .tabular import SplitPlan, save_binary
 
 
-def _load_schema(path: str) -> Schema:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Schema.from_json(json.load(fh))
-
-
-def _load_table(path: str, schema_path: str | None) -> Table:
-    if path.endswith(".rlt"):
-        return load_binary(path)
-    if schema_path is None:
-        raise SystemExit(f"error: {path} is not a .rlt cache; pass --schema")
-    return ingest_csv(path, _load_schema(schema_path))
+def _out_dir(args) -> Path:
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _cmd_synth(args) -> int:
@@ -57,10 +41,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    schema = _load_schema(args.schema)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tables = ingest_csv_group(list(args.inputs), schema)
+    tables = pipeline.load_tables(args.inputs, args.schema)
+    out_dir = _out_dir(args)
     for src, table in zip(args.inputs, tables):
         dest = out_dir / (Path(src).stem + ".rlt")
         save_binary(table, dest)
@@ -69,26 +51,16 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_adversarial(args) -> int:
-    train = _load_table(args.train, args.schema)
-    test = _load_table(args.test, args.schema)
-    cfg = advval.AdvConfig(
+    tables = pipeline.load_tables([args.train, args.test], args.schema)
+    cfg = AdvConfig(
         auc_threshold=args.threshold,
         holdout_fraction=args.holdout_fraction,
         seed=args.seed,
         subsample_per_side=args.subsample_per_side,
     )
-    report = advval.audit(train, test, cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    advval.save_report(report, out_dir / "adversarial_report.json")
-    write_adversarial_csv(report, out_dir / "adversarial_auc.csv")
-    entries = [e for e in report.entries if e.auc is not None]
-    write_bar_chart_svg(
-        [e.name for e in entries],
-        [e.auc for e in entries],
-        out_dir / "adversarial_auc.svg",
-        title="Adversarial validation AUC by feature",
-    )
+    out_dir = _out_dir(args)
+    report, _ = pipeline.audit_stage(tables, cfg, out_dir / "adversarial_report.json")
+    report_export(RunReport({}, {}, adversarial=report), out_dir, "all")
     for e in report.entries:
         score = "-" if e.auc is None else f"{e.auc:.4f}"
         print(f"{e.name}\t{score}\t{e.verdict}")
@@ -96,19 +68,10 @@ def _cmd_adversarial(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    table = _load_table(args.table, args.schema)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tables = [table] + [_load_table(p, args.schema) for p in args.apply_to]
-    estimates = denoise_mod.refine_estimates(
-        tables, denoise_mod.detect_all(table, tol_rel=args.tol_rel)
-    )
-    groups = denoise_mod.group_deltas(estimates)
-    denoise_mod.save_estimates(estimates, out_dir / "delta_estimates.json", groups)
-    transformed = denoise_mod.apply_denoise_group(
-        tables, estimates,
-        as_categorical=not args.as_continuous,
-        origin=args.origin,
+    tables = pipeline.load_tables([args.table] + args.apply_to, args.schema)
+    out_dir = _out_dir(args)
+    estimates, _, transformed = pipeline.denoise_stage(
+        tables, args.tol_rel, not args.as_continuous, args.origin, out_dir
     )
     save_binary(transformed[0], out_dir / "denoised.rlt")
     for src, t in zip(args.apply_to, transformed[1:]):
@@ -124,7 +87,7 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    table = _load_table(args.table, args.schema)
+    (table,) = pipeline.load_tables([args.table], args.schema)
     matrix, features = denoise_mod.correlation_matrix(table)
     denoise_mod.save_correlation_csv(matrix, features, args.out)
     print(f"wrote {len(features)}x{len(features)} matrix to {args.out}")
@@ -132,67 +95,45 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    table = _load_table(args.table, args.schema)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    (table,) = pipeline.load_tables([args.table], args.schema)
+    out_dir = _out_dir(args)
     if args.state:
         states = enc_mod.load_states(args.state)
+        encoded = enc_mod.apply_encoders(states, table)
     else:
         with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        states = []
-        for entry in spec:
-            if entry["kind"] == "frequency":
-                states.append(
-                    enc_mod.fit_frequency(
-                        table, entry["feature"],
-                        enc_mod.FreqWindow(entry.get("window", "prev_week")),
-                    )
-                )
-            else:
-                states.append(
-                    enc_mod.fit_target(
-                        table, entry["feature"], entry["target"],
-                        float(entry.get("smoothing", 1.0)),
-                    )
-                )
-        enc_mod.save_states(states, out_dir / "encoders.json")
-    encoded = enc_mod.apply_encoders(states, table)
+            specs = json.load(fh)
+        states, (encoded,) = pipeline.encode_stage([table], specs, out_dir)
     save_binary(encoded, out_dir / "encoded.rlt")
     print(f"appended {len(states)} columns -> {out_dir / 'encoded.rlt'}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    table = _load_table(args.table, args.schema)
+    tables = pipeline.load_tables(
+        [args.table] + ([args.predict] if args.predict else []), args.schema
+    )
     params_doc = {}
     if args.params:
         with open(args.params, "r", encoding="utf-8") as fh:
             params_doc = json.load(fh)
     params = GbdtParams(**params_doc)
+    train_days: frozenset[int] = frozenset()
     if args.train_days:
         lo, hi = args.train_days.split("-")
         train_days = frozenset(range(int(lo), int(hi) + 1))
-    else:
-        days = np.unique(table.day_values)
-        train_days = frozenset(int(d) for d in days if d < args.valid_day)
-    parts = temporal_split(table, SplitPlan(train_days, args.valid_day))
-    model = gbdt_fit(params, parts.train, parts.valid, n_threads=args.threads)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(model, out_dir / "model.json")
-    importance = feature_importance(model)
-    write_importance_csv(importance, out_dir / "feature_importance.csv")
-    write_curve_csv(model.train_curve, model.valid_curve, out_dir / "training_curve.csv")
-    valid_probs = gbdt_predict(model, parts.valid)
-    ids = pipeline._row_ids(parts.valid)
-    write_predictions_csv(ids, valid_probs, out_dir / "valid_predictions.csv")
+    out_dir = _out_dir(args)
+    parts, model = pipeline.train_stage(
+        tables[0], SplitPlan(train_days, args.valid_day), params, args.threads, out_dir
+    )
+    report = RunReport(
+        {}, {}, importance=feature_importance(model),
+        train_curve=model.train_curve, valid_curve=model.valid_curve,
+    )
+    report_export(report, out_dir, "csv")
+    pipeline.predict_stage(model, parts.valid, out_dir / "valid_predictions.csv")
     if args.predict:
-        target_table = _load_table(args.predict, args.schema)
-        probs = gbdt_predict(model, target_table)
-        write_predictions_csv(
-            pipeline._row_ids(target_table), probs, out_dir / "predictions.csv"
-        )
+        pipeline.predict_stage(model, tables[1], out_dir / "predictions.csv")
     print(
         f"trees={model.n_trees} best_iteration={model.best_iteration} "
         f"final_valid_logloss={model.valid_curve[model.best_iteration - 1]:.6f}"
@@ -203,7 +144,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    table = _load_table(args.table, args.schema)
+    (table,) = pipeline.load_tables([args.table], args.schema)
     preds: dict[str, float] = {}
     with open(args.predictions, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..metrics import EvalBatch, logloss
+from ..metrics import EvalBatch, logloss, sigmoid
 from ..tabular import ColumnRole, Table
 from .binning import (
     BinMapper,
@@ -92,15 +92,6 @@ class GbdtModel:
         return len(self.trees)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def loss_grad_hess(score: float, label: int) -> tuple[float, float]:
     """Gradient and hessian of the logistic loss at one (score, label)."""
     p = 1.0 / (1.0 + math.exp(-score)) if score >= 0 else (
@@ -110,14 +101,14 @@ def loss_grad_hess(score: float, label: int) -> tuple[float, float]:
 
 
 def _grad_hess(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = _sigmoid(scores)
+    p = sigmoid(scores)
     return p - labels, p * (1.0 - p)
 
 
 def _scores_logloss(scores: np.ndarray, labels: np.ndarray) -> float:
     # identical arithmetic to metrics.logloss so logged curves and external
     # evaluation of predict() output agree exactly
-    return logloss(EvalBatch(labels, _sigmoid(scores)))
+    return logloss(EvalBatch(labels, sigmoid(scores)))
 
 
 def _check_features(table: Table, feature_names: list[str], target: str) -> None:
@@ -258,7 +249,7 @@ def predict_raw(model: GbdtModel, table: Table) -> np.ndarray:
 
 def predict(model: GbdtModel, table: Table) -> np.ndarray:
     """Predicted installation probabilities for each row."""
-    return _sigmoid(predict_raw(model, table))
+    return sigmoid(predict_raw(model, table))
 
 
 def feature_importance(model: GbdtModel) -> list[tuple[str, int]]:

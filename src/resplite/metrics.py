@@ -64,6 +64,16 @@ class NceResult:
     background_entropy: float
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function of log-odds, without overflow for large |z|."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def logloss(batch: EvalBatch) -> float:
     """Mean negative log likelihood of the labels under the predictions."""
     p = batch.predictions

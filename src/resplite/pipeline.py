@@ -6,6 +6,11 @@ encode -> train -> evaluate, honoring per-stage toggles, and writes every
 artifact under the configured output directory.  Given the same config,
 seed, and inputs, two runs produce byte-identical prediction files and
 reports (wall-clock timings are segregated into ``timings.json``).
+
+Each stage is one function (``audit_stage``, ``denoise_stage``,
+``encode_stage``, ``train_stage``, ``predict_stage``) called both by
+:func:`run` and by the matching CLI subcommand; :func:`load_tables` loads
+the inputs of either.
 """
 
 from __future__ import annotations
@@ -20,7 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from . import advval, denoise as denoise_mod, encoders as enc_mod, metrics
-from .gbdt import GbdtParams, feature_importance, fit as gbdt_fit, predict as gbdt_predict, save_model
+from .gbdt import (
+    GbdtModel,
+    GbdtParams,
+    feature_importance,
+    fit as gbdt_fit,
+    predict as gbdt_predict,
+    save_model,
+)
 from .report import (
     RunReport,
     report_export,
@@ -32,6 +44,7 @@ from .tabular import (
     ColumnRole,
     Schema,
     SplitPlan,
+    SplitResult,
     Table,
     TabularError,
     ingest_csv_group,
@@ -119,8 +132,7 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
     if "schema" in doc:
         schema = Schema.from_json(doc["schema"])
     elif "schema_path" in doc:
-        with open(base_dir / doc["schema_path"], "r", encoding="utf-8") as fh:
-            schema = Schema.from_json(json.load(fh))
+        schema = _read_schema(base_dir / doc["schema_path"])
     else:
         schema = None  # allowed when both inputs are binary caches
 
@@ -180,14 +192,38 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
     )
 
 
-def _load_table_pair(config: PipelineConfig) -> tuple[Table, Table]:
-    train_p, test_p = config.train_path, config.test_path
-    if train_p.endswith(".rlt") and test_p.endswith(".rlt"):
-        return load_binary(train_p), load_binary(test_p)
-    if config.schema is None:
-        raise TabularError("a schema is required to ingest delimited files")
-    train, test = ingest_csv_group([train_p, test_p], config.schema)
-    return train, test
+def _read_schema(path: str | Path) -> Schema:
+    with open(path, "r", encoding="utf-8") as fh:
+        return Schema.from_json(json.load(fh))
+
+
+def load_tables(paths: list[str], schema: Schema | str | Path | None) -> list[Table]:
+    """Load every input of one command, in the order given.
+
+    When every path is a ``.rlt`` cache, each one is loaded.  When every path
+    is a delimited file, all are ingested in one call, so they share their
+    categorical dictionaries; ``schema`` (a Schema or the path of its JSON) is
+    then required.  A mix of the two is rejected: a cache's category codes
+    cannot be matched to those of a fresh ingest.
+    """
+    paths = [str(p) for p in paths]
+    caches = [p for p in paths if p.endswith(".rlt")]
+    if len(caches) == len(paths):
+        return [load_binary(p) for p in paths]
+    if caches:
+        delimited = [p for p in paths if not p.endswith(".rlt")]
+        raise TabularError(
+            f"cannot mix .rlt caches ({', '.join(caches)}) with delimited files "
+            f"({', '.join(delimited)}): their category codes would not match; "
+            "pass every input as a cache or every input as a delimited file"
+        )
+    if schema is None:
+        raise TabularError(
+            f"a schema is required to ingest delimited files: {', '.join(paths)}"
+        )
+    if not isinstance(schema, Schema):
+        schema = _read_schema(schema)
+    return ingest_csv_group(paths, schema)
 
 
 def _resolve_cat_features(spec: list[str] | str, table: Table) -> list[str]:
@@ -199,14 +235,6 @@ def _resolve_cat_features(spec: list[str] | str, table: Table) -> list[str]:
         return cats
     present = set(cats)
     return [name for name in spec if name in present]
-
-
-@dataclass
-class _Prepared:
-    """Ingested input pair, reusable across ablation variants."""
-
-    train_file: Table
-    test_file: Table
 
 
 def _timed(report: RunReport, stage: str, fn):
@@ -239,177 +267,210 @@ def _row_ids(table: Table) -> list[str]:
     return [str(i) for i in range(table.n_rows)]
 
 
-def run(config: PipelineConfig, prepared: _Prepared | None = None) -> RunReport:
+# ---------------------------------------------------------------------------
+# Stages: each one is called both by `run` and by the matching subcommand
+
+
+def split_plan(table: Table, plan: SplitPlan) -> SplitPlan:
+    """Check that the plan's valid day has rows in ``table``.  Empty
+    ``train_days`` become every day of the table before the valid day."""
+    days = {int(d) for d in np.unique(table.day_values)}
+    if plan.valid_day not in days:
+        raise TabularError(f"valid_day {plan.valid_day} selects zero rows")
+    if plan.train_days:
+        return plan
+    return SplitPlan(frozenset(d for d in days if d < plan.valid_day), plan.valid_day)
+
+
+def audit_stage(
+    tables: list[Table],
+    cfg: advval.AdvConfig,
+    path: Path,
+    columns: list[str] | None = None,
+) -> tuple[advval.AdvReport, list[Table]]:
+    """Audit train (``tables[0]``) against test (``tables[1]``) feature by
+    feature and write the report JSON to ``path``.  ``columns`` limits the
+    audit to those features.  Returns the report and both tables without the
+    features it drops."""
+    audited = tables
+    if columns is not None:
+        audited = [
+            t.drop_columns(set(t.schema.feature_columns()) - set(columns))
+            for t in tables
+        ]
+    rep = advval.audit(audited[0], audited[1], cfg)
+    advval.save_report(rep, path)
+    return rep, [advval.filter_features(rep, t) for t in tables]
+
+
+def denoise_stage(
+    tables: list[Table], tol_rel: float, as_categorical: bool, origin: str, out_dir: Path
+) -> tuple[list[denoise_mod.DeltaEstimate], list[list[str]], list[Table]]:
+    """Detect lattices on ``tables[0]``, refine them over every table, write
+    ``delta_estimates.json``, and quantize every table with shared code
+    dictionaries.  Returns the estimates, their groups and the tables."""
+    estimates = denoise_mod.refine_estimates(
+        tables, denoise_mod.detect_all(tables[0], tol_rel=tol_rel)
+    )
+    groups = denoise_mod.group_deltas(estimates)
+    denoise_mod.save_estimates(estimates, out_dir / "delta_estimates.json", groups)
+    quantized = denoise_mod.apply_denoise_group(
+        tables, estimates, as_categorical=as_categorical, origin=origin
+    )
+    return estimates, groups, quantized
+
+
+def encoder_specs(config: PipelineConfig, table: Table) -> list[dict]:
+    """The config's encoders as the spec list that ``resplite encode --spec``
+    reads: frequency encoders first, then target encoders per feature and
+    target (click only when the table has a click label)."""
+    specs: list[dict] = []
+    if config.stages.get("frequency", True):
+        specs += [
+            {"feature": name, "kind": "frequency", "window": config.freq_window.value}
+            for name in _resolve_cat_features(config.freq_features, table)
+        ]
+    if config.stages.get("target_encoding", True):
+        specs += [
+            {"feature": name, "kind": "target", "target": target,
+             "smoothing": config.te_smoothing}
+            for name in _resolve_cat_features(config.te_features, table)
+            for target in config.te_targets
+            if target != "click" or table.schema.click_column is not None
+        ]
+    return specs
+
+
+def encode_stage(
+    tables: list[Table], specs: list[dict], out_dir: Path
+) -> tuple[list[enc_mod.EncoderState], list[Table]]:
+    """Fit one encoder state per spec on ``tables[0]``, write
+    ``encoders.json``, and append the encoded columns to every table."""
+    table = tables[0]
+    states = [
+        enc_mod.fit_frequency(
+            table, spec["feature"], enc_mod.FreqWindow(spec.get("window", "prev_week"))
+        )
+        if spec["kind"] == "frequency"
+        else enc_mod.fit_target(
+            table, spec["feature"], spec["target"], float(spec.get("smoothing", 1.0))
+        )
+        for spec in specs
+    ]
+    enc_mod.save_states(states, out_dir / "encoders.json")
+    return states, [enc_mod.apply_encoders(states, t) for t in tables]
+
+
+def train_stage(
+    table: Table, plan: SplitPlan, params: GbdtParams, n_threads: int, out_dir: Path
+) -> tuple[SplitResult, GbdtModel]:
+    """Split ``table`` by the plan (see :func:`split_plan`), fit the GBDT
+    with early stopping on the valid day, and write ``model.json``."""
+    parts = temporal_split(table, split_plan(table, plan))
+    model = gbdt_fit(params, parts.train, parts.valid, n_threads=n_threads)
+    save_model(model, out_dir / "model.json")
+    return parts, model
+
+
+def predict_stage(model: GbdtModel, table: Table, path: Path) -> np.ndarray:
+    """Score ``table`` and write its headerless ``row_id,probability`` CSV."""
+    probs = gbdt_predict(model, table)
+    write_predictions_csv(_row_ids(table), probs, path)
+    return probs
+
+
+def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
     """Execute the pipeline per the config and return the run report.
 
-    Artifacts from completed stages are kept even when a later stage fails;
-    the raised PipelineError carries the failing stage's name.
+    ``tables`` is an already loaded (train, test) pair; given one, the run
+    skips its ingest and writes no cache.  Artifacts from completed stages
+    are kept even when a later stage fails; the raised PipelineError carries
+    the failing stage's name.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(config_echo=config.raw, stages=dict(config.stages))
 
-    # ingest
-    if prepared is None:
-        train_file, test_file = _timed(report, "ingest", lambda: _load_table_pair(config))
-        cache_dir = out_dir / "cache"
-        cache_dir.mkdir(exist_ok=True)
-        save_binary(train_file, cache_dir / "train.rlt")
-        save_binary(test_file, cache_dir / "test.rlt")
+    if tables is None:
+        def ingest():
+            loaded = load_tables([config.train_path, config.test_path], config.schema)
+            cache_dir = out_dir / "cache"
+            cache_dir.mkdir(exist_ok=True)
+            save_binary(loaded[0], cache_dir / "train.rlt")
+            save_binary(loaded[1], cache_dir / "test.rlt")
+            return loaded
+
+        tables = _timed(report, "ingest", ingest)
     else:
-        train_file, test_file = prepared.train_file, prepared.test_file
         report.timings["ingest"] = 0.0
     report.sections["ingest"] = {
-        "train_rows": train_file.n_rows,
-        "test_rows": test_file.n_rows,
-        "n_columns": len(train_file.schema.names),
+        "train_rows": tables[0].n_rows,
+        "test_rows": tables[1].n_rows,
+        "n_columns": len(tables[0].schema.names),
     }
 
-    # split: validate the plan up front; the row partition happens after the
-    # column transforms (which are all order-preserving)
-    def check_plan():
-        days = set(int(d) for d in np.unique(train_file.day_values))
-        if config.split_plan.valid_day not in days:
-            raise TabularError(
-                f"valid_day {config.split_plan.valid_day} selects zero rows"
-            )
-        return days
-
-    present_days = _timed(report, "split", check_plan)
-    plan = config.split_plan
-    if not plan.train_days:
-        plan = SplitPlan(
-            frozenset(d for d in present_days if d < plan.valid_day),
-            plan.valid_day,
-        )
+    # validate the plan up front; the row partition happens in the train
+    # stage, after the column transforms (which are all order-preserving)
+    plan = _timed(report, "split", lambda: split_plan(tables[0], config.split_plan))
     report.sections["split"] = {
         "train_days": sorted(plan.train_days),
         "valid_day": plan.valid_day,
     }
 
-    # adversarial audit + filter
     if config.stages.get("adversarial", True):
-        def do_audit():
-            rep = advval.audit(train_file, test_file, config.adversarial)
-            advval.save_report(rep, out_dir / "adversarial_report.json")
-            return rep
-
-        adv_report = _timed(report, "adversarial", do_audit)
+        adv_report, tables = _timed(report, "adversarial", lambda: audit_stage(
+            tables, config.adversarial, out_dir / "adversarial_report.json"
+        ))
         report.adversarial = adv_report
-        train_file = advval.filter_features(adv_report, train_file)
-        test_file = advval.filter_features(adv_report, test_file)
         report.sections["adversarial"] = {
             "dropped": adv_report.dropped(),
             "features": adv_report.to_json_dict()["features"],
         }
 
-    # denoise + correlation analysis
     if config.stages.get("denoise", True):
-        def do_denoise():
-            estimates = denoise_mod.detect_all(
-                train_file, tol_rel=config.denoise_tol_rel
-            )
-            # record the steps the group apply below will use
-            estimates = denoise_mod.refine_estimates(
-                [train_file, test_file], estimates
-            )
-            groups = denoise_mod.group_deltas(estimates)
-            denoise_mod.save_estimates(
-                estimates, out_dir / "delta_estimates.json", groups
-            )
+        def denoise():
             cont = [
-                name for name, role in train_file.schema.columns
+                name for name, role in tables[0].schema.columns
                 if role is ColumnRole.CONTINUOUS
             ]
-            correlation = None
             if len(cont) >= 2:
-                correlation = denoise_mod.correlation_matrix(train_file, cont)
-            return estimates, groups, correlation
+                report.correlation = denoise_mod.correlation_matrix(tables[0], cont)
+            return denoise_stage(
+                tables, config.denoise_tol_rel, config.denoise_as_categorical,
+                config.denoise_origin, out_dir,
+            )
 
-        estimates, groups, correlation = _timed(report, "denoise", do_denoise)
-        report.correlation = correlation
-        # quantized trains and tests must share one code dictionary
-        train_file, test_file = denoise_mod.apply_denoise_group(
-            [train_file, test_file], estimates,
-            as_categorical=config.denoise_as_categorical,
-            origin=config.denoise_origin,
-        )
+        estimates, groups, tables = _timed(report, "denoise", denoise)
         report.sections["denoise"] = {
             "estimates": [e.to_json_dict() for e in estimates],
             "groups": groups,
             "detected": [e.feature for e in estimates if e.detected],
         }
 
-    # encoders
-    do_freq = config.stages.get("frequency", True)
-    do_te = config.stages.get("target_encoding", True)
-    if do_freq or do_te:
-        def do_encode():
-            states: list[enc_mod.EncoderState] = []
-            if do_freq:
-                for name in _resolve_cat_features(config.freq_features, train_file):
-                    states.append(
-                        enc_mod.fit_frequency(train_file, name, config.freq_window)
-                    )
-            if do_te:
-                for name in _resolve_cat_features(config.te_features, train_file):
-                    for target in config.te_targets:
-                        if target == "click" and train_file.schema.click_column is None:
-                            continue
-                        states.append(
-                            enc_mod.fit_target(
-                                train_file, name, target, config.te_smoothing
-                            )
-                        )
-            enc_mod.save_states(states, out_dir / "encoders.json")
-            return states
+    if config.stages.get("frequency", True) or config.stages.get("target_encoding", True):
+        def encode():
+            states, encoded = encode_stage(tables, encoder_specs(config, tables[0]), out_dir)
+            if not config.keep_originals:
+                originals = {s.feature for s in states}
+                encoded = [t.drop_columns(originals) for t in encoded]
+            return states, encoded
 
-        states = _timed(report, "encode", do_encode)
-        train_file = enc_mod.apply_encoders(states, train_file)
-        test_file = enc_mod.apply_encoders(states, test_file)
-        if not config.keep_originals:
-            encoded = {s.feature for s in states}
-            train_file = train_file.drop_columns(encoded)
-            test_file = test_file.drop_columns(encoded)
+        states, tables = _timed(report, "encode", encode)
+        columns = [s.column_name for s in states]
         report.sections["encoding"] = {
-            "columns": [s.column_name for s in states],
+            "columns": columns,
             "keep_originals": config.keep_originals,
         }
         if config.re_audit_encoded and config.stages.get("adversarial", True):
-            def do_re_audit():
-                sub_train = train_file.drop_columns(
-                    set(train_file.schema.feature_columns())
-                    - {s.column_name for s in states}
-                )
-                sub_test = test_file.drop_columns(
-                    set(test_file.schema.feature_columns())
-                    - {s.column_name for s in states}
-                )
-                rep = advval.audit(sub_train, sub_test, config.adversarial)
-                advval.save_report(rep, out_dir / "adversarial_encoded.json")
-                return rep
-
-            re_report = _timed(report, "re_audit", do_re_audit)
-            train_file = advval.filter_features(re_report, train_file)
-            test_file = advval.filter_features(re_report, test_file)
+            re_report, tables = _timed(report, "re_audit", lambda: audit_stage(
+                tables, config.adversarial, out_dir / "adversarial_encoded.json", columns
+            ))
             report.sections["encoding"]["re_audit_dropped"] = re_report.dropped()
 
-    # train + evaluate
     if config.stages.get("train", True):
-        def do_train():
-            parts = temporal_split(train_file, plan)
-            features = list(train_file.schema.feature_columns())
-            model = gbdt_fit(
-                config.gbdt,
-                parts.train,
-                parts.valid,
-                features,
-                n_threads=config.n_threads,
-            )
-            save_model(model, out_dir / "model.json")
-            return parts, model
-
-        parts, model = _timed(report, "train", do_train)
+        parts, model = _timed(report, "train", lambda: train_stage(
+            tables[0], plan, config.gbdt, config.n_threads, out_dir
+        ))
         importance = feature_importance(model)
         report.importance = importance
         report.train_curve = model.train_curve
@@ -423,28 +484,21 @@ def run(config: PipelineConfig, prepared: _Prepared | None = None) -> RunReport:
             "importance": [[name, count] for name, count in importance],
         }
 
-        def do_evaluate():
-            valid_probs = gbdt_predict(model, parts.valid)
-            write_predictions_csv(
-                _row_ids(parts.valid), valid_probs, out_dir / "valid_predictions.csv"
-            )
+        def evaluate():
+            valid_probs = predict_stage(model, parts.valid, out_dir / "valid_predictions.csv")
             install = parts.valid.schema.require_install()
             section = {"valid": _metrics_dict(parts.valid.col(install), valid_probs)}
-            if test_file.n_rows:
-                test_probs = gbdt_predict(model, test_file)
-                write_predictions_csv(
-                    _row_ids(test_file), test_probs, out_dir / "test_predictions.csv"
-                )
-                if test_file.schema.install_column is not None:
-                    section["test_proxy"] = _metrics_dict(
-                        test_file.col(install), test_probs
-                    )
+            test = tables[1]
+            if test.n_rows:
+                test_probs = predict_stage(model, test, out_dir / "test_predictions.csv")
+                if test.schema.install_column is not None:
+                    section["test_proxy"] = _metrics_dict(test.col(install), test_probs)
             with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
                 json.dump(section, fh, sort_keys=True, indent=2)
                 fh.write("\n")
             return section
 
-        report.sections["metrics"] = _timed(report, "evaluate", do_evaluate)
+        report.sections["metrics"] = _timed(report, "evaluate", evaluate)
 
     _timed(report, "export", lambda: report_export(report, out_dir, "all"))
     save_report_json(report, out_dir)
@@ -478,11 +532,11 @@ def ablate(config: PipelineConfig, stages: list[str] | None = None) -> list[dict
     out_dir.mkdir(parents=True, exist_ok=True)
 
     prep_report = RunReport(config_echo=config.raw, stages={})
-    train_file, test_file = _timed(prep_report, "ingest", lambda: _load_table_pair(config))
-    prepared = _Prepared(train_file, test_file)
+    tables = _timed(prep_report, "ingest", lambda: load_tables(
+        [config.train_path, config.test_path], config.schema
+    ))
 
     rows: list[dict] = []
-    enabled: list[str] = []
     variants = [("vanilla", [])] + [
         ("+" + stage, stages[: i + 1]) for i, stage in enumerate(stages)
     ]
@@ -490,7 +544,7 @@ def ablate(config: PipelineConfig, stages: list[str] | None = None) -> list[dict
         vdir = out_dir / "ablation" / name.lstrip("+")
         vcfg = _variant_config(config, enabled, vdir)
         vcfg.stages["train"] = True
-        rep = run(vcfg, prepared=prepared)
+        rep = run(vcfg, tables)
         m = rep.sections["metrics"]
         row = {
             "variant": name,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import sigmoid
 from .tabular import ColumnRole, MISSING_TOKEN, Schema, Table
 
 
@@ -186,15 +187,6 @@ def cont_name(j: int) -> str:
     return f"x{j}"
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _standardize(v: np.ndarray) -> np.ndarray:
     sd = v.std()
     if sd == 0:
@@ -287,8 +279,8 @@ def generate(spec: SynthSpec) -> tuple[Table, GroundTruth]:
         scores = cat_scores_by_cat[j]
         z += coef * scores[raw_by_feature[j]]
         category_scores[cat_name(j)] = scores
-    p_install = _sigmoid(spec.label_model.install_intercept + z)
-    p_click = _sigmoid(spec.label_model.click_intercept + z)
+    p_install = sigmoid(spec.label_model.install_intercept + z)
+    p_click = sigmoid(spec.label_model.click_intercept + z)
     installs = (rng.random(n) < p_install).astype(np.uint8)
     clicks = (rng.random(n) < p_click).astype(np.uint8)
 

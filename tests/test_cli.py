@@ -226,3 +226,78 @@ class TestRunAndAblate:
         out = capsys.readouterr().out
         assert "vanilla:" in out and "+frequency:" in out
         assert (tmp_path / "ab" / "ablation.csv").exists()
+
+
+class TestInputLoading:
+    def test_delimited_inputs_match_their_ingest_caches(self, data, caches, tmp_path):
+        # the delimited inputs of one command are ingested together, so they
+        # share dictionaries exactly as the caches of one `ingest` call do
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "num_leaves": 15, "learning_rate": 0.15, "num_iterations": 30,
+            "early_stopping_rounds": 10, "min_data_in_leaf": 10,
+        }))
+        schema = ["--schema", str(data / "schema.json")]
+        for kind, d in (("csv", data), ("rlt", caches)):
+            train, test = str(d / f"train.{kind}"), str(d / f"test.{kind}")
+            assert main(["adversarial", "--train", train, "--test", test, *schema,
+                         "--subsample-per-side", "4000",
+                         "--out-dir", str(tmp_path / kind / "audit")]) == 0
+            assert main(["train", "--table", train, "--predict", test, *schema,
+                         "--valid-day", "66", "--params", str(params),
+                         "--out-dir", str(tmp_path / kind / "model")]) == 0
+        for name in ("audit/adversarial_report.json", "model/predictions.csv"):
+            assert (tmp_path / "csv" / name).read_bytes() == (
+                tmp_path / "rlt" / name
+            ).read_bytes(), name
+
+    def test_mixed_cache_and_delimited_inputs_rejected(self, data, caches, tmp_path, capsys):
+        train, test = str(caches / "train.rlt"), str(data / "test.csv")
+        rc = main(["adversarial", "--train", train, "--test", test,
+                   "--schema", str(data / "schema.json"),
+                   "--out-dir", str(tmp_path)])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert train in err and test in err
+        assert not (tmp_path / "adversarial_report.json").exists()
+
+
+STAGE_COMMANDS = {
+    # stage: (the run's stage toggles, the subcommand given the run's cache
+    #         directory, the artifacts it must write byte-identical to the run's)
+    "adversarial": (
+        {"adversarial": True},
+        lambda cache: ["adversarial", "--train", str(cache / "train.rlt"),
+                       "--test", str(cache / "test.rlt"), "--seed", "3",
+                       "--subsample-per-side", "2000"],
+        ["adversarial_report.json", "adversarial_auc.csv", "adversarial_auc.svg"],
+    ),
+    "denoise": (
+        {"adversarial": False},
+        lambda cache: ["denoise", "--table", str(cache / "train.rlt"),
+                       "--apply-to", str(cache / "test.rlt"), "--tol-rel", "0.002"],
+        ["delta_estimates.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_COMMANDS))
+def test_subcommand_writes_the_same_artifacts_as_run(data, tmp_path, stage):
+    toggles, command, artifacts = STAGE_COMMANDS[stage]
+    run_dir = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "paths": {"train": str(data / "train.csv"), "test": str(data / "test.csv"),
+                  "output_dir": str(run_dir)},
+        "schema": json.loads((data / "schema.json").read_text()),
+        "split": {"valid_day": 66},
+        "stages": dict(toggles, train=False),
+        "adversarial": {"subsample_per_side": 2000},
+        "denoise": {"tol_rel": 0.002},
+        "seed": 3,
+    }))
+    assert main(["run", "--config", str(config)]) == 0
+    cli_dir = tmp_path / "cli"
+    assert main(command(run_dir / "cache") + ["--out-dir", str(cli_dir)]) == 0
+    for name in artifacts:
+        assert (cli_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
