@@ -124,7 +124,7 @@ def _cmd_train(args) -> int:
         train_days = frozenset(range(int(lo), int(hi) + 1))
     out_dir = _out_dir(args)
     parts, model = pipeline.train_stage(
-        tables[0], SplitPlan(train_days, args.valid_day), params, args.threads, out_dir
+        tables[0], SplitPlan(train_days, args.valid_day), params, out_dir
     )
     report = RunReport(
         {}, {}, importance=feature_importance(model),
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-days", help="inclusive range, e.g. 45-65")
     p.add_argument("--params", help="JSON file of GBDT parameter overrides")
     p.add_argument("--predict", help="table to score after training")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_train)
 

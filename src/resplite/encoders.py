@@ -273,9 +273,9 @@ def apply_encoders(states: list[EncoderState], table: Table) -> Table:
 
 def save_states(states: list[EncoderState], path) -> None:
     doc = {"encoders": [s.to_json_dict() for s in states]}
+    # json.dumps uses the C encoder; json.dump to a file never does
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_states(path) -> list[EncoderState]:

@@ -19,6 +19,10 @@ from ..tabular import ColumnRole, Table
 STRIDE = 256
 
 
+class GbdtError(ValueError):
+    """Raised for invalid training or scoring inputs, or parameters."""
+
+
 @dataclass(frozen=True)
 class NumericBins:
     """Ascending thresholds; finite value v lands in the first bin whose
@@ -103,9 +107,17 @@ def bin_column(mapper: BinMapper, j: int, values: np.ndarray) -> np.ndarray:
 
 def bin_table(mapper: BinMapper, table: Table) -> np.ndarray:
     """Binned feature matrix of shape (n_features, n_rows), one contiguous
-    uint8 row per feature."""
+    uint8 row per feature.  Each column must have the role the mapper bins
+    it for: categorical under categorical bins, any other under numeric."""
     out = np.empty((mapper.n_features, table.n_rows), dtype=np.uint8)
     for j, name in enumerate(mapper.feature_names):
+        role = table.schema.role(name)
+        if (role is ColumnRole.CATEGORICAL) != mapper.is_categorical(j):
+            binned_as = "categorical" if mapper.is_categorical(j) else "numeric"
+            raise GbdtError(
+                f"feature {name!r} is {role.value} in the table "
+                f"but the model bins it as {binned_as}"
+            )
         out[j] = bin_column(mapper, j, table.col(name))
     return out
 

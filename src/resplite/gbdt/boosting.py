@@ -3,15 +3,14 @@ on validation log loss, split-count importance, and a versioned JSON model
 format.
 
 Scores and histogram sums are accumulated in float64 throughout; given the
-same params, data, and seed the fit is bit-reproducible at any worker-thread
-setting (per-feature histogram reductions run in fixed feature order).
+same params, data, and seed the fit is bit-reproducible.  The fit runs on one
+thread: ``n_threads`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -20,6 +19,7 @@ from ..metrics import EvalBatch, logloss, sigmoid
 from ..tabular import ColumnRole, Table
 from .binning import (
     BinMapper,
+    GbdtError,
     bin_table,
     build_bin_mapper,
     mapper_from_json,
@@ -37,10 +37,6 @@ from .tree import (
 
 MODEL_FORMAT = "resplite-gbdt"
 MODEL_VERSION = 1
-
-
-class GbdtError(ValueError):
-    """Raised for invalid training inputs or parameters."""
 
 
 @dataclass(frozen=True)
@@ -132,7 +128,7 @@ def fit(
 
     Keeps trees up to the iteration with the lowest validation loss (first
     minimum on ties).  The validation table must be non-empty; the train
-    labels must contain both classes.
+    labels must contain both classes.  ``n_threads`` has no effect.
     """
     if feature_names is None:
         feature_names = list(train.schema.feature_columns())
@@ -168,51 +164,44 @@ def fit(
     n_features = len(feature_names)
     n_sub = max(1, math.ceil(params.feature_fraction * n_features))
 
-    pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
     trees: list[Node] = []
     train_curve: list[float] = []
     valid_curve: list[float] = []
     best_iter = -1
     best_loss = math.inf
-    try:
-        for it in range(params.num_iterations):
-            grad, hess = _grad_hess(scores, y_train)
-            if n_sub < n_features:
-                subset = np.sort(rng.choice(n_features, size=n_sub, replace=False))
-            else:
-                subset = np.arange(n_features, dtype=np.int64)
-            grown = grow_tree(
-                binned_train,
-                n_bins_all,
-                is_cat,
-                grad,
-                hess,
-                subset,
-                params.num_leaves,
-                params.max_depth,
-                params.min_data_in_leaf,
-                params.lambda_l2,
-                params.learning_rate,
-                pool=pool,
-                n_chunks=n_threads,
-            )
-            if grown is None:
-                break
-            for rows, value in grown.leaf_updates:
-                scores[rows] += value
-            valid_scores += tree_output(grown.root, binned_valid)
-            trees.append(grown.root)
-            train_curve.append(_scores_logloss(scores, y_train))
-            vloss = _scores_logloss(valid_scores, y_valid)
-            valid_curve.append(vloss)
-            if vloss < best_loss:
-                best_loss = vloss
-                best_iter = it
-            elif it - best_iter >= params.early_stopping_rounds:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for it in range(params.num_iterations):
+        grad, hess = _grad_hess(scores, y_train)
+        if n_sub < n_features:
+            subset = np.sort(rng.choice(n_features, size=n_sub, replace=False))
+        else:
+            subset = np.arange(n_features, dtype=np.int64)
+        grown = grow_tree(
+            binned_train,
+            n_bins_all,
+            is_cat,
+            grad,
+            hess,
+            subset,
+            params.num_leaves,
+            params.max_depth,
+            params.min_data_in_leaf,
+            params.lambda_l2,
+            params.learning_rate,
+        )
+        if grown is None:
+            break
+        for rows, value in grown.leaf_updates:
+            scores[rows] += value
+        valid_scores += tree_output(grown.root, binned_valid)
+        trees.append(grown.root)
+        train_curve.append(_scores_logloss(scores, y_train))
+        vloss = _scores_logloss(valid_scores, y_valid)
+        valid_curve.append(vloss)
+        if vloss < best_loss:
+            best_loss = vloss
+            best_iter = it
+        elif it - best_iter >= params.early_stopping_rounds:
+            break
 
     kept = trees[: best_iter + 1]
     split_counts = np.zeros(n_features, dtype=np.int64)
@@ -280,9 +269,9 @@ def save_model(model: GbdtModel, path) -> None:
         "train_curve": model.train_curve,
         "valid_curve": model.valid_curve,
     }
+    # json.dumps uses the C encoder; json.dump to a file never does
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path) -> GbdtModel:

@@ -6,11 +6,11 @@ usual regularized second-order score
 ``G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - G^2/(H+lam)``; leaf values are damped
 Newton steps ``-G/(H+lam) * learning_rate``.
 
-Determinism rules: features are scanned in ascending index order and a
-candidate replaces the incumbent only on strictly greater gain, so ties keep
-the lowest feature index and lowest bin; equal-gain leaves split in creation
-order; missing values go left on exact gain ties.  Sibling histograms are
-derived by subtraction from the parent (smaller child built directly).
+Determinism rules: the split is the first maximum of gain over features in
+ascending index order and then over bins, so ties keep the lowest feature
+index and lowest bin; equal-gain leaves split in creation order; missing
+values go left on exact gain ties.  Sibling histograms are derived by
+subtraction from the parent (smaller child built directly).
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class GrownTree:
 class _Split:
     gain: float
     feature: int      # model feature index
-    fpos: int         # position within this tree's feature subset
     kind: str         # "numeric" | "categorical"
     threshold_bin: int
     missing_left: bool
@@ -81,7 +80,7 @@ class _Leaf:
         self.grad = grad
         self.hess = hess
         self.count = count
-        self.hist: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.hist: np.ndarray | None = None
         self.split: _Split | None = None
         self.node_box: list = [None, None, None]  # kind marker, left, right
 
@@ -92,78 +91,43 @@ def _build_hist(
     rows: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
-    chunks: list[np.ndarray],
-    pool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-feature histograms of gradient sums, hessian sums, and counts.
-
-    Features may be processed in chunks (optionally on a thread pool); each
-    feature's sums are accumulated independently in row order, so results do
-    not depend on the chunking.
-    """
-    n_sub = len(subset)
+) -> np.ndarray:
+    """Histogram planes of shape (3, k, STRIDE): per-feature gradient sums,
+    hessian sums, and counts.  Each bin accumulates its rows in row order."""
     g_rows = grad[rows]
     h_rows = hess[rows]
-    hg = np.empty((n_sub, STRIDE), dtype=np.float64)
-    hh = np.empty((n_sub, STRIDE), dtype=np.float64)
-    hc = np.empty((n_sub, STRIDE), dtype=np.float64)
-
-    def work(chunk: np.ndarray) -> None:
-        m = len(rows)
-        k = len(chunk)
-        # one fancy gather of shape (k, m); avoids copying full feature rows
-        idx = binned[subset[chunk][:, None], rows[None, :]].astype(np.int64)
-        idx += (np.arange(k, dtype=np.int64) * STRIDE)[:, None]
-        flat = idx.ravel()
-        size = k * STRIDE
-        hg[chunk] = np.bincount(
-            flat, weights=np.tile(g_rows, k), minlength=size
-        ).reshape(k, STRIDE)
-        hh[chunk] = np.bincount(
-            flat, weights=np.tile(h_rows, k), minlength=size
-        ).reshape(k, STRIDE)
-        hc[chunk] = np.bincount(flat, minlength=size).reshape(k, STRIDE)
-
-    if pool is None or len(chunks) == 1:
-        for chunk in chunks:
-            work(chunk)
-    else:
-        list(pool.map(work, chunks))
-    return hg, hh, hc
+    hist = np.empty((3, len(subset), STRIDE), dtype=np.float64)
+    for fpos, f in enumerate(subset):
+        bins_rows = binned[f][rows]
+        hist[0, fpos] = np.bincount(bins_rows, weights=g_rows, minlength=STRIDE)
+        hist[1, fpos] = np.bincount(bins_rows, weights=h_rows, minlength=STRIDE)
+        hist[2, fpos] = np.bincount(bins_rows, minlength=STRIDE)
+    return hist
 
 
-def _scan_numeric(hg, hh, hc, n_bins, total_g, total_h, total_c, lam, min_data):
-    """Best threshold over one numeric feature's histogram, trying the
-    missing bin on both sides; returns None when no valid positive split."""
-    if n_bins < 3:
-        return None
-    pg = np.cumsum(hg[1:n_bins])[:-1]
-    ph = np.cumsum(hh[1:n_bins])[:-1]
-    pc = np.cumsum(hc[1:n_bins])[:-1]
-    mg, mh, mc = hg[0], hh[0], hc[0]
-    parent = total_g * total_g / (total_h + lam)
+@dataclass(frozen=True)
+class _Scan:
+    """Per-tree constants of the split scan; they depend only on the subset.
 
-    def side_gain(gl, hl, cl):
-        gr = total_g - gl
-        hr = total_h - hl
-        cr = total_c - cl
-        ok = (cl >= min_data) & (cr >= min_data)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent
-        return np.where(ok, gain, -np.inf)
+    ``num``/``cat`` are positions within the subset.  Numeric threshold
+    position b (threshold bin b + 1) is a candidate for the i-th numeric
+    feature only where ``valid[i, b]``, i.e. b < n_bins - 2.
+    """
 
-    gain_left = side_gain(pg + mg, ph + mh, pc + mc)   # missing joins left
-    gain_right = side_gain(pg, ph, pc)                 # missing joins right
-    use_right = gain_right > gain_left
-    gain = np.where(use_right, gain_right, gain_left)
-    b = int(np.argmax(gain))
-    if not np.isfinite(gain[b]) or gain[b] <= 0.0:
-        return None
-    missing_left = not bool(use_right[b])
-    gl = float(pg[b] + (mg if missing_left else 0.0))
-    hl = float(ph[b] + (mh if missing_left else 0.0))
-    cl = int(pc[b] + (mc if missing_left else 0))
-    return float(gain[b]), b + 1, missing_left, gl, hl, cl
+    subset: np.ndarray
+    n_bins: np.ndarray  # per subset position
+    num: np.ndarray
+    cat: np.ndarray
+    valid: np.ndarray   # (len(num), width) bool
+
+
+def _scan_plan(subset: np.ndarray, n_bins_all: np.ndarray, is_cat: np.ndarray) -> _Scan:
+    n_bins = n_bins_all[subset]
+    cat_mask = is_cat[subset]
+    num = np.flatnonzero(~cat_mask)
+    width = int(n_bins[num].max()) - 2 if len(num) else 0
+    valid = np.arange(width)[None, :] < (n_bins[num] - 2)[:, None]
+    return _Scan(subset, n_bins, num, np.flatnonzero(cat_mask), valid)
 
 
 def _scan_categorical(hg, hh, hc, n_bins, total_g, total_h, total_c, lam, min_data):
@@ -194,42 +158,75 @@ def _scan_categorical(hg, hh, hc, n_bins, total_g, total_h, total_c, lam, min_da
     return float(gain[k]), left_bins, float(cg[k]), float(ch[k]), int(cc[k])
 
 
-def _find_best_split(leaf: _Leaf, subset, n_bins_all, is_cat, lam, min_data) -> _Split | None:
+def _find_best_split(leaf: _Leaf, scan: _Scan, lam, min_data) -> _Split | None:
+    """Best split of the leaf over every feature of the subset.
+
+    All numeric features are scanned together: prefix sums over bins 1..b+1
+    with the missing bin joined left (side 0) or right (side 1), the missing
+    side chosen by strictly greater gain (ties go left), then the first-max
+    bin per feature.  A feature with any NaN gain, or whose best gain is
+    infinite or not positive, offers no candidate.  The split is the
+    first-max feature in subset order, so ties keep the lowest feature and
+    then the lowest bin.
+    """
     if leaf.count < 2 * min_data:
         return None
-    hg, hh, hc = leaf.hist
-    best: _Split | None = None
-    for fpos, f in enumerate(subset):
-        nb = int(n_bins_all[f])
-        if is_cat[f]:
-            res = _scan_categorical(
-                hg[fpos], hh[fpos], hc[fpos], nb,
-                leaf.grad, leaf.hess, leaf.count, lam, min_data,
-            )
-            if res is None:
-                continue
-            gain, left_bins, gl, hl, cl = res
-            if best is None or gain > best.gain:
-                best = _Split(
-                    gain=gain, feature=int(f), fpos=fpos, kind="categorical",
-                    threshold_bin=0, missing_left=bool(0 in left_bins),
-                    left_bins=left_bins, grad_left=gl, hess_left=hl, count_left=cl,
-                )
-        else:
-            res = _scan_numeric(
-                hg[fpos], hh[fpos], hc[fpos], nb,
-                leaf.grad, leaf.hess, leaf.count, lam, min_data,
-            )
-            if res is None:
-                continue
-            gain, tb, missing_left, gl, hl, cl = res
-            if best is None or gain > best.gain:
-                best = _Split(
-                    gain=gain, feature=int(f), fpos=fpos, kind="numeric",
-                    threshold_bin=tb, missing_left=missing_left,
-                    left_bins=None, grad_left=gl, hess_left=hl, count_left=cl,
-                )
-    return best
+    hist = leaf.hist
+    total_g, total_h, total_c = leaf.grad, leaf.hess, leaf.count
+    best_gain = np.full(len(scan.subset), -np.inf)
+    kn, width = scan.valid.shape
+    if width:
+        sides = np.empty((3, 2, kn, width))  # (G/H/count, missing side, feature, b)
+        np.cumsum(hist[:, scan.num, 1 : width + 1], axis=2, out=sides[:, 1])
+        missing = hist[:, scan.num, :1]
+        np.add(sides[:, 1], missing, out=sides[:, 0])
+        gl, hl, cl = sides
+        gr = total_g - gl
+        hr = total_h - hl
+        cr = total_c - cl
+        ok = (cl >= min_data) & (cr >= min_data) & scan.valid
+        parent = total_g * total_g / (total_h + lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent
+        gain = np.where(ok, gain, -np.inf)
+        use_right = gain[1] > gain[0]
+        gain = np.where(use_right, gain[1], gain[0])
+        num_gain = gain.max(axis=1)  # NaN when any bin's gain is NaN
+        best_gain[scan.num] = np.where(
+            np.isfinite(num_gain) & (num_gain > 0.0), num_gain, -np.inf
+        )
+    cat_found = {}
+    for fpos in scan.cat:
+        res = _scan_categorical(
+            hist[0, fpos], hist[1, fpos], hist[2, fpos], int(scan.n_bins[fpos]),
+            total_g, total_h, total_c, lam, min_data,
+        )
+        if res is not None:
+            best_gain[fpos] = res[0]
+            cat_found[fpos] = res
+    fpos = int(np.argmax(best_gain))
+    if best_gain[fpos] == -np.inf:
+        return None
+    feature = int(scan.subset[fpos])
+    if fpos in cat_found:
+        gain, left_bins, g_left, h_left, c_left = cat_found[fpos]
+        return _Split(
+            gain=gain, feature=feature, kind="categorical",
+            threshold_bin=0, missing_left=bool(0 in left_bins),
+            left_bins=left_bins, grad_left=g_left, hess_left=h_left, count_left=c_left,
+        )
+    i = int(np.searchsorted(scan.num, fpos))
+    b = int(np.argmax(gain[i]))
+    missing_left = not bool(use_right[i, b])
+    pg, ph, pc = sides[:, 1, i, b]
+    mg, mh, mc = missing[:, i, 0]
+    return _Split(
+        gain=float(gain[i, b]), feature=feature, kind="numeric",
+        threshold_bin=b + 1, missing_left=missing_left, left_bins=None,
+        grad_left=float(pg + (mg if missing_left else 0.0)),
+        hess_left=float(ph + (mh if missing_left else 0.0)),
+        count_left=int(pc + (mc if missing_left else 0)),
+    )
 
 
 def _left_mask(split: _Split, bins_rows: np.ndarray) -> np.ndarray:
@@ -255,18 +252,16 @@ def grow_tree(
     min_data: int,
     lam: float,
     learning_rate: float,
-    pool=None,
-    n_chunks: int = 1,
 ) -> Optional[GrownTree]:
     """Grow one tree over all rows; returns None when not even the root can
     be split with positive gain (no further boosting progress is possible)."""
     n = binned.shape[1]
     rows = np.arange(n, dtype=np.int64)
-    chunk_list = [c for c in np.array_split(np.arange(len(subset)), max(1, n_chunks)) if len(c)]
+    scan = _scan_plan(subset, n_bins_all, is_cat)
 
     root = _Leaf(rows, 0, float(grad.sum()), float(hess.sum()), n)
-    root.hist = _build_hist(binned, subset, rows, grad, hess, chunk_list, pool)
-    root.split = _find_best_split(root, subset, n_bins_all, is_cat, lam, min_data)
+    root.hist = _build_hist(binned, subset, rows, grad, hess)
+    root.split = _find_best_split(root, scan, lam, min_data)
     if root.split is None:
         return None
 
@@ -291,8 +286,8 @@ def grow_tree(
         )
         # build the smaller child's histogram directly, derive the sibling
         small, big = (left, right) if left.count <= right.count else (right, left)
-        small.hist = _build_hist(binned, subset, small.rows, grad, hess, chunk_list, pool)
-        big.hist = tuple(p - s for p, s in zip(leaf.hist, small.hist))
+        small.hist = _build_hist(binned, subset, small.rows, grad, hess)
+        big.hist = leaf.hist - small.hist
         leaf.hist = None
         leaf.rows = None
 
@@ -301,13 +296,13 @@ def grow_tree(
         n_leaves += 1
 
         for child in (left, right):
-            if max_depth >= 0 and child.depth >= max_depth:
+            if max_depth < 0 or child.depth < max_depth:
+                child.split = _find_best_split(child, scan, lam, min_data)
+            if child.split is None:  # terminal: its histogram is never read again
                 child.hist = None
                 continue
-            child.split = _find_best_split(child, subset, n_bins_all, is_cat, lam, min_data)
-            if child.split is not None:
-                seq += 1
-                heapq.heappush(heap, (-child.split.gain, seq, child))
+            seq += 1
+            heapq.heappush(heap, (-child.split.gain, seq, child))
         if n_leaves >= num_leaves:
             break
 

@@ -88,7 +88,7 @@ class PipelineConfig:
     keep_originals: bool
     gbdt: GbdtParams
     seed: int
-    n_threads: int
+    n_threads: int  # accepted; training runs on one thread
     raw: dict = field(default_factory=dict)
 
 
@@ -362,12 +362,12 @@ def encode_stage(
 
 
 def train_stage(
-    table: Table, plan: SplitPlan, params: GbdtParams, n_threads: int, out_dir: Path
+    table: Table, plan: SplitPlan, params: GbdtParams, out_dir: Path
 ) -> tuple[SplitResult, GbdtModel]:
     """Split ``table`` by the plan (see :func:`split_plan`), fit the GBDT
     with early stopping on the valid day, and write ``model.json``."""
     parts = temporal_split(table, split_plan(table, plan))
-    model = gbdt_fit(params, parts.train, parts.valid, n_threads=n_threads)
+    model = gbdt_fit(params, parts.train, parts.valid)
     save_model(model, out_dir / "model.json")
     return parts, model
 
@@ -469,7 +469,7 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
 
     if config.stages.get("train", True):
         parts, model = _timed(report, "train", lambda: train_stage(
-            tables[0], plan, config.gbdt, config.n_threads, out_dir
+            tables[0], plan, config.gbdt, out_dir
         ))
         importance = feature_importance(model)
         report.importance = importance
@@ -585,8 +585,7 @@ def emit_synthetic(seed: int, out_dir: str | Path, n_rows_per_day: int = 4348) -
     write_csv(train_file, out / "train.csv")
     write_csv(test_file, out / "test.csv")
     with open(out / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth.to_json_dict(), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(truth.to_json_dict(), sort_keys=True) + "\n")
     with open(out / "schema.json", "w", encoding="utf-8") as fh:
         # no sort_keys: the column mapping order is the on-disk column order
         json.dump(table.schema.to_json(), fh, indent=2)

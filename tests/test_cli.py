@@ -169,6 +169,27 @@ class TestTrainAndEvaluate:
         assert set(doc) == {"logloss", "auc", "nce", "background_rate"}
         assert doc["nce"] < 1.0
 
+    def test_predict_on_a_table_not_denoised_like_the_model_fails(
+        self, caches, tmp_path, capsys
+    ):
+        # the model bins the denoised x2/x3 as categorical; the raw test
+        # table has them continuous
+        denoised = tmp_path / "denoised"
+        assert main(["denoise", "--table", str(caches / "train.rlt"),
+                     "--out-dir", str(denoised)]) == 0
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"num_leaves": 7, "num_iterations": 5,
+                                      "early_stopping_rounds": 5}))
+        out_dir = tmp_path / "out"
+        rc = main([
+            "train", "--table", str(denoised / "denoised.rlt"),
+            "--valid-day", "66", "--params", str(params),
+            "--predict", str(caches / "test.rlt"), "--out-dir", str(out_dir),
+        ])
+        assert rc != 0
+        assert "'x2'" in capsys.readouterr().err
+        assert not (out_dir / "predictions.csv").exists()
+
     def test_evaluate_missing_row_id_fails(self, caches, tmp_path):
         preds = tmp_path / "preds.csv"
         preds.write_text("0,0.5\n")

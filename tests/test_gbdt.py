@@ -270,6 +270,29 @@ class TestPredict:
         out = predict(model, probe)
         assert 0.0 < out[0] < 1.0
 
+    def test_column_role_must_match_the_model(self):
+        n = 600
+        rng = np.random.Generator(np.random.PCG64(7))
+        codes = rng.integers(1, 4, size=n).astype(np.int32)
+        y = (codes == 2).astype(np.uint8)
+        dictionary = [MISSING_TOKEN, "a", "b", "c"]
+        cat_table = make_cat_table(np.full(n, 45), codes, dictionary, y)
+        params = GbdtParams(num_leaves=4, min_data_in_leaf=5,
+                            num_iterations=5, early_stopping_rounds=5)
+        cat_model = fit(params, cat_table, cat_table, ["cat"])
+        # the same column, unquantized: continuous under categorical bins
+        raw = Table.from_columns(
+            Schema((("day", ColumnRole.DAY), ("cat", ColumnRole.CONTINUOUS),
+                    ("y", ColumnRole.LABEL_INSTALL))),
+            {"day": np.full(n, 45), "cat": codes + 0.3, "y": y},
+        )
+        with pytest.raises(GbdtError, match="'cat'"):
+            predict(cat_model, raw)
+        # and the reverse: categorical under numeric bins
+        num_model = fit(params, raw, raw, ["cat"])
+        with pytest.raises(GbdtError, match="'cat'"):
+            predict(num_model, cat_table)
+
     def test_missing_values_follow_default_direction(self):
         rng = np.random.Generator(np.random.PCG64(9))
         n = 1000
@@ -361,12 +384,11 @@ class TestHistograms:
         grad = rng.standard_normal(n)
         hess = rng.uniform(0.01, 0.25, n)
         subset = np.array([0, 1])
-        chunks = [np.arange(2)]
         rows = np.arange(n, dtype=np.int64)
-        parent = _build_hist(binned, subset, rows, grad, hess, chunks, None)
+        parent = _build_hist(binned, subset, rows, grad, hess)
         mask = rng.random(n) < 0.4
-        left = _build_hist(binned, subset, rows[mask], grad, hess, chunks, None)
-        right = _build_hist(binned, subset, rows[~mask], grad, hess, chunks, None)
+        left = _build_hist(binned, subset, rows[mask], grad, hess)
+        right = _build_hist(binned, subset, rows[~mask], grad, hess)
         # integer counts are exact; gradient sums within float tolerance
         assert np.array_equal(parent[2], left[2] + right[2])
         assert np.allclose(parent[0] - left[0], right[0], atol=1e-9)

@@ -1,0 +1,226 @@
+"""The vectorized split scan and histogram build against per-feature
+references: a loop over the single-feature numeric scan below and the
+categorical scan must pick exactly the split the vectorized scan picks."""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from resplite.gbdt.binning import STRIDE
+from resplite.gbdt.tree import (
+    _Leaf,
+    _Split,
+    _build_hist,
+    _find_best_split,
+    _scan_categorical,
+    _scan_plan,
+)
+
+
+def _scan_numeric(hg, hh, hc, n_bins, total_g, total_h, total_c, lam, min_data):
+    """Best threshold over one numeric feature's histogram, trying the
+    missing bin on both sides; returns None when no valid positive split."""
+    if n_bins < 3:
+        return None
+    pg = np.cumsum(hg[1:n_bins])[:-1]
+    ph = np.cumsum(hh[1:n_bins])[:-1]
+    pc = np.cumsum(hc[1:n_bins])[:-1]
+    mg, mh, mc = hg[0], hh[0], hc[0]
+    parent = total_g * total_g / (total_h + lam)
+
+    def side_gain(gl, hl, cl):
+        gr = total_g - gl
+        hr = total_h - hl
+        cr = total_c - cl
+        ok = (cl >= min_data) & (cr >= min_data)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent
+        return np.where(ok, gain, -np.inf)
+
+    gain_left = side_gain(pg + mg, ph + mh, pc + mc)   # missing joins left
+    gain_right = side_gain(pg, ph, pc)                 # missing joins right
+    use_right = gain_right > gain_left
+    gain = np.where(use_right, gain_right, gain_left)
+    b = int(np.argmax(gain))
+    if not np.isfinite(gain[b]) or gain[b] <= 0.0:
+        return None
+    missing_left = not bool(use_right[b])
+    gl = float(pg[b] + (mg if missing_left else 0.0))
+    hl = float(ph[b] + (mh if missing_left else 0.0))
+    cl = int(pc[b] + (mc if missing_left else 0))
+    return float(gain[b]), b + 1, missing_left, gl, hl, cl
+
+
+def _reference_split(leaf, subset, n_bins_all, is_cat, lam, min_data):
+    """One feature at a time; a candidate replaces the incumbent only on
+    strictly greater gain."""
+    if leaf.count < 2 * min_data:
+        return None
+    hg, hh, hc = leaf.hist
+    best = None
+    for fpos, f in enumerate(subset):
+        nb = int(n_bins_all[f])
+        args = (hg[fpos], hh[fpos], hc[fpos], nb,
+                leaf.grad, leaf.hess, leaf.count, lam, min_data)
+        if is_cat[f]:
+            res = _scan_categorical(*args)
+            if res is not None and (best is None or res[0] > best.gain):
+                gain, left_bins, gl, hl, cl = res
+                best = _Split(
+                    gain=gain, feature=int(f), kind="categorical",
+                    threshold_bin=0, missing_left=bool(0 in left_bins),
+                    left_bins=left_bins, grad_left=gl, hess_left=hl, count_left=cl,
+                )
+        else:
+            res = _scan_numeric(*args)
+            if res is not None and (best is None or res[0] > best.gain):
+                gain, tb, missing_left, gl, hl, cl = res
+                best = _Split(
+                    gain=gain, feature=int(f), kind="numeric",
+                    threshold_bin=tb, missing_left=missing_left,
+                    left_bins=None, grad_left=gl, hess_left=hl, count_left=cl,
+                )
+    return best
+
+
+def _fields(split):
+    if split is None:
+        return None
+    out = {}
+    for field in dataclasses.fields(split):
+        value = getattr(split, field.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.tolist())
+        out[field.name] = (type(value), value)
+    return out
+
+
+def _outcome(find, *args):
+    """The split's fields, or the error raised: with lambda_l2 = 0 and no
+    hessian in the leaf the parent score divides by zero in both scans."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):  # the categorical G/H key
+            return _fields(find(*args))
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@st.composite
+def scan_cases(draw):
+    """Small leaves with exact gain ties: gradients and hessians on a coarse
+    grid, duplicated feature columns, empty missing bins, n_bins < 3, and
+    zero hessians with lambda_l2 = 0 (NaN and infinite gains)."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    mix = draw(st.sampled_from(["numeric", "categorical", "mixed"]))
+    n_features = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 80))
+    lam = draw(st.sampled_from([0.0, 1.0]))
+    zero_hess = draw(st.booleans())
+    min_data = draw(st.integers(1, 6))
+    n_bins_all = np.empty(n_features, dtype=np.int64)
+    is_cat = np.empty(n_features, dtype=bool)
+    binned = np.empty((n_features, m), dtype=np.uint8)
+    for f in range(n_features):
+        if f and draw(st.booleans()):  # a copy of an earlier feature: exact ties
+            src = draw(st.integers(0, f - 1))
+            n_bins_all[f], is_cat[f], binned[f] = n_bins_all[src], is_cat[src], binned[src]
+            continue
+        is_cat[f] = mix == "categorical" or (mix == "mixed" and draw(st.booleans()))
+        n_bins_all[f] = draw(st.sampled_from([1, 2, 3, 4, 5, 8, STRIDE]) if is_cat[f]
+                             else st.sampled_from([2, 3, 4, 5, 8, STRIDE]))
+        low = 1 if draw(st.booleans()) else 0  # no missing rows: side ties
+        high = min(int(n_bins_all[f]), draw(st.sampled_from([3, 6, STRIDE])))
+        binned[f] = rng.integers(min(low, high - 1), high, size=m)
+    grad = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=m)
+    hess = rng.choice([0.0, 0.25, 1.0] if zero_hess else [0.25, 1.0], size=m)
+    if draw(st.booleans()):
+        subset = np.arange(n_features, dtype=np.int64)
+    else:
+        size = draw(st.integers(1, n_features))
+        subset = np.sort(rng.choice(n_features, size=size, replace=False))
+    rows = np.sort(rng.choice(m, size=draw(st.integers(0, m)), replace=False))
+    return binned, n_bins_all, is_cat, grad, hess, subset, rows, lam, min_data
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_vectorized_scan_matches_per_feature_reference(case):
+    binned, n_bins_all, is_cat, grad, hess, subset, rows, lam, min_data = case
+    leaf = _Leaf(rows, 0, float(grad[rows].sum()), float(hess[rows].sum()), len(rows))
+    leaf.hist = _build_hist(binned, subset, rows, grad, hess)
+    scan = _scan_plan(subset, n_bins_all, is_cat)
+    want = _outcome(_reference_split, leaf, subset, n_bins_all, is_cat, lam, min_data)
+    got = _outcome(_find_best_split, leaf, scan, lam, min_data)
+    assert got == want
+
+
+def test_ties_keep_lowest_feature_then_lowest_bin_then_missing_left():
+    # gradients +1,+1,-1,-1 in bins 1,2,4,5 and no missing rows: thresholds
+    # 2 and 3 (bin 3 is empty) tie on both identical features, and so do
+    # the two sides for the empty missing bin
+    binned = np.array([[1, 2, 4, 5], [1, 2, 4, 5]], dtype=np.uint8)
+    grad = np.array([1.0, 1.0, -1.0, -1.0])
+    hess = np.ones(4)
+    n_bins_all = np.array([7, 7])
+    is_cat = np.array([False, False])
+    subset = np.array([0, 1])
+    rows = np.arange(4)
+    leaf = _Leaf(rows, 0, 0.0, 4.0, 4)
+    leaf.hist = _build_hist(binned, subset, rows, grad, hess)
+    split = _find_best_split(leaf, _scan_plan(subset, n_bins_all, is_cat), 1.0, 1)
+    assert (split.feature, split.threshold_bin, split.missing_left) == (0, 2, True)
+    assert (split.grad_left, split.hess_left, split.count_left) == (2.0, 2.0, 2)
+
+
+def test_feature_with_a_nan_gain_offers_no_split():
+    # lambda_l2 = 0: feature 0's threshold 1 isolates the one row with zero
+    # gradient and hessian (0/0), so feature 0 is skipped although its
+    # threshold 2 beats every threshold of feature 1
+    binned = np.array([[1, 2, 3, 3], [1, 2, 1, 2]], dtype=np.uint8)
+    grad = np.array([0.0, 1.0, -1.0, -1.0])
+    hess = np.array([0.0, 1.0, 1.0, 1.0])
+    subset = np.array([0, 1])
+    rows = np.arange(4)
+    leaf = _Leaf(rows, 0, -1.0, 3.0, 4)
+    leaf.hist = _build_hist(binned, subset, rows, grad, hess)
+    scan = _scan_plan(subset, np.array([5, 4]), np.array([False, False]))
+    split = _find_best_split(leaf, scan, 0.0, 1)
+    assert (split.feature, split.threshold_bin) == (1, 1)
+    assert split == _reference_split(leaf, subset, np.array([5, 4]),
+                                     np.array([False, False]), 0.0, 1)
+
+
+def test_no_threshold_past_a_features_last_bin():
+    # feature 0 has one finite bin; the scan is as wide as feature 1's bins,
+    # yet "every finite row left, missing right" is not a threshold of 0
+    binned = np.array([[0, 0, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1]], dtype=np.uint8)
+    grad = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+    hess = np.ones(6)
+    subset = np.array([0, 1])
+    rows = np.arange(6)
+    leaf = _Leaf(rows, 0, 2.0, 6.0, 6)
+    leaf.hist = _build_hist(binned, subset, rows, grad, hess)
+    scan = _scan_plan(subset, np.array([2, 8]), np.array([False, False]))
+    assert _find_best_split(leaf, scan, 1.0, 1) is None
+
+
+def test_build_hist_needs_no_rows_by_features_temporary():
+    k, m = 20, 200_000
+    rng = np.random.Generator(np.random.PCG64(5))
+    binned = rng.integers(0, STRIDE, size=(k, m), dtype=np.uint8)
+    grad = rng.standard_normal(m)
+    hess = rng.uniform(0.01, 0.25, m)
+    rows = np.arange(m, dtype=np.int64)
+    subset = np.arange(k)
+    tracemalloc.start()
+    try:
+        hist = _build_hist(binned, subset, rows, grad, hess)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.shape == (3, k, STRIDE)
+    assert np.array_equal(hist[2].sum(axis=1), np.full(k, m))
+    # a (k, m) int64 gather alone is k*m*8 bytes
+    assert peak < k * m * 8 / 2
