@@ -1,7 +1,9 @@
-"""Per-feature adversarial validation: train a classifier to tell train
-rows from test rows using one feature at a time.  Chance-level AUC means
-the feature's distribution is stable; high AUC flags covariate shift, and
-features at or above the threshold are dropped before model training.
+"""Per-feature adversarial validation: tell train rows from test rows using
+one feature at a time.  Each feature is binned as the GBDT bins it, and a
+holdout is ranked by each bin's smoothed test share on the fit rows (a
+binned train/test density ratio).  Chance-level AUC means the feature's
+distribution is stable; high AUC flags covariate shift, and features at or
+above the threshold are dropped before model training.
 
 Run: python demos/03_adversarial_validation.py
 """

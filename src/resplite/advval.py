@@ -1,9 +1,16 @@
 """Per-feature adversarial validation.
 
-For each feature column, a small classifier is trained to tell train-file
-rows from test-file rows using that single feature; its holdout AUC measures
-how much the feature's distribution moved.  Features at or above the AUC
-threshold are verdicted Drop and can be filtered from model training.
+For each feature column, rows of the train file (origin 0) and the test file
+(origin 1) are pooled and split into a fit part and a stratified holdout.
+The feature is binned as the GBDT bins it, on the fit part: quantile
+thresholds for numeric features, codes with one overflow bin for
+categoricals.  Each holdout row is scored with its bin's smoothed test share
+on the fit part, ``(n_test + 1) / (n + 2)``, a binned estimate of the
+test/train density ratio, and the holdout AUC of those scores measures how
+much the feature's distribution moved.  A one-feature tree ensemble is
+piecewise constant over the same bins, so this is the ranking it would
+learn, without fitting one.  Features at or above the AUC threshold are
+verdicted Drop and can be filtered from model training.
 
 Day, row-id, and label columns are exempt: the day column separates the
 files by construction, and labels are not feature candidates.
@@ -12,35 +19,27 @@ files by construction, and labels are not feature candidates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gbdt import GbdtParams, fit as gbdt_fit, predict as gbdt_predict
+# perfbench/spans.py wraps advval.gbdt_fit, advval.gbdt_predict and advval.auc by name
+from .gbdt import fit as gbdt_fit, predict as gbdt_predict  # noqa: F401
+from .gbdt.binning import NumericBins, _numeric_thresholds, bin_column
 from .metrics import EvalBatch, MetricError, auc
-from .tabular import ColumnRole, MISSING_TOKEN, Schema, Table
+from .tabular import ColumnRole, Table
+
+#: the GBDT's default bin budget; categorical codes >= MAX_BINS - 1 share one bin
+MAX_BINS = 255
 
 
 class AdvValError(ValueError):
     """Raised for unusable audit inputs."""
 
 
-def _small_classifier_profile() -> GbdtParams:
-    # fixed small profile: single-feature AUC is insensitive to model size
-    return GbdtParams(
-        num_leaves=31,
-        learning_rate=0.1,
-        num_iterations=100,
-        early_stopping_rounds=20,
-        min_data_in_leaf=20,
-        max_bins=255,
-    )
-
-
 @dataclass(frozen=True)
 class AdvConfig:
     auc_threshold: float = 0.75
-    classifier_params: GbdtParams = field(default_factory=_small_classifier_profile)
     holdout_fraction: float = 0.2
     seed: int = 0
     subsample_per_side: int | None = 200_000
@@ -120,41 +119,25 @@ def _subsample(values: np.ndarray, cap: int | None, rng: np.random.Generator) ->
     return values[idx]
 
 
-def _single_feature_table(
-    values: np.ndarray,
-    origin: np.ndarray,
-    categorical: bool,
-    dictionary: tuple[str, ...] | None,
-) -> Table:
-    role = ColumnRole.CATEGORICAL if categorical else ColumnRole.CONTINUOUS
-    schema = Schema((("feature", role), ("origin", ColumnRole.LABEL_INSTALL)))
-    dicts = {"feature": dictionary} if categorical else None
-    return Table.from_columns(schema, {"feature": values, "origin": origin}, dicts)
-
-
 def _fit_and_score(
-    values: np.ndarray,
-    origin: np.ndarray,
-    holdout: np.ndarray,
-    categorical: bool,
-    dictionary: tuple[str, ...] | None,
-    params: GbdtParams,
+    values: np.ndarray, origin: np.ndarray, holdout: np.ndarray, categorical: bool
 ) -> float:
-    """Train the small classifier on non-holdout rows and return holdout AUC."""
-    fit_table = _single_feature_table(
-        values[~holdout], origin[~holdout], categorical, dictionary
-    )
-    holdout_table = _single_feature_table(
-        values[holdout], origin[holdout], categorical, dictionary
-    )
+    """Holdout AUC of each bin's smoothed test share on the non-holdout rows,
+    with the feature binned as the GBDT would bin it on those rows."""
     y_hold = origin[holdout]
     if y_hold.min() == y_hold.max():
         raise AdvValError(
             "holdout ended single-class; supply more rows per side"
         )
-    model = gbdt_fit(params, fit_table, holdout_table, ["feature"], target="origin")
-    preds = gbdt_predict(model, holdout_table)
-    return auc(EvalBatch(y_hold, preds))
+    fit = ~holdout
+    if categorical:
+        bins = np.minimum(values, MAX_BINS - 1)
+    else:
+        bins = bin_column(NumericBins(_numeric_thresholds(values[fit], MAX_BINS)), values)
+    n = np.bincount(bins[fit], minlength=MAX_BINS)
+    n_test = np.bincount(bins[fit], weights=origin[fit], minlength=MAX_BINS)
+    ratio = (n_test + 1.0) / (n + 2.0)
+    return auc(EvalBatch(y_hold, ratio[bins[holdout]]))
 
 
 def _stratified_holdout(
@@ -174,10 +157,9 @@ def adversarial_auc(
     feature_test: np.ndarray,
     cfg: AdvConfig,
     categorical: bool = False,
-    dictionary: tuple[str, ...] | None = None,
     seed: int | None = None,
 ) -> float:
-    """Holdout AUC of a train-vs-test classifier over one feature.
+    """Holdout AUC of the binned train-vs-test density ratio of one feature.
 
     Rows are labeled 0 = train-origin, 1 = test-origin, optionally subsampled
     per side to the configured cap; a stratified holdout of
@@ -187,9 +169,6 @@ def adversarial_auc(
         raise AdvValError("both sides must be non-empty")
     if feature_train.dtype != feature_test.dtype:
         raise AdvValError("both sides must have the same column type")
-    if categorical and dictionary is None:
-        size = int(max(feature_train.max(), feature_test.max())) + 1
-        dictionary = (MISSING_TOKEN,) + tuple(str(i) for i in range(1, size))
     rng = np.random.Generator(np.random.PCG64(cfg.seed if seed is None else seed))
     tr = _subsample(feature_train, cfg.subsample_per_side, rng)
     te = _subsample(feature_test, cfg.subsample_per_side, rng)
@@ -198,9 +177,7 @@ def adversarial_auc(
         [np.zeros(len(tr), dtype=np.uint8), np.ones(len(te), dtype=np.uint8)]
     )
     holdout = _stratified_holdout(origin, cfg.holdout_fraction, rng)
-    return _fit_and_score(
-        values, origin, holdout, categorical, dictionary, cfg.classifier_params
-    )
+    return _fit_and_score(values, origin, holdout, categorical)
 
 
 def audit(train: Table, test: Table, cfg: AdvConfig) -> AdvReport:
@@ -216,8 +193,7 @@ def audit(train: Table, test: Table, cfg: AdvConfig) -> AdvReport:
         raise AdvValError("audit needs non-empty train and test tables")
     entries: list[AdvEntry] = []
     for pos, name in enumerate(train.schema.feature_columns()):
-        role = train.schema.role(name)
-        categorical = role is ColumnRole.CATEGORICAL
+        categorical = train.schema.role(name) is ColumnRole.CATEGORICAL
         feature_seed = int(
             np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, pos]).generate_state(1)[0]
         )
@@ -227,7 +203,6 @@ def audit(train: Table, test: Table, cfg: AdvConfig) -> AdvReport:
                 test.col(name),
                 cfg,
                 categorical=categorical,
-                dictionary=train.dictionary(name) if categorical else None,
                 seed=feature_seed,
             )
         except (AdvValError, MetricError, ValueError) as exc:

@@ -95,6 +95,11 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    if args.state and not args.table.endswith(".rlt"):
+        raise ValueError(
+            f"encode --state needs a .rlt cache from the ingest the states were "
+            f"fitted on, not {args.table}: a fresh ingest assigns its own category codes"
+        )
     (table,) = pipeline.load_tables([args.table], args.schema)
     out_dir = _out_dir(args)
     if args.state:
@@ -261,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--schema")
     p.add_argument("--spec", help="JSON list of encoder specs (fit mode)")
-    p.add_argument("--state", help="existing encoders.json to re-apply")
+    p.add_argument("--state", help="encoders.json to re-apply to a .rlt --table")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_encode)
 

@@ -194,72 +194,47 @@ def _cum_before(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_counts(state: EncoderState, day: int) -> np.ndarray:
-    """Per-category occurrence counts for the state's window at one day.
-
-    Days past the fitted range are clamped to ``max_day + 1`` so late rows
-    are encoded from statistics accumulated through the last fitted day.
-    """
-    cum = _cum_before(state.counts)
-    n_days = state.counts.shape[0]
-
-    def idx(d: int) -> int:
-        return min(max(d - state.min_day, 0), n_days)
-
-    e = min(day, state.max_day + 1)
-    hi = idx(e)
-    if state.window is FreqWindow.PREV_DAY:
-        lo = idx(e - 1)
-    elif state.window is FreqWindow.PREV_WEEK:
-        lo = idx(e - 7)
-    else:
-        lo = 0
-    return cum[hi] - cum[lo]
-
-
-def _target_encoding_for_day(state: EncoderState, day: int) -> tuple[np.ndarray, float]:
-    """Per-category encodings plus the unseen-category fallback for one day."""
-    cum_counts = _cum_before(state.counts)
-    cum_tsums = _cum_before(state.target_sums)
-    cum_rows = np.concatenate(([0], np.cumsum(state.day_rows)))
-    cum_pos = np.concatenate(([0], np.cumsum(state.day_positives)))
-    n_days = state.counts.shape[0]
-    e = min(day, state.max_day + 1)
-    hi = min(max(e - state.min_day, 0), n_days)
-    if cum_rows[hi] == 0:
-        return np.full(state.n_categories, 0.5), 0.5
-    prior = cum_pos[hi] / cum_rows[hi]
-    a = state.smoothing
-    return (cum_tsums[hi] + a * prior) / (cum_counts[hi] + a), float(prior)
+#: trailing days counted by each bounded frequency window
+_WINDOW_DAYS = {FreqWindow.PREV_DAY: 1, FreqWindow.PREV_WEEK: 7}
 
 
 def transform(state: EncoderState, table: Table) -> np.ndarray:
-    """Encode the table's feature column day by day from the fitted state.
+    """Encode the table's feature column from the fitted state: one
+    cumulative sum per statistic, gathered at each row's day and code.
 
     Unseen categories follow the zero-count / prior-fallback conventions;
-    rows at days past the fitted range use all fitted history.
+    rows at days past the fitted range are clamped to ``max_day + 1``, so
+    they use all fitted history.
     """
     if table.n_rows == 0:
         return np.empty(0, dtype=np.float64)
     codes = table.col(state.feature)
-    days = table.day_values
-    out = np.empty(table.n_rows, dtype=np.float64)
-    for day in np.unique(days):
-        sel = days == day
-        if state.kind == "frequency":
-            lookup = _window_counts(state, int(day))
-            fallback = 0.0
-        else:
-            lookup, fallback = _target_encoding_for_day(state, int(day))
-        row_codes = codes[sel]
-        # codes beyond the fitted dictionary behave as unseen categories
-        safe = np.minimum(row_codes, state.n_categories - 1)
-        vals = lookup[safe]
-        oob = row_codes >= state.n_categories
-        if oob.any():
-            vals = np.where(oob, fallback, vals)
-        out[sel] = vals
-    return out
+    n_days = state.counts.shape[0]
+
+    def before(day: np.ndarray) -> np.ndarray:
+        """Cumulative-sum row holding every fitted day < ``day``."""
+        return np.clip(day - state.min_day, 0, n_days)
+
+    end = np.minimum(table.day_values.astype(np.int64), state.max_day + 1)
+    hi = before(end)
+    # codes beyond the fitted dictionary behave as unseen categories
+    safe = np.minimum(codes, state.n_categories - 1)
+    unseen = codes >= state.n_categories
+    cum_counts = _cum_before(state.counts)
+    if state.kind == "frequency":
+        span = _WINDOW_DAYS.get(state.window)
+        lo = 0 if span is None else before(end - span)
+        counts = cum_counts[hi, safe] - cum_counts[lo, safe]
+        return np.where(unseen, 0.0, counts)
+    rows = np.concatenate(([0], np.cumsum(state.day_rows)))[hi]
+    positives = np.concatenate(([0], np.cumsum(state.day_positives)))[hi]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prior = positives / rows  # NaN on cold-start rows, replaced below
+    a = state.smoothing
+    encoded = (_cum_before(state.target_sums)[hi, safe] + a * prior) / (
+        cum_counts[hi, safe] + a
+    )
+    return np.where(rows == 0, 0.5, np.where(unseen, prior, encoded))
 
 
 def apply_encoders(states: list[EncoderState], table: Table) -> Table:

@@ -93,8 +93,7 @@ def build_bin_mapper(
     return BinMapper(tuple(feature_names), tuple(bins))
 
 
-def bin_column(mapper: BinMapper, j: int, values: np.ndarray) -> np.ndarray:
-    fb = mapper.feature_bins[j]
+def bin_column(fb: NumericBins | CategoricalBins, values: np.ndarray) -> np.ndarray:
     if isinstance(fb, CategoricalBins):
         return np.minimum(values, fb.overflow_bin).astype(np.uint8)
     out = np.zeros(len(values), dtype=np.uint8)
@@ -118,7 +117,7 @@ def bin_table(mapper: BinMapper, table: Table) -> np.ndarray:
                 f"feature {name!r} is {role.value} in the table "
                 f"but the model bins it as {binned_as}"
             )
-        out[j] = bin_column(mapper, j, table.col(name))
+        out[j] = bin_column(mapper.feature_bins[j], table.col(name))
     return out
 
 

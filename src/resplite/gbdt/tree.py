@@ -55,7 +55,6 @@ class GrownTree:
     root: Node
     leaf_updates: list[tuple[np.ndarray, float]]  # (train row indices, value)
     n_leaves: int
-    split_features: list[int]
 
 
 @dataclass
@@ -82,7 +81,7 @@ class _Leaf:
         self.count = count
         self.hist: np.ndarray | None = None
         self.split: _Split | None = None
-        self.node_box: list = [None, None, None]  # kind marker, left, right
+        self.node_box: list = [None, None, None]  # split node, left, right
 
 
 def _build_hist(
@@ -229,14 +228,28 @@ def _find_best_split(leaf: _Leaf, scan: _Scan, lam, min_data) -> _Split | None:
     )
 
 
-def _left_mask(split: _Split, bins_rows: np.ndarray) -> np.ndarray:
+def _split_node(split: _Split) -> NumericSplitNode | CategoricalSplitNode:
+    """The split's node, with its children left for ``grow_tree`` to fill."""
     if split.kind == "numeric":
-        mask = bins_rows <= split.threshold_bin
-        if not split.missing_left:
+        return NumericSplitNode(
+            split.feature, split.threshold_bin, split.missing_left, None, None
+        )
+    return CategoricalSplitNode(
+        split.feature, split.left_bins, split.missing_left, None, None
+    )
+
+
+def _left_mask(
+    node: NumericSplitNode | CategoricalSplitNode, bins_rows: np.ndarray
+) -> np.ndarray:
+    """Which rows the node sends left, given their bins of its feature."""
+    if isinstance(node, NumericSplitNode):
+        mask = bins_rows <= node.threshold_bin
+        if not node.missing_left:
             mask &= bins_rows != 0
         return mask
     bitmap = np.zeros(STRIDE, dtype=bool)
-    bitmap[split.left_bins] = True
+    bitmap[node.left_bins] = True
     return bitmap[bins_rows]
 
 
@@ -269,13 +282,12 @@ def grow_tree(
     seq = 0
     heapq.heappush(heap, (-root.split.gain, seq, root))
     n_leaves = 1
-    split_features: list[int] = []
 
     while heap and n_leaves < num_leaves:
         _, _, leaf = heapq.heappop(heap)
         split = leaf.split
-        bins_rows = binned[split.feature][leaf.rows]
-        mask = _left_mask(split, bins_rows)
+        node = _split_node(split)
+        mask = _left_mask(node, binned[split.feature][leaf.rows])
         rows_l = leaf.rows[mask]
         rows_r = leaf.rows[~mask]
 
@@ -291,8 +303,7 @@ def grow_tree(
         leaf.hist = None
         leaf.rows = None
 
-        leaf.node_box = [split, left, right]
-        split_features.append(split.feature)
+        leaf.node_box = [node, left, right]
         n_leaves += 1
 
         for child in (left, right):
@@ -309,29 +320,17 @@ def grow_tree(
     leaf_updates: list[tuple[np.ndarray, float]] = []
 
     def finalize(leaf: _Leaf) -> Node:
-        split, left, right = leaf.node_box
+        node, left, right = leaf.node_box
         if left is None:  # never split: a terminal leaf
             value = -leaf.grad / (leaf.hess + lam) * learning_rate
             leaf_updates.append((leaf.rows, float(value)))
             return LeafNode(float(value))
-        if split.kind == "numeric":
-            return NumericSplitNode(
-                feature=split.feature,
-                threshold_bin=split.threshold_bin,
-                missing_left=split.missing_left,
-                left=finalize(left),
-                right=finalize(right),
-            )
-        return CategoricalSplitNode(
-            feature=split.feature,
-            left_bins=split.left_bins,
-            missing_left=split.missing_left,
-            left=finalize(left),
-            right=finalize(right),
-        )
+        node.left = finalize(left)
+        node.right = finalize(right)
+        return node
 
     tree_root = finalize(root)
-    return GrownTree(tree_root, leaf_updates, n_leaves, split_features)
+    return GrownTree(tree_root, leaf_updates, n_leaves)
 
 
 def tree_output(root: Node, binned: np.ndarray) -> np.ndarray:
@@ -345,15 +344,7 @@ def tree_output(root: Node, binned: np.ndarray) -> np.ndarray:
         if isinstance(node, LeafNode):
             out[idx] = node.value
             continue
-        bins_rows = binned[node.feature][idx]
-        if isinstance(node, NumericSplitNode):
-            mask = bins_rows <= node.threshold_bin
-            if not node.missing_left:
-                mask &= bins_rows != 0
-        else:
-            bitmap = np.zeros(STRIDE, dtype=bool)
-            bitmap[node.left_bins] = True
-            mask = bitmap[bins_rows]
+        mask = _left_mask(node, binned[node.feature][idx])
         stack.append((node.left, idx[mask]))
         stack.append((node.right, idx[~mask]))
     return out

@@ -11,6 +11,7 @@ column is int32.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -521,10 +522,15 @@ def _pack_strings(values) -> bytes:
     )
 
 
-def _unpack_strings(buf: bytes) -> list[str]:
-    (count,) = struct.unpack_from("<Q", buf, 0)
-    offsets = np.frombuffer(buf, dtype="<u8", count=count + 1, offset=8)
+def _unpack_strings(buf: bytes, what: str) -> list[str]:
+    """Inverse of :func:`_pack_strings`; ``buf`` must hold exactly one block."""
+    (count,) = struct.unpack_from("<Q", buf, 0) if len(buf) >= 8 else (-1,)
     base = 8 + 8 * (count + 1)
+    if count < 0 or base > len(buf):
+        raise TabularError(f"truncated string block in {what}")
+    offsets = np.frombuffer(buf, dtype="<u8", count=count + 1, offset=8)
+    if base + int(offsets[-1]) != len(buf):
+        raise TabularError(f"string block in {what} does not end where its offsets say")
     return [
         buf[base + offsets[i]: base + offsets[i + 1]].decode("utf-8")
         for i in range(count)
@@ -568,10 +574,10 @@ def save_binary(table: Table, path: str | Path) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+    # checked before reading, so a corrupt length never sizes a buffer
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise TabularError(f"truncated table file while reading {what}")
-    return buf
+    return fh.read(n)
 
 
 def load_binary(path: str | Path) -> Table:
@@ -593,21 +599,24 @@ def load_binary(path: str | Path) -> Table:
         columns: dict[str, np.ndarray] = {}
         dicts: dict[str, tuple[str, ...]] = {}
         for name, role in schema.columns:
-            (plen,) = struct.unpack("<Q", _read_exact(fh, 8, f"column {name!r}"))
-            payload = _read_exact(fh, plen, f"column {name!r}")
+            what = f"column {name!r}"
+            (plen,) = struct.unpack("<Q", _read_exact(fh, 8, what))
+            payload = _read_exact(fh, plen, what)
             if role is ColumnRole.ROW_ID:
-                columns[name] = np.asarray(_unpack_strings(payload), dtype=np.str_)
-            else:
-                wire = np.dtype(_ROLE_WIRE_DTYPES[role])
-                arr_bytes = n_rows * wire.itemsize
-                arr = np.frombuffer(payload[:arr_bytes], dtype=wire).astype(
-                    _ROLE_DTYPES[role]
+                columns[name] = _unpack_strings(payload, what)
+                if len(columns[name]) != n_rows:
+                    raise TabularError(f"{what} holds {len(columns[name])} ids, not {n_rows}")
+                continue
+            wire = np.dtype(_ROLE_WIRE_DTYPES[role])
+            arr_bytes = n_rows * wire.itemsize
+            # only a categorical column has more: its dictionary block
+            if plen < arr_bytes or (plen > arr_bytes and role is not ColumnRole.CATEGORICAL):
+                raise TabularError(
+                    f"{what} holds {plen} bytes, the header's {n_rows} rows need {arr_bytes}"
                 )
-                columns[name] = arr
-                if role is ColumnRole.CATEGORICAL:
-                    dicts[name] = tuple(_unpack_strings(payload[arr_bytes:]))
-    # bypass from_columns NaN rewrite: bytes came from a canonicalized table
-    out: dict[str, np.ndarray] = {}
-    for name, role in schema.columns:
-        out[name] = _freeze(columns[name])
-    return Table(schema, n_rows, out, dicts)
+            if role is ColumnRole.CATEGORICAL:
+                dicts[name] = _unpack_strings(payload[arr_bytes:], f"{what} dictionary")
+            columns[name] = np.frombuffer(payload, dtype=wire, count=n_rows)
+        if fh.read(1):
+            raise TabularError("trailing bytes after the last column of the table file")
+    return Table.from_columns(schema, columns, dicts)

@@ -21,7 +21,7 @@ from resplite.synth import (
     generate,
     split_train_test,
 )
-from resplite.tabular import ColumnRole, Schema, Table
+from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, Table
 
 
 def fast_cfg(**overrides):
@@ -63,12 +63,9 @@ class TestAdversarialAuc:
         assert s1 == s2
 
     def test_symmetry_under_label_swap(self):
-        # identical construction and holdout split, sides relabeled: the
-        # fitted ranking is the same, so the AUC flips around one half
-        from resplite.advval import _single_feature_table
-        from resplite.gbdt import fit as gbdt_fit, predict as gbdt_predict
-        from resplite.metrics import EvalBatch, auc
-
+        # identical construction and holdout split, sides relabeled: each
+        # bin's smoothed test share becomes one minus itself, so the ranking
+        # reverses along with the labels and the AUC does not move
         rng = np.random.Generator(np.random.PCG64(3))
         values = np.concatenate(
             [rng.standard_normal(4000), rng.standard_normal(4000) + 0.5]
@@ -78,14 +75,9 @@ class TestAdversarialAuc:
         )
         holdout = np.zeros(8000, dtype=bool)
         holdout[rng.permutation(8000)[:1600]] = True
-        params = fast_cfg().classifier_params
-        fit_table = _single_feature_table(values[~holdout], origin[~holdout], False, None)
-        hold_table = _single_feature_table(values[holdout], origin[holdout], False, None)
-        model = gbdt_fit(params, fit_table, hold_table, ["feature"], target="origin")
-        preds = gbdt_predict(model, hold_table)
-        a = auc(EvalBatch(origin[holdout], preds))
-        b = auc(EvalBatch(1 - origin[holdout], preds))
-        assert a + b == pytest.approx(1.0, abs=1e-9)
+        a = _fit_and_score(values, origin, holdout, False)
+        b = _fit_and_score(values, 1 - origin, holdout, False)
+        assert a == pytest.approx(b, abs=1e-9)
 
     def test_retrained_swap_scores_match(self):
         # retraining with swapped sides flips the scores as well, so the
@@ -184,6 +176,43 @@ class TestAudit:
         doc = json.loads((tmp_path / "adv.json").read_text())
         assert len(doc["features"]) == len(report.entries)
         assert doc["auc_threshold"] == 0.75
+
+
+class TestCategoricalAudit:
+    def test_category_mix_shift_dropped_and_overflow_codes_share_a_bin(self):
+        # "mix" draws the same six categories on both sides with different
+        # shares; "wide" uses codes 300-399 on train and 400-499 on test,
+        # all past the last own bin, so both sides land in the overflow bin
+        # and the feature looks unshifted
+        rng = np.random.Generator(np.random.PCG64(0))
+        n = 5000
+        schema = Schema((
+            ("mix", ColumnRole.CATEGORICAL),
+            ("wide", ColumnRole.CATEGORICAL),
+            ("same", ColumnRole.CATEGORICAL),
+            ("y", ColumnRole.LABEL_INSTALL),
+        ))
+        tokens = (MISSING_TOKEN,) + tuple(f"t{i}" for i in range(1, 600))
+
+        def side(mix_shares, wide_lo):
+            return Table.from_columns(
+                schema,
+                {
+                    "mix": rng.choice(np.arange(1, 7), size=n, p=mix_shares),
+                    "wide": rng.integers(wide_lo, wide_lo + 100, size=n),
+                    "same": rng.integers(0, 600, size=n),
+                    "y": np.zeros(n, dtype=np.uint8),
+                },
+                {"mix": tokens, "wide": tokens, "same": tokens},
+            )
+
+        train = side(np.full(6, 1 / 6), 300)
+        test = side([0.7, 0.2, 0.025, 0.025, 0.025, 0.025], 400)
+        report = audit(train, test, fast_cfg())
+        assert report.dropped() == ["mix"]
+        assert report.entry("mix").auc >= 0.8
+        assert report.entry("wide").auc == 0.5
+        assert 0.45 <= report.entry("same").auc <= 0.55
 
 
 class TestFilterFeatures:

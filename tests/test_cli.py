@@ -140,6 +140,32 @@ class TestEncodeCommand:
         assert "c0__te_install" in test_encoded.schema.names
 
 
+    def test_reapply_to_a_delimited_table_fails(self, data, caches, tmp_path, capsys):
+        # a fresh ingest of test.csv codes c2 on its own, so states fitted on
+        # train.rlt's codes would encode other categories' statistics
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            [{"feature": "c2", "kind": "target", "target": "install"}]
+        ))
+        fit_dir = tmp_path / "fit"
+        assert main([
+            "encode", "--table", str(caches / "train.rlt"),
+            "--spec", str(spec_path), "--out-dir", str(fit_dir),
+        ]) == 0
+        capsys.readouterr()
+        rc = main([
+            "encode", "--table", str(data / "test.csv"),
+            "--schema", str(data / "schema.json"),
+            "--state", str(fit_dir / "encoders.json"),
+            "--out-dir", str(tmp_path / "re"),
+        ])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "test.csv" in err and ".rlt" in err
+        assert not (tmp_path / "re" / "encoded.rlt").exists()
+
+
 class TestTrainAndEvaluate:
     def test_train_then_evaluate_predictions(self, caches, tmp_path):
         params = tmp_path / "params.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resplite.encoders import (
     EncoderError,
@@ -266,3 +267,72 @@ class TestApplyAndPersist:
         probe = make_cat_table([67], [1], DICT, [0])
         want = int((codes == 1).sum())
         assert transform(state, probe).tolist() == [float(want)]
+
+
+def per_day_reference(state, table):
+    """The per-day transform that the vectorized one replaced: every
+    distinct day rebuilds the cumulative matrices and looks its rows up."""
+
+    def cum_before(matrix):
+        out = np.zeros((matrix.shape[0] + 1,) + matrix.shape[1:], dtype=np.float64)
+        np.cumsum(matrix, axis=0, out=out[1:])
+        return out
+
+    n_days = state.counts.shape[0]
+
+    def idx(d):
+        return min(max(d - state.min_day, 0), n_days)
+
+    codes, days = table.col(state.feature), table.day_values
+    out = np.empty(table.n_rows, dtype=np.float64)
+    for day in np.unique(days):
+        e = min(int(day), state.max_day + 1)
+        hi = idx(e)
+        if state.kind == "frequency":
+            cum = cum_before(state.counts)
+            lo = {FreqWindow.PREV_DAY: idx(e - 1), FreqWindow.PREV_WEEK: idx(e - 7)}
+            lookup, fallback = cum[hi] - cum[lo.get(state.window, 0)], 0.0
+        else:
+            rows = np.concatenate(([0], np.cumsum(state.day_rows)))[hi]
+            pos = np.concatenate(([0], np.cumsum(state.day_positives)))[hi]
+            if rows == 0:
+                lookup, fallback = np.full(state.n_categories, 0.5), 0.5
+            else:
+                prior, a = pos / rows, state.smoothing
+                lookup = (cum_before(state.target_sums)[hi] + a * prior) / (
+                    cum_before(state.counts)[hi] + a
+                )
+                fallback = float(prior)
+        sel = days == day
+        row_codes = codes[sel]
+        vals = lookup[np.minimum(row_codes, state.n_categories - 1)]
+        out[sel] = np.where(row_codes >= state.n_categories, fallback, vals)
+    return out
+
+
+class TestAgainstPerDayReference:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_the_per_day_loop(self, seed):
+        # applied rows reach 5 days either side of the fitted range, and
+        # codes past the fitted dictionary
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n_cats = int(rng.integers(1, 12))
+        first, span = int(rng.integers(5, 30)), int(rng.integers(1, 12))
+
+        def table(n, lo, hi, n_codes):
+            return make_cat_table(
+                rng.integers(lo, hi, size=n), rng.integers(0, n_codes, size=n),
+                (MISSING_TOKEN,) + tuple(f"t{i}" for i in range(1, n_codes)),
+                (rng.random(n) < rng.random()).astype(np.uint8),
+            )
+
+        fit = table(int(rng.integers(1, 200)), first, first + span, n_cats)
+        probe = table(int(rng.integers(1, 200)), first - 5, first + span + 5, n_cats + 3)
+        states = [fit_frequency(fit, "cat", w) for w in FreqWindow]
+        states.append(fit_target(fit, "cat", "install", a=float(rng.choice([0.3, 1.0, 7.0]))))
+        for state in states:
+            want = per_day_reference(state, probe)
+            got = transform(state, probe)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (state.kind, state.window)

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -232,6 +233,48 @@ class TestBinaryPersistence:
         save_binary(table, dest)
         blob = dest.read_bytes()
         dest.write_bytes(blob[: len(blob) - 10])
+        with pytest.raises(TabularError, match="truncated"):
+            load_binary(dest)
+
+    @staticmethod
+    def _four_row_cache(tmp_path):
+        schema = Schema((
+            ("day", ColumnRole.DAY),
+            ("x", ColumnRole.CONTINUOUS),
+            ("y", ColumnRole.LABEL_INSTALL),
+        ))
+        table = Table.from_columns(schema, {
+            "day": [45, 45, 46, 46],
+            "x": [0.5, np.nan, 1.5, 2.5],
+            "y": np.array([0, 1, 0, 1], dtype=np.uint8),
+        })
+        dest = tmp_path / "t.rlt"
+        save_binary(table, dest)
+        return dest, dest.read_bytes()
+
+    def test_header_claiming_fewer_rows_errors(self, tmp_path):
+        dest, blob = self._four_row_cache(tmp_path)
+        dest.write_bytes(blob.replace(b'"n_rows": 4', b'"n_rows": 2'))
+        with pytest.raises(TabularError, match="header's 2 rows"):
+            load_binary(dest)
+
+    def test_label_byte_outside_01_errors(self, tmp_path):
+        dest, blob = self._four_row_cache(tmp_path)
+        dest.write_bytes(blob[:-1] + bytes([7]))  # the label column is last
+        with pytest.raises(TabularError, match="outside"):
+            load_binary(dest)
+
+    def test_trailing_bytes_error(self, tmp_path):
+        dest, blob = self._four_row_cache(tmp_path)
+        dest.write_bytes(blob + b"\x00")
+        with pytest.raises(TabularError, match="trailing"):
+            load_binary(dest)
+
+    def test_corrupt_length_prefix_errors_before_reading(self, tmp_path):
+        dest, blob = self._four_row_cache(tmp_path)
+        (hlen,) = struct.unpack_from("<Q", blob, 8)
+        first = 16 + hlen  # the first column's length prefix
+        dest.write_bytes(blob[:first] + struct.pack("<Q", 2**62) + blob[first + 8:])
         with pytest.raises(TabularError, match="truncated"):
             load_binary(dest)
 
