@@ -26,8 +26,8 @@ from .binning import (
     mapper_to_json,
 )
 from .tree import (
-    GrownTree,
     Node,
+    bin_counts,
     count_leaves,
     grow_tree,
     node_from_json,
@@ -96,15 +96,9 @@ def loss_grad_hess(score: float, label: int) -> tuple[float, float]:
     return p - label, p * (1.0 - p)
 
 
-def _grad_hess(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = sigmoid(scores)
+def _grad_hess(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`loss_grad_hess` at the probabilities ``sigmoid(scores)``."""
     return p - labels, p * (1.0 - p)
-
-
-def _scores_logloss(scores: np.ndarray, labels: np.ndarray) -> float:
-    # identical arithmetic to metrics.logloss so logged curves and external
-    # evaluation of predict() output agree exactly
-    return logloss(EvalBatch(labels, sigmoid(scores)))
 
 
 def _check_features(table: Table, feature_names: list[str], target: str) -> None:
@@ -152,6 +146,7 @@ def fit(
     binned_train = bin_table(mapper, train)
     binned_valid = bin_table(mapper, valid)
     n_bins_all = mapper.n_bins()
+    root_counts = bin_counts(binned_train)
     is_cat = np.asarray(
         [mapper.is_categorical(j) for j in range(mapper.n_features)], dtype=bool
     )
@@ -169,8 +164,10 @@ def fit(
     valid_curve: list[float] = []
     best_iter = -1
     best_loss = math.inf
+    # one sigmoid per round serves both the train curve and the next gradients
+    p_train = sigmoid(scores)
     for it in range(params.num_iterations):
-        grad, hess = _grad_hess(scores, y_train)
+        grad, hess = _grad_hess(p_train, y_train)
         if n_sub < n_features:
             subset = np.sort(rng.choice(n_features, size=n_sub, replace=False))
         else:
@@ -182,6 +179,7 @@ def fit(
             grad,
             hess,
             subset,
+            root_counts,
             params.num_leaves,
             params.max_depth,
             params.min_data_in_leaf,
@@ -194,8 +192,9 @@ def fit(
             scores[rows] += value
         valid_scores += tree_output(grown.root, binned_valid)
         trees.append(grown.root)
-        train_curve.append(_scores_logloss(scores, y_train))
-        vloss = _scores_logloss(valid_scores, y_valid)
+        p_train = sigmoid(scores)
+        train_curve.append(logloss(EvalBatch(y_train, p_train)))
+        vloss = logloss(EvalBatch(y_valid, sigmoid(valid_scores)))
         valid_curve.append(vloss)
         if vloss < best_loss:
             best_loss = vloss

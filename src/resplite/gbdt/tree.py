@@ -6,6 +6,11 @@ usual regularized second-order score
 ``G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - G^2/(H+lam)``; leaf values are damped
 Newton steps ``-G/(H+lam) * learning_rate``.
 
+One stacked pass scans every feature of a leaf: numeric bins in order,
+categorical bins sorted by G/H (Fisher's sorted partition, as in LightGBM).
+A numeric feature's missing bin is tried on both sides only where it holds
+rows or leftover G/H in the leaf; elsewhere both sides score alike.
+
 Determinism rules: the split is the first maximum of gain over features in
 ascending index order and then over bins, so ties keep the lowest feature
 index and lowest bin; equal-gain leaves split in creation order; missing
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -84,15 +89,24 @@ class _Leaf:
         self.node_box: list = [None, None, None]  # split node, left, right
 
 
+def bin_counts(binned: np.ndarray) -> np.ndarray:
+    """Row counts per bin of every feature over all rows: the root's count
+    plane, the same in every round of a fit."""
+    return np.stack([np.bincount(b, minlength=STRIDE) for b in binned]).astype(np.float64)
+
+
 def _build_hist(
     binned: np.ndarray,
     subset: np.ndarray,
-    rows: np.ndarray,
+    rows: np.ndarray | slice,
     grad: np.ndarray,
     hess: np.ndarray,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Histogram planes of shape (3, k, STRIDE): per-feature gradient sums,
-    hessian sums, and counts.  Each bin accumulates its rows in row order."""
+    hessian sums, and counts.  Each bin accumulates its rows in row order.
+    At the root, ``rows`` is ``slice(None)`` (no gather) and ``counts`` is
+    :func:`bin_counts` of ``binned``."""
     g_rows = grad[rows]
     h_rows = hess[rows]
     hist = np.empty((3, len(subset), STRIDE), dtype=np.float64)
@@ -100,7 +114,7 @@ def _build_hist(
         bins_rows = binned[f][rows]
         hist[0, fpos] = np.bincount(bins_rows, weights=g_rows, minlength=STRIDE)
         hist[1, fpos] = np.bincount(bins_rows, weights=h_rows, minlength=STRIDE)
-        hist[2, fpos] = np.bincount(bins_rows, minlength=STRIDE)
+        hist[2, fpos] = np.bincount(bins_rows, minlength=STRIDE) if counts is None else counts[f]
     return hist
 
 
@@ -108,119 +122,95 @@ def _build_hist(
 class _Scan:
     """Per-tree constants of the split scan; they depend only on the subset.
 
-    ``num``/``cat`` are positions within the subset.  Numeric threshold
-    position b (threshold bin b + 1) is a candidate for the i-th numeric
-    feature only where ``valid[i, b]``, i.e. b < n_bins - 2.
+    ``num``/``cat`` are positions within the subset.  Scan position b is
+    threshold bin b + 1 of a numeric feature (b < n_bins - 2), or the b + 1
+    lowest-key bins of a categorical one (b < n_bins - 1); ``valid`` marks
+    those positions.
     """
 
     subset: np.ndarray
-    n_bins: np.ndarray  # per subset position
     num: np.ndarray
     cat: np.ndarray
-    valid: np.ndarray   # (len(num), width) bool
+    valid: np.ndarray   # (len(subset), width) bool
 
 
 def _scan_plan(subset: np.ndarray, n_bins_all: np.ndarray, is_cat: np.ndarray) -> _Scan:
-    n_bins = n_bins_all[subset]
     cat_mask = is_cat[subset]
-    num = np.flatnonzero(~cat_mask)
-    width = int(n_bins[num].max()) - 2 if len(num) else 0
-    valid = np.arange(width)[None, :] < (n_bins[num] - 2)[:, None]
-    return _Scan(subset, n_bins, num, np.flatnonzero(cat_mask), valid)
+    limit = n_bins_all[subset] - 2 + cat_mask
+    width = max(int(limit.max()), 0)
+    valid = np.arange(width)[None, :] < limit[:, None]
+    return _Scan(subset, np.flatnonzero(~cat_mask), np.flatnonzero(cat_mask), valid)
 
 
-def _scan_categorical(hg, hh, hc, n_bins, total_g, total_h, total_c, lam, min_data):
-    """Best prefix of the G/H-sorted occupied bins; returns None when no
-    valid positive split exists."""
-    counts = hc[:n_bins]
-    nz = np.flatnonzero(counts)
-    if len(nz) < 2:
-        return None
-    key = hg[nz] / hh[nz]  # per-row hessians are positive, so hh[nz] > 0
-    order = np.lexsort((nz, key))
-    sel = nz[order]
-    cg = np.cumsum(hg[sel])[:-1]
-    ch = np.cumsum(hh[sel])[:-1]
-    cc = np.cumsum(hc[sel])[:-1]
-    gr = total_g - cg
-    hr = total_h - ch
-    cr = total_c - cc
-    ok = (cc >= min_data) & (cr >= min_data)
+def _gain(gl, hl, cl, total_g, total_h, total_c, lam, min_data, valid):
+    """Split gain at every position from the left side's prefix sums;
+    -inf where either side holds fewer than ``min_data`` rows."""
+    ok = (cl >= min_data) & (total_c - cl >= min_data) & valid
     parent = total_g * total_g / (total_h + lam)
+    gr = total_g - gl
+    hr = total_h - hl
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain = cg * cg / (ch + lam) + gr * gr / (hr + lam) - parent
-    gain = np.where(ok, gain, -np.inf)
-    k = int(np.argmax(gain))
-    if not np.isfinite(gain[k]) or gain[k] <= 0.0:
-        return None
-    left_bins = np.sort(sel[: k + 1]).astype(np.int64)
-    return float(gain[k]), left_bins, float(cg[k]), float(ch[k]), int(cc[k])
+        gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent
+    return np.where(ok, gain, -np.inf)
 
 
 def _find_best_split(leaf: _Leaf, scan: _Scan, lam, min_data) -> _Split | None:
     """Best split of the leaf over every feature of the subset.
 
-    All numeric features are scanned together: prefix sums over bins 1..b+1
-    with the missing bin joined left (side 0) or right (side 1), the missing
-    side chosen by strictly greater gain (ties go left), then the first-max
-    bin per feature.  A feature with any NaN gain, or whose best gain is
-    infinite or not positive, offers no candidate.  The split is the
-    first-max feature in subset order, so ties keep the lowest feature and
-    then the lowest bin.
+    One prefix sum runs over numeric bins 1..width and over categorical bins
+    in G/H order (occupied bins first, ties by bin index).  A feature with
+    any NaN gain, or whose best gain is infinite or not positive, offers no
+    candidate.  The split is the first-max feature, then position.
     """
-    if leaf.count < 2 * min_data:
+    width = scan.valid.shape[1]
+    if leaf.count < 2 * min_data or not width:
         return None
     hist = leaf.hist
-    total_g, total_h, total_c = leaf.grad, leaf.hess, leaf.count
-    best_gain = np.full(len(scan.subset), -np.inf)
-    kn, width = scan.valid.shape
-    if width:
-        sides = np.empty((3, 2, kn, width))  # (G/H/count, missing side, feature, b)
-        np.cumsum(hist[:, scan.num, 1 : width + 1], axis=2, out=sides[:, 1])
-        missing = hist[:, scan.num, :1]
-        np.add(sides[:, 1], missing, out=sides[:, 0])
-        gl, hl, cl = sides
-        gr = total_g - gl
-        hr = total_h - hl
-        cr = total_c - cl
-        ok = (cl >= min_data) & (cr >= min_data) & scan.valid
-        parent = total_g * total_g / (total_h + lam)
+    totals = (leaf.grad, leaf.hess, leaf.count, lam, min_data)
+    stack = hist[:, :, 1 : width + 1].copy()
+    if len(scan.cat):
+        cat_hist = hist[:, scan.cat, : width + 1]
+        if np.count_nonzero(cat_hist[2], axis=1).max() < 2 and not scan.valid[scan.num].any():
+            return None  # no feature has two sides: no parent score, as per feature
         with np.errstate(divide="ignore", invalid="ignore"):
-            gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent
-        gain = np.where(ok, gain, -np.inf)
-        use_right = gain[1] > gain[0]
-        gain = np.where(use_right, gain[1], gain[0])
-        num_gain = gain.max(axis=1)  # NaN when any bin's gain is NaN
-        best_gain[scan.num] = np.where(
-            np.isfinite(num_gain) & (num_gain > 0.0), num_gain, -np.inf
-        )
-    cat_found = {}
-    for fpos in scan.cat:
-        res = _scan_categorical(
-            hist[0, fpos], hist[1, fpos], hist[2, fpos], int(scan.n_bins[fpos]),
-            total_g, total_h, total_c, lam, min_data,
-        )
-        if res is not None:
-            best_gain[fpos] = res[0]
-            cat_found[fpos] = res
-    fpos = int(np.argmax(best_gain))
-    if best_gain[fpos] == -np.inf:
+            key = cat_hist[0] / cat_hist[1]
+        order = np.lexsort((key, cat_hist[2] == 0), axis=-1)[:, :width]
+        flat = order + (scan.cat * STRIDE)[:, None]
+        stack[:, scan.cat] = hist.reshape(3, -1).take(flat, axis=1)
+    np.cumsum(stack, axis=2, out=stack)
+    gain = _gain(*stack, *totals, scan.valid)
+
+    missing = hist[:, scan.num, :1]
+    held = np.flatnonzero((missing != 0).any(axis=(0, 2)))
+    joined = scan.num[held]  # subset positions whose missing bin holds anything
+    if len(joined):
+        left = stack[:, joined] + missing[:, held]
+        gain_left = _gain(*left, *totals, scan.valid[joined])
+        use_right = gain[joined] > gain_left
+        gain[joined] = np.where(use_right, gain[joined], gain_left)
+
+    best = gain.max(axis=1)  # NaN when any position's gain is NaN
+    best = np.where(np.isfinite(best) & (best > 0.0), best, -np.inf)
+    fpos = int(np.argmax(best))
+    if best[fpos] == -np.inf:
         return None
+    b = int(np.argmax(gain[fpos]))
     feature = int(scan.subset[fpos])
-    if fpos in cat_found:
-        gain, left_bins, g_left, h_left, c_left = cat_found[fpos]
+    pg, ph, pc = stack[:, fpos, b]
+    if fpos in scan.cat:
+        left_bins = np.sort(order[np.searchsorted(scan.cat, fpos), : b + 1]).astype(np.int64)
         return _Split(
-            gain=gain, feature=feature, kind="categorical",
-            threshold_bin=0, missing_left=bool(0 in left_bins),
-            left_bins=left_bins, grad_left=g_left, hess_left=h_left, count_left=c_left,
+            gain=float(gain[fpos, b]), feature=feature, kind="categorical",
+            threshold_bin=0, missing_left=bool(left_bins[0] == 0),
+            left_bins=left_bins, grad_left=float(pg), hess_left=float(ph),
+            count_left=int(pc),
         )
-    i = int(np.searchsorted(scan.num, fpos))
-    b = int(np.argmax(gain[i]))
-    missing_left = not bool(use_right[i, b])
-    pg, ph, pc = sides[:, 1, i, b]
-    mg, mh, mc = missing[:, i, 0]
+    missing_left = True
+    if fpos in joined:
+        missing_left = not bool(use_right[np.searchsorted(joined, fpos), b])
+    mg, mh, mc = hist[:, fpos, 0]
     return _Split(
-        gain=float(gain[i, b]), feature=feature, kind="numeric",
+        gain=float(gain[fpos, b]), feature=feature, kind="numeric",
         threshold_bin=b + 1, missing_left=missing_left, left_bins=None,
         grad_left=float(pg + (mg if missing_left else 0.0)),
         hess_left=float(ph + (mh if missing_left else 0.0)),
@@ -260,20 +250,21 @@ def grow_tree(
     grad: np.ndarray,
     hess: np.ndarray,
     subset: np.ndarray,
+    root_counts: np.ndarray,
     num_leaves: int,
     max_depth: int,
     min_data: int,
     lam: float,
     learning_rate: float,
-) -> Optional[GrownTree]:
+) -> GrownTree | None:
     """Grow one tree over all rows; returns None when not even the root can
-    be split with positive gain (no further boosting progress is possible)."""
+    be split with positive gain (no further boosting progress is possible).
+    ``root_counts`` is :func:`bin_counts` of ``binned``."""
     n = binned.shape[1]
-    rows = np.arange(n, dtype=np.int64)
     scan = _scan_plan(subset, n_bins_all, is_cat)
 
-    root = _Leaf(rows, 0, float(grad.sum()), float(hess.sum()), n)
-    root.hist = _build_hist(binned, subset, rows, grad, hess)
+    root = _Leaf(np.arange(n, dtype=np.int64), 0, float(grad.sum()), float(hess.sum()), n)
+    root.hist = _build_hist(binned, subset, slice(None), grad, hess, root_counts)
     root.split = _find_best_split(root, scan, lam, min_data)
     if root.split is None:
         return None

@@ -92,9 +92,12 @@ def write_curve_csv(train_curve: list[float], valid_curve: list[float], path: Pa
 
 def write_predictions_csv(row_ids, probabilities, path: Path) -> None:
     """Headerless two-column submission-style file: row id, probability."""
+    ids, probs = np.asarray(row_ids), np.asarray(probabilities)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rid, p in zip(row_ids, probabilities):
-            fh.write(f"{rid},{p:.6f}\n")
+        # in blocks, so the per-row Python strings never hold the whole file
+        for at in range(0, len(ids), 8192):
+            rows = zip(ids[at : at + 8192].tolist(), probs[at : at + 8192].tolist())
+            fh.write("".join("%s,%.6f\n" % row for row in rows))
 
 
 # ---------------------------------------------------------------------------

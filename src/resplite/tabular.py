@@ -593,8 +593,12 @@ def load_binary(path: str | Path) -> Table:
             raise TabularError(f"unsupported table format version {version}")
         (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
         header = json.loads(_read_exact(fh, hlen, "header"))
+        if not isinstance(header, dict) or not isinstance(header.get("schema"), dict):
+            raise TabularError("table file header holds no schema object")
+        n_rows = header.get("n_rows")
+        if type(n_rows) is not int or n_rows < 0:
+            raise TabularError(f"table file header's n_rows {n_rows!r} is not a row count")
         schema = Schema.from_json(header["schema"])
-        n_rows = int(header["n_rows"])
 
         columns: dict[str, np.ndarray] = {}
         dicts: dict[str, tuple[str, ...]] = {}

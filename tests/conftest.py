@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -52,3 +55,11 @@ def make_cat_table(days, codes, dictionary, y, clicks=None):
     return Table.from_columns(
         Schema(tuple(schema_cols)), columns, {"cat": tuple(dictionary)}
     )
+
+
+def with_header(blob: bytes, edit) -> bytes:
+    """The ``.rlt`` cache ``blob`` with its JSON header replaced by
+    ``edit(header)``."""
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.dumps(edit(json.loads(blob[16 : 16 + hlen]))).encode()
+    return blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + hlen :]

@@ -7,6 +7,8 @@ import pytest
 from resplite.cli import main
 from resplite.tabular import ColumnRole, load_binary, save_binary
 
+from conftest import with_header
+
 
 @pytest.fixture(scope="module")
 def data(tmp_path_factory):
@@ -26,6 +28,14 @@ def caches(data, tmp_path_factory):
     ])
     assert rc == 0
     return out
+
+
+def test_cache_with_a_malformed_header_fails_with_an_error_line(caches, tmp_path, capsys):
+    blob = (caches / "train.rlt").read_bytes()
+    bad = tmp_path / "bad.rlt"
+    bad.write_bytes(with_header(blob, lambda h: {"schema": h["schema"]}))
+    assert main(["correlate", "--table", str(bad), "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: table file header's n_rows None")
 
 
 class TestSynthAndIngest:

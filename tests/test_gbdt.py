@@ -26,6 +26,7 @@ from resplite.gbdt.binning import (
     bin_table,
     build_bin_mapper,
 )
+from resplite.gbdt.boosting import _grad_hess
 from resplite.gbdt.tree import _build_hist
 from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, Table
 
@@ -73,6 +74,16 @@ class TestLossGradHess:
             ) / (hess_eps * hess_eps)
             assert grad == pytest.approx(num_grad, abs=1e-6)
             assert hess == pytest.approx(num_hess, abs=1e-4)
+
+
+    def test_vectorized_gradients_match_the_scalar_ones(self):
+        # fit takes its gradients from _grad_hess at sigmoid(scores)
+        scores = np.concatenate([np.linspace(-40.0, 40.0, 8001), [-700.0, 700.0]])
+        for label in (0, 1):
+            grad, hess = _grad_hess(metrics.sigmoid(scores), np.full(len(scores), float(label)))
+            want = np.array([loss_grad_hess(float(s), label) for s in scores])
+            np.testing.assert_allclose(grad, want[:, 0], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(hess, want[:, 1], rtol=1e-12, atol=1e-15)
 
 
 class TestParams:

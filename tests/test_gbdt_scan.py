@@ -14,8 +14,8 @@ from resplite.gbdt.tree import (
     _Split,
     _build_hist,
     _find_best_split,
-    _scan_categorical,
     _scan_plan,
+    bin_counts,
 )
 
 
@@ -51,6 +51,34 @@ def _scan_numeric(hg, hh, hc, n_bins, total_g, total_h, total_c, lam, min_data):
     hl = float(ph[b] + (mh if missing_left else 0.0))
     cl = int(pc[b] + (mc if missing_left else 0))
     return float(gain[b]), b + 1, missing_left, gl, hl, cl
+
+
+def _scan_categorical(hg, hh, hc, n_bins, total_g, total_h, total_c, lam, min_data):
+    """Best prefix of the G/H-sorted occupied bins; returns None when no
+    valid positive split exists."""
+    counts = hc[:n_bins]
+    nz = np.flatnonzero(counts)
+    if len(nz) < 2:
+        return None
+    key = hg[nz] / hh[nz]  # per-row hessians are positive, so hh[nz] > 0
+    order = np.lexsort((nz, key))
+    sel = nz[order]
+    cg = np.cumsum(hg[sel])[:-1]
+    ch = np.cumsum(hh[sel])[:-1]
+    cc = np.cumsum(hc[sel])[:-1]
+    gr = total_g - cg
+    hr = total_h - ch
+    cr = total_c - cc
+    ok = (cc >= min_data) & (cr >= min_data)
+    parent = total_g * total_g / (total_h + lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = cg * cg / (ch + lam) + gr * gr / (hr + lam) - parent
+    gain = np.where(ok, gain, -np.inf)
+    k = int(np.argmax(gain))
+    if not np.isfinite(gain[k]) or gain[k] <= 0.0:
+        return None
+    left_bins = np.sort(sel[: k + 1]).astype(np.int64)
+    return float(gain[k]), left_bins, float(cg[k]), float(ch[k]), int(cc[k])
 
 
 def _reference_split(leaf, subset, n_bins_all, is_cat, lam, min_data):
@@ -110,8 +138,11 @@ def _outcome(find, *args):
 @st.composite
 def scan_cases(draw):
     """Small leaves with exact gain ties: gradients and hessians on a coarse
-    grid, duplicated feature columns, empty missing bins, n_bins < 3, and
-    zero hessians with lambda_l2 = 0 (NaN and infinite gains)."""
+    grid, duplicated feature columns, missing rows in only some features,
+    n_bins < 3, and zero hessians with lambda_l2 = 0 (NaN and infinite
+    gains).  Some leaf histograms are derived as grow_tree derives the
+    larger child, parent minus sibling, one or two levels deep: with
+    gradients off the grid, a bin without rows can keep a leftover G/H."""
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
     mix = draw(st.sampled_from(["numeric", "categorical", "mixed"]))
     n_features = draw(st.integers(1, 6))
@@ -133,23 +164,44 @@ def scan_cases(draw):
         low = 1 if draw(st.booleans()) else 0  # no missing rows: side ties
         high = min(int(n_bins_all[f]), draw(st.sampled_from([3, 6, STRIDE])))
         binned[f] = rng.integers(min(low, high - 1), high, size=m)
-    grad = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=m)
-    hess = rng.choice([0.0, 0.25, 1.0] if zero_hess else [0.25, 1.0], size=m)
+    if draw(st.booleans()):
+        grad = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=m)
+        hess = rng.choice([0.0, 0.25, 1.0] if zero_hess else [0.25, 1.0], size=m)
+    else:
+        grad = rng.uniform(-1.0, 1.0, size=m)
+        hess = rng.uniform(0.0 if zero_hess else 0.01, 1.0, size=m)
     if draw(st.booleans()):
         subset = np.arange(n_features, dtype=np.int64)
     else:
         size = draw(st.integers(1, n_features))
         subset = np.sort(rng.choice(n_features, size=size, replace=False))
-    rows = np.sort(rng.choice(m, size=draw(st.integers(0, m)), replace=False))
-    return binned, n_bins_all, is_cat, grad, hess, subset, rows, lam, min_data
+    # every row goes to the leaf (owner 0) or to one of its ancestors' other
+    # children; a small leaf leaves most missing rows to its siblings
+    n_siblings = draw(st.integers(0, 2))
+    share = draw(st.sampled_from([0.1, 0.5])) if n_siblings else 1.0
+    owner = np.where(rng.random(m) < share, 0, 1 + rng.integers(0, max(n_siblings, 1), size=m))
+    if n_siblings and draw(st.booleans()):  # none of feature 0's missing rows
+        owner[(binned[0] == 0) & (owner == 0)] = 1
+    rows, *siblings = (np.flatnonzero(owner == i) for i in range(n_siblings + 1))
+    return binned, n_bins_all, is_cat, grad, hess, subset, rows, siblings, lam, min_data
+
+
+def _case_leaf(binned, grad, hess, subset, rows, siblings):
+    """The leaf over ``rows``; with siblings, its histogram is the
+    ancestor's over every row minus each sibling's, outermost first."""
+    leaf = _Leaf(rows, 0, float(grad[rows].sum()), float(hess[rows].sum()), len(rows))
+    all_rows = np.sort(np.concatenate([rows, *siblings]))
+    leaf.hist = _build_hist(binned, subset, all_rows, grad, hess)
+    for sibling in siblings:
+        leaf.hist = leaf.hist - _build_hist(binned, subset, sibling, grad, hess)
+    return leaf
 
 
 @settings(max_examples=300, deadline=None)
 @given(scan_cases())
 def test_vectorized_scan_matches_per_feature_reference(case):
-    binned, n_bins_all, is_cat, grad, hess, subset, rows, lam, min_data = case
-    leaf = _Leaf(rows, 0, float(grad[rows].sum()), float(hess[rows].sum()), len(rows))
-    leaf.hist = _build_hist(binned, subset, rows, grad, hess)
+    binned, n_bins_all, is_cat, grad, hess, subset, rows, siblings, lam, min_data = case
+    leaf = _case_leaf(binned, grad, hess, subset, rows, siblings)
     scan = _scan_plan(subset, n_bins_all, is_cat)
     want = _outcome(_reference_split, leaf, subset, n_bins_all, is_cat, lam, min_data)
     got = _outcome(_find_best_split, leaf, scan, lam, min_data)
@@ -204,6 +256,62 @@ def test_no_threshold_past_a_features_last_bin():
     leaf.hist = _build_hist(binned, subset, rows, grad, hess)
     scan = _scan_plan(subset, np.array([2, 8]), np.array([False, False]))
     assert _find_best_split(leaf, scan, 1.0, 1) is None
+
+
+def test_missing_bin_with_leftover_sums_but_no_rows_is_scanned_on_both_sides():
+    # the leaf holds rows 0-2; the missing rows 3, 4, 6 and 7 went to two
+    # siblings, so the leaf's missing bin, grandparent minus both siblings,
+    # has no rows but a leftover gradient sum, and joining it left loses
+    binned = np.array([[2, 2, 1, 0, 0, 3, 0, 0]], dtype=np.uint8)
+    grad = np.array([-0.9, -0.2, 0.7, -0.7, -1.0, 0.0, -0.1, -0.1])
+    hess = np.ones(8)
+    rows, siblings = np.arange(3), [np.array([6, 7]), np.array([3, 4, 5])]
+    subset, n_bins_all, is_cat = np.array([0]), np.array([4]), np.array([False])
+    leaf = _case_leaf(binned, grad, hess, subset, rows, siblings)
+    assert leaf.hist[2, 0, 0] == 0 and leaf.hist[0, 0, 0] != 0
+    split = _find_best_split(leaf, _scan_plan(subset, n_bins_all, is_cat), 1.0, 1)
+    assert (split.threshold_bin, split.missing_left) == (1, False)
+    assert split == _reference_split(leaf, subset, n_bins_all, is_cat, 1.0, 1)
+
+
+def test_empty_categories_sort_after_occupied_ones_with_infinite_keys():
+    # bins 3, 4 and 5 hold rows with zero hessian and positive gradient
+    # (key +inf), bins 1 and 2 are empty; min_data = 2 makes {0, 3} the best
+    # left set, and the empty bins must not be swept into it
+    binned = np.array([[0, 4, 5, 3, 5]], dtype=np.uint8)
+    grad = np.array([0.0, 0.5, 0.0, 0.5, 1.0])
+    hess = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    subset, n_bins_all, is_cat = np.array([0]), np.array([6]), np.array([True])
+    leaf = _case_leaf(binned, grad, hess, subset, np.arange(5), [])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _reference_split(leaf, subset, n_bins_all, is_cat, 1.0, 2)
+    split = _find_best_split(leaf, _scan_plan(subset, n_bins_all, is_cat), 1.0, 2)
+    assert split.left_bins.tolist() == [0, 3]
+    assert _fields(split) == _fields(want)
+
+
+def test_root_histogram_reads_every_row_in_place():
+    # the root's histogram, from the whole columns and the fit's count
+    # plane, is bit-identical to gathering every row
+    rng = np.random.Generator(np.random.PCG64(9))
+    binned = rng.integers(0, 40, size=(5, 3000), dtype=np.uint8)
+    grad = rng.standard_normal(3000)
+    hess = rng.uniform(0.01, 0.25, 3000)
+    subset = np.array([1, 3, 4])
+    root = _build_hist(binned, subset, slice(None), grad, hess, bin_counts(binned))
+    gathered = _build_hist(binned, subset, np.arange(3000), grad, hess)
+    assert root.tobytes() == gathered.tobytes()
+
+
+def test_leaf_without_two_categories_computes_no_gain():
+    # lambda_l2 = 0 and no hessian: the per-feature scan of a categorical
+    # with one occupied bin never computes the parent score, which would
+    # divide by zero, and neither may the stacked scan
+    binned = np.array([[1, 1]], dtype=np.uint8)
+    subset = np.array([0])
+    leaf = _case_leaf(binned, np.array([0.0, -0.5]), np.zeros(2), subset, np.arange(2), [])
+    scan = _scan_plan(subset, np.array([2]), np.array([True]))
+    assert _find_best_split(leaf, scan, 0.0, 1) is None
 
 
 def test_build_hist_needs_no_rows_by_features_temporary():

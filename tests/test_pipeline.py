@@ -7,7 +7,12 @@ import pytest
 
 from resplite import pipeline
 from resplite.pipeline import PipelineError, ablate, emit_synthetic, load_config, run
-from resplite.report import RunReport, report_export, write_bar_chart_svg
+from resplite.report import (
+    RunReport,
+    report_export,
+    write_bar_chart_svg,
+    write_predictions_csv,
+)
 from resplite.tabular import load_binary
 
 
@@ -273,6 +278,15 @@ class TestReportExport:
         files = report_export(report, tmp_path, "svg")
         svg = files[0].read_text()
         assert svg.index(">a<") < svg.index(">b<") < svg.index(">c<")
+
+    @pytest.mark.parametrize("ids", [["a", "b", "c", "d", "e", "f"], np.array(list("abcdef"))])
+    def test_predictions_csv_bytes(self, tmp_path, ids):
+        # rounding edge cases at six decimals, ids as a list or an array
+        probs = np.array([5e-7, 1.5e-6, 0.9999995, 0.0, 1.0, 0.1234565])
+        write_predictions_csv(ids, probs, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_bytes() == (
+            b"a,0.000000\nb,0.000002\nc,1.000000\nd,0.000000\ne,1.000000\nf,0.123456\n"
+        )
 
 
 class TestSynthCommandBackend:

@@ -19,6 +19,9 @@ from resplite.tabular import (
 )
 
 
+from conftest import with_header
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -256,6 +259,23 @@ class TestBinaryPersistence:
         dest, blob = self._four_row_cache(tmp_path)
         dest.write_bytes(blob.replace(b'"n_rows": 4', b'"n_rows": 2'))
         with pytest.raises(TabularError, match="header's 2 rows"):
+            load_binary(dest)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: [h], "no schema object"),
+        (lambda h: 4, "no schema object"),
+        (lambda h: {"n_rows": h["n_rows"]}, "no schema object"),
+        (lambda h: {**h, "schema": ["day", "x", "y"]}, "no schema object"),
+        (lambda h: {"schema": h["schema"]}, "n_rows None"),
+        (lambda h: {**h, "n_rows": "4"}, "n_rows '4'"),
+        (lambda h: {**h, "n_rows": 4.0}, "n_rows 4.0"),
+        (lambda h: {**h, "n_rows": True}, "n_rows True"),
+        (lambda h: {**h, "n_rows": -1}, "n_rows -1"),
+    ])
+    def test_malformed_header_errors(self, tmp_path, edit, match):
+        dest, blob = self._four_row_cache(tmp_path)
+        dest.write_bytes(with_header(blob, edit))
+        with pytest.raises(TabularError, match=match):
             load_binary(dest)
 
     def test_label_byte_outside_01_errors(self, tmp_path):
