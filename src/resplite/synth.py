@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import sigmoid
-from .tabular import ColumnRole, MISSING_TOKEN, Schema, Table
+from .tabular import ColumnRole, Schema, Table, first_occurrence_codes
 
 
 class SynthError(ValueError):
@@ -194,18 +194,6 @@ def _standardize(v: np.ndarray) -> np.ndarray:
     return (v - v.mean()) / sd
 
 
-def _first_occurrence_codes(raw: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Remap raw category ints to first-occurrence-order codes starting at 1,
-    matching the dictionary order CSV ingestion would produce."""
-    uniques, first_pos = np.unique(raw, return_index=True)
-    order = uniques[np.argsort(first_pos)]
-    rank = np.empty(int(raw.max()) + 1, dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    codes = rank[raw] + 1  # code 0 stays reserved for the missing token
-    dictionary = [MISSING_TOKEN] + [str(int(v)) for v in order]
-    return codes.astype(np.int32), dictionary
-
-
 def generate(spec: SynthSpec) -> tuple[Table, GroundTruth]:
     """Generate one table covering every day in the spec, plus ground truth.
 
@@ -226,8 +214,6 @@ def generate(spec: SynthSpec) -> tuple[Table, GroundTruth]:
     # categorical draws: codes then per-category idiosyncratic scores,
     # feature by feature, in index order
     signal_by_index = {s.index: s for s in spec.cat_signals}
-    cat_codes: list[np.ndarray] = []
-    cat_dicts: list[list[str]] = []
     cat_scores_by_cat: list[np.ndarray] = []  # indexed by raw category id
     raw_by_feature: list[np.ndarray] = []
     for j, card in enumerate(spec.cat_cardinalities):
@@ -238,9 +224,6 @@ def generate(spec: SynthSpec) -> tuple[Table, GroundTruth]:
         sig = signal_by_index.get(j, CatSignal(j))
         scores = sig.popularity_weight * _standardize(np.log(weights)) + \
             sig.idiosyncratic_weight * idio
-        codes, dictionary = _first_occurrence_codes(raw)
-        cat_codes.append(codes)
-        cat_dicts.append(dictionary)
         cat_scores_by_cat.append(scores)
         raw_by_feature.append(raw)
 
@@ -296,8 +279,7 @@ def generate(spec: SynthSpec) -> tuple[Table, GroundTruth]:
     for j in range(spec.n_cat):
         name = cat_name(j)
         schema_cols.append((name, ColumnRole.CATEGORICAL))
-        columns[name] = cat_codes[j]
-        dicts[name] = cat_dicts[j]
+        columns[name], dicts[name] = first_occurrence_codes(raw_by_feature[j])
     for j in range(spec.n_cont):
         name = cont_name(j)
         schema_cols.append((name, ColumnRole.CONTINUOUS))
@@ -325,25 +307,24 @@ def generate(spec: SynthSpec) -> tuple[Table, GroundTruth]:
 
 def write_csv(table: Table, path) -> None:
     """Emit the table as a delimited file matching its schema (no header
-    unless the schema declares one)."""
+    unless the schema declares one), one whole column at a time."""
     schema = table.schema
     cols = []
     for name, role in schema.columns:
-        arr = table.col(name)
-        if role is ColumnRole.ROW_ID:
-            cols.append(arr.tolist())
-        elif role is ColumnRole.CATEGORICAL:
-            d = table.dictionary(name)
-            cols.append(["" if c == 0 else d[c] for c in arr.tolist()])
+        values = table.col(name)
+        if role is ColumnRole.CATEGORICAL:
+            tokens = np.array(("",) + table.dictionary(name)[1:], dtype=object)
+            cols.append(tokens[values])
         elif role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
-            cols.append(["" if math.isnan(v) else repr(v) for v in arr.tolist()])
+            text = np.array(list(map(repr, values.tolist())), dtype=object)
+            text[np.isnan(values)] = ""
+            cols.append(text)
         else:
-            cols.append([str(int(v)) for v in arr.tolist()])
+            cols.append(list(map(str, values.tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if schema.has_header:
             fh.write(schema.delimiter.join(schema.names) + "\n")
-        for i in range(table.n_rows):
-            fh.write(schema.delimiter.join(col[i] for col in cols) + "\n")
+        fh.writelines(f"{line}\n" for line in map(schema.delimiter.join, zip(*cols)))
 
 
 def split_train_test(table: Table) -> tuple[Table, Table]:

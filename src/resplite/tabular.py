@@ -11,10 +11,12 @@ column is int32.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -131,18 +133,27 @@ class Schema:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "Schema":
+    def from_json(cls, doc) -> "Schema":
         """Build a schema from a JSON-compatible mapping.
 
         Accepts either ``{"columns": {name: role, ...}, "delimiter": ...}``
         or a bare ``{name: role, ...}`` mapping (tab-delimited, no header).
+        Anything else raises :class:`TabularError`.
         """
+        if not isinstance(doc, dict):
+            raise TabularError(f"a schema must be a JSON object, not {type(doc).__name__}")
         if "columns" in doc:
             cols = doc["columns"]
             delimiter = doc.get("delimiter", "\t")
-            has_header = bool(doc.get("has_header", False))
+            has_header = doc.get("has_header", False)
         else:
             cols, delimiter, has_header = doc, "\t", False
+        if not isinstance(cols, dict) or not all(isinstance(n, str) for n in cols):
+            raise TabularError("schema columns must be a JSON object mapping names to roles")
+        if not isinstance(delimiter, str):
+            raise TabularError(f"schema delimiter must be a string, not {delimiter!r}")
+        if not isinstance(has_header, bool):
+            raise TabularError(f"schema has_header must be true or false, not {has_header!r}")
         try:
             columns = tuple((name, ColumnRole(role)) for name, role in cols.items())
         except ValueError as exc:
@@ -385,126 +396,128 @@ def split(table: Table, plan: SplitPlan) -> SplitResult:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
-
-class _DictBuilder:
-    """First-occurrence-order dictionary with the reserved missing code 0."""
-
-    def __init__(self) -> None:
-        self.index: dict[str, int] = {MISSING_TOKEN: 0}
-        self.tokens: list[str] = [MISSING_TOKEN]
-
-    def code(self, token: str) -> int:
-        if token == "":
-            return 0
-        c = self.index.get(token)
-        if c is None:
-            c = len(self.tokens)
-            self.index[token] = c
-            self.tokens.append(token)
-        return c
+#: lines parsed at a time; bounds the token lists held while parsing
+_BLOCK_LINES = 2048
+_INT32 = np.iinfo(np.int32)
 
 
-def _parse_file(
-    path: str | Path,
-    schema: Schema,
-    dict_builders: dict[str, _DictBuilder],
-) -> Table:
-    path = Path(path)
-    names = schema.names
-    roles = [role for _, role in schema.columns]
-    n_cols = len(names)
-    raw: list[list] = [[] for _ in range(n_cols)]
+def first_occurrence_codes(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Code one categorical column in first-occurrence order.
 
+    ``values`` holds the column's raw tokens: strings, where the empty token
+    and ``MISSING_TOKEN`` are missing, or integers, each named by its decimal
+    string.  Missing values get code 0 and the k-th distinct other value
+    seen gets code k.  Returns the int32 codes and the dictionary
+    ``[MISSING_TOKEN, first value, second value, ...]``.
+    """
+    uniques, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    tokens = uniques.astype(np.str_)
+    present = np.flatnonzero((tokens != "") & (tokens != MISSING_TOKEN))
+    order = present[np.argsort(first[present])]
+    rank = np.zeros(len(uniques), dtype=np.int32)
+    rank[order] = np.arange(1, len(order) + 1, dtype=np.int32)
+    return rank[inverse.ravel()], [MISSING_TOKEN] + tokens[order].tolist()
+
+
+def _parse_column(role: ColumnRole, tokens: list[str]) -> np.ndarray | None:
+    """One block column of ``tokens`` as ``role``'s values (ids and
+    categories stay strings), or None when some token is not valid."""
+    try:
+        if role in (ColumnRole.ROW_ID, ColumnRole.CATEGORICAL):
+            return np.array(tokens, dtype=np.str_)
+        if role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
+            return np.array([float(t) if t else math.nan for t in tokens], dtype=np.float64)
+        if role is ColumnRole.DAY:
+            days = np.fromiter(map(int, tokens), np.int64, len(tokens))
+            valid = ((days >= _INT32.min) & (days <= _INT32.max)).all()
+            return days.astype(np.int32) if valid else None
+        labels = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        # a label is read as int(float(token)), which must be 0 or 1
+        return labels.astype(np.uint8) if ((labels > -1) & (labels < 2)).all() else None
+    except (ValueError, OverflowError):
+        return None
+
+
+def _token_error(role: ColumnRole, name: str, token: str) -> str | None:
+    """Why ``token`` is not a valid value of the ``role`` column ``name``,
+    or None when it is; :func:`_parse_column` one token at a time."""
+    label = role in (ColumnRole.LABEL_CLICK, ColumnRole.LABEL_INSTALL)
+    if label and token == "":
+        return f"missing label value in column {name!r}"
+    try:
+        value = int(token) if role is ColumnRole.DAY else float(token or "nan")
+    except ValueError:
+        value = None
+    if value is None or (label and math.isnan(value)):
+        kind = "day " if role is ColumnRole.DAY else "label " if label else ""
+        return f"non-numeric value {token!r} in {kind}column {name!r}"
+    if role is ColumnRole.DAY and not _INT32.min <= value <= _INT32.max:
+        return f"day value {token!r} outside the int32 range in day column {name!r}"
+    if label and not -1 < value < 2:
+        return f"label value {token!r} outside {{0,1}} in column {name!r}"
+    return None
+
+
+def _read_columns(path: Path, schema: Schema) -> list[np.ndarray]:
+    """Every column of one delimited file, in schema order, parsed in blocks
+    of ``_BLOCK_LINES`` lines.  A bad line raises with its 1-based number."""
+    delim, n_cols = schema.delimiter, len(schema.columns)
+    parts: list[list[np.ndarray]] = [[] for _ in range(n_cols)]
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        line_no = 0
         if schema.has_header:
             fh.readline()
-            line_no = 1
-        for line in fh:
-            line_no += 1
-            fields = line.rstrip("\r\n").split(schema.delimiter)
-            if len(fields) != n_cols:
-                raise TabularError(
-                    f"{path.name}: line {line_no}: expected {n_cols} fields, got {len(fields)}"
-                )
-            for i, token in enumerate(fields):
-                role = roles[i]
-                if role is ColumnRole.ROW_ID:
-                    raw[i].append(token)
-                elif role is ColumnRole.CATEGORICAL:
-                    raw[i].append(dict_builders[names[i]].code(token))
-                elif role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
-                    if token == "" or token == "NaN":
-                        raw[i].append(np.nan)
-                    else:
-                        try:
-                            raw[i].append(float(token))
-                        except ValueError:
-                            raise TabularError(
-                                f"{path.name}: line {line_no}: non-numeric value "
-                                f"{token!r} in column {names[i]!r}"
-                            ) from None
-                elif role is ColumnRole.DAY:
-                    try:
-                        raw[i].append(int(token))
-                    except ValueError:
-                        raise TabularError(
-                            f"{path.name}: line {line_no}: non-numeric value "
-                            f"{token!r} in day column {names[i]!r}"
-                        ) from None
-                else:  # labels
-                    if token == "":
-                        raise TabularError(
-                            f"{path.name}: line {line_no}: missing label value "
-                            f"in column {names[i]!r}"
-                        )
-                    try:
-                        value = int(float(token))
-                    except ValueError:
-                        raise TabularError(
-                            f"{path.name}: line {line_no}: non-numeric value "
-                            f"{token!r} in label column {names[i]!r}"
-                        ) from None
-                    if value not in (0, 1):
-                        raise TabularError(
-                            f"{path.name}: line {line_no}: label value {token!r} "
-                            f"outside {{0,1}} in column {names[i]!r}"
-                        )
-                    raw[i].append(value)
-
-    columns = {name: raw[i] for i, name in enumerate(names)}
-    dicts = {name: tuple(dict_builders[name].tokens) for name, role in schema.columns
-             if role is ColumnRole.CATEGORICAL}
-    return Table.from_columns(schema, columns, dicts)
+        line_no = 1 + schema.has_header  # of the block's first line
+        while lines := [line.rstrip("\r\n") for line in islice(fh, _BLOCK_LINES)]:
+            counts = np.fromiter(map(str.count, lines, repeat(delim)), np.int64, len(lines))
+            errors = [(int(row), n_cols, f"expected {n_cols} fields, got {counts[row] + 1}")
+                      for row in np.flatnonzero(counts != n_cols - 1)[:1]]
+            # the lines before a miscounted one report their own errors first
+            good = lines[: errors[0][0]] if errors else lines
+            fields = delim.join(good).split(delim) if good else []
+            for i, (name, role) in enumerate(schema.columns):
+                tokens = fields[i::n_cols]
+                values = _parse_column(role, tokens)
+                if values is None:
+                    reasons = (_token_error(role, name, t) for t in tokens)
+                    errors.append(next((r, i, why) for r, why in enumerate(reasons) if why))
+                parts[i].append(values)
+            if errors:
+                row, _, why = min(errors)
+                raise TabularError(f"{path.name}: line {line_no + row}: {why}")
+            line_no += len(lines)
+    # a file with no rows yields string columns; from_columns casts them
+    return [np.concatenate(p or [np.empty(0, np.str_)]) for p in parts]
 
 
 def ingest_csv(path: str | Path, schema: Schema) -> Table:
-    """Parse one delimited file into a Table.
-
-    Dictionaries are built in first-occurrence order; empty continuous fields
-    and the literal token ``NaN`` become missing.  Malformed rows raise with
-    the 1-based line number.
-    """
-    builders = {name: _DictBuilder() for name, role in schema.columns
-                if role is ColumnRole.CATEGORICAL}
-    return _parse_file(path, schema, builders)
+    """Parse one delimited file into a Table (see :func:`ingest_csv_group`)."""
+    return ingest_csv_group([path], schema)[0]
 
 
 def ingest_csv_group(paths: list[str | Path], schema: Schema) -> list[Table]:
     """Parse several files that share categorical dictionaries.
 
-    Dictionaries are built over the union of all files (in path order, rows in
-    file order) so codes agree across train/test; every returned table carries
-    the same final dictionaries.
+    Each categorical column is coded by :func:`first_occurrence_codes` over
+    all files (in path order, rows in file order), so every returned table
+    carries the same final dictionaries.  Empty continuous fields and the
+    literal token ``NaN`` become missing.  A malformed row raises with its
+    1-based line number.
     """
     if not paths:
         raise TabularError("ingest_csv_group needs at least one path")
-    builders = {name: _DictBuilder() for name, role in schema.columns
-                if role is ColumnRole.CATEGORICAL}
-    tables = [_parse_file(p, schema, builders) for p in paths]
-    # earlier tables saw a prefix of the final dictionary; re-issue the full one
-    dicts = {name: tuple(b.tokens) for name, b in builders.items()}
-    return [Table(t.schema, t.n_rows, t._columns, dict(dicts)) for t in tables]
+    files = [_read_columns(Path(p), schema) for p in paths]
+    dicts: dict[str, list[str]] = {}
+    for i, (name, role) in enumerate(schema.columns):
+        if role is ColumnRole.CATEGORICAL:
+            tokens = [columns[i] for columns in files]
+            codes, dicts[name] = first_occurrence_codes(np.concatenate(tokens))
+            ends = np.cumsum([len(t) for t in tokens])
+            for columns, part in zip(files, np.split(codes, ends[:-1])):
+                columns[i] = part
+    return [
+        Table.from_columns(schema, dict(zip(schema.names, columns)), dicts)
+        for columns in files
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,14 @@ import pytest
 from resplite.tabular import ColumnRole, Schema, Table
 
 
+#: schema documents that are not schemas, and the error each one raises
+MALFORMED_SCHEMAS = [
+    ({"columns": 5}, "columns must be a JSON object mapping names to roles"),
+    ({"columns": {"day": "day"}, "delimiter": 7}, "delimiter must be a string, not 7"),
+    ({"columns": {"day": "day"}, "has_header": "no"}, "has_header must be true or false"),
+]
+
+
 @pytest.fixture
 def small_schema():
     return Schema(

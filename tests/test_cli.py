@@ -7,7 +7,7 @@ import pytest
 from resplite.cli import main
 from resplite.tabular import ColumnRole, load_binary, save_binary
 
-from conftest import with_header
+from conftest import MALFORMED_SCHEMAS, with_header
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,19 @@ def test_cache_with_a_malformed_header_fails_with_an_error_line(caches, tmp_path
     bad.write_bytes(with_header(blob, lambda h: {"schema": h["schema"]}))
     assert main(["correlate", "--table", str(bad), "--out", str(tmp_path / "c.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: table file header's n_rows None")
+
+
+@pytest.mark.parametrize("doc, match", [
+    *MALFORMED_SCHEMAS,
+    ([["day", "day"]], "a schema must be a JSON object, not list"),
+])
+def test_malformed_schema_file_fails_with_an_error_line(data, tmp_path, capsys, doc, match):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(doc))
+    assert main(["ingest", "--schema", str(schema), "--out-dir", str(tmp_path),
+                 str(data / "train.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
 
 
 class TestSynthAndIngest:

@@ -1,9 +1,14 @@
 import hashlib
 import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from resplite import tabular
 from resplite.tabular import (
     ColumnRole,
     MISSING_TOKEN,
@@ -11,6 +16,7 @@ from resplite.tabular import (
     SplitPlan,
     Table,
     TabularError,
+    first_occurrence_codes,
     ingest_csv,
     ingest_csv_group,
     load_binary,
@@ -19,7 +25,102 @@ from resplite.tabular import (
 )
 
 
-from conftest import with_header
+from conftest import MALFORMED_SCHEMAS, with_header
+
+
+class _DictBuilder:
+    """First-occurrence-order dictionary with the reserved missing code 0."""
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {MISSING_TOKEN: 0}
+        self.tokens: list[str] = [MISSING_TOKEN]
+
+    def code(self, token: str) -> int:
+        if token == "":
+            return 0
+        c = self.index.get(token)
+        if c is None:
+            c = len(self.tokens)
+            self.index[token] = c
+            self.tokens.append(token)
+        return c
+
+
+def _parse_file(path, schema, dict_builders):
+    """Reference row-at-a-time parser: the raw column lists of one file."""
+    path = Path(path)
+    names = schema.names
+    roles = [role for _, role in schema.columns]
+    n_cols = len(names)
+    raw: list[list] = [[] for _ in range(n_cols)]
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        line_no = 0
+        if schema.has_header:
+            fh.readline()
+            line_no = 1
+        for line in fh:
+            line_no += 1
+            fields = line.rstrip("\r\n").split(schema.delimiter)
+            if len(fields) != n_cols:
+                raise TabularError(
+                    f"{path.name}: line {line_no}: expected {n_cols} fields, got {len(fields)}"
+                )
+            for i, token in enumerate(fields):
+                role = roles[i]
+                if role is ColumnRole.ROW_ID:
+                    raw[i].append(token)
+                elif role is ColumnRole.CATEGORICAL:
+                    raw[i].append(dict_builders[names[i]].code(token))
+                elif role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
+                    if token == "" or token == "NaN":
+                        raw[i].append(np.nan)
+                    else:
+                        try:
+                            raw[i].append(float(token))
+                        except ValueError:
+                            raise TabularError(
+                                f"{path.name}: line {line_no}: non-numeric value "
+                                f"{token!r} in column {names[i]!r}"
+                            ) from None
+                elif role is ColumnRole.DAY:
+                    try:
+                        raw[i].append(int(token))
+                    except ValueError:
+                        raise TabularError(
+                            f"{path.name}: line {line_no}: non-numeric value "
+                            f"{token!r} in day column {names[i]!r}"
+                        ) from None
+                else:  # labels
+                    if token == "":
+                        raise TabularError(
+                            f"{path.name}: line {line_no}: missing label value "
+                            f"in column {names[i]!r}"
+                        )
+                    try:
+                        value = int(float(token))
+                    except ValueError:
+                        raise TabularError(
+                            f"{path.name}: line {line_no}: non-numeric value "
+                            f"{token!r} in label column {names[i]!r}"
+                        ) from None
+                    if value not in (0, 1):
+                        raise TabularError(
+                            f"{path.name}: line {line_no}: label value {token!r} "
+                            f"outside {{0,1}} in column {names[i]!r}"
+                        )
+                    raw[i].append(value)
+    return dict(zip(names, raw))
+
+
+def _reference_ingest(paths, schema):
+    """The row-loop ingest that the block parser replaced: dictionaries built
+    token by token over the files in path order."""
+    builders = {name: _DictBuilder() for name, role in schema.columns
+                if role is ColumnRole.CATEGORICAL}
+    raws = [_parse_file(p, schema, builders) for p in paths]
+    dicts = {name: b.tokens for name, b in builders.items()}
+    return [Table.from_columns(schema, raw, dicts) for raw in raws]
 
 
 def write(tmp_path, name, text):
@@ -59,6 +160,15 @@ class TestSchema:
     def test_unknown_role_rejected(self):
         with pytest.raises(TabularError, match="unknown column role"):
             Schema.from_json({"f1": "date"})
+
+    @pytest.mark.parametrize("doc, match", [
+        *MALFORMED_SCHEMAS,
+        ([["day", "day"]], "a schema must be a JSON object, not list"),
+        ({3: "day"}, "columns must be a JSON object mapping names to roles"),
+    ])
+    def test_malformed_document_rejected(self, doc, match):
+        with pytest.raises(TabularError, match=match):
+            Schema.from_json(doc)
 
 
 class TestIngest:
@@ -109,6 +219,20 @@ class TestIngest:
         with pytest.raises(TabularError, match="outside"):
             ingest_csv(path, small_schema)
 
+    @pytest.mark.parametrize("line, message", [
+        ("r2\t45\ta\t1.0\tinf", "line 2: label value 'inf' outside {0,1} in column 'y'"),
+        ("r2\t45\ta\t1.0\t1e400", "line 2: label value '1e400' outside {0,1} in column 'y'"),
+        ("r2\t99999999999\ta\t1.0\t0",
+         "line 2: day value '99999999999' outside the int32 range in day column 'f1'"),
+    ])
+    def test_overflowing_value_names_file_line_and_column(
+        self, tmp_path, small_schema, line, message
+    ):
+        path = write(tmp_path, "t.tsv", "r1\t45\ta\t1.0\t0\n" + line + "\n")
+        with pytest.raises(TabularError) as exc:
+            ingest_csv(path, small_schema)
+        assert str(exc.value) == f"t.tsv: {message}"
+
     def test_dictionary_stability(self, tmp_path, small_schema):
         path = write(
             tmp_path, "t.tsv", "r1\t45\tc\t1.0\t0\nr2\t45\ta\t1.0\t1\nr3\t45\tc\t1.0\t0\n"
@@ -139,6 +263,103 @@ class TestIngest:
         table = ingest_csv(path, small_schema)
         with pytest.raises(ValueError):
             table.col("x1")[0] = 9.0
+
+
+_COLUMNS = (
+    ("id", ColumnRole.ROW_ID),
+    ("day", ColumnRole.DAY),
+    ("c1", ColumnRole.CATEGORICAL),
+    ("c2", ColumnRole.CATEGORICAL),
+    ("x", ColumnRole.CONTINUOUS),
+    ("b", ColumnRole.BINARY),
+    ("y", ColumnRole.LABEL_INSTALL),
+)
+# no delimiter, line break or NUL (numpy strings drop trailing NULs)
+_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t,;\r\n\x00"),
+    max_size=4,
+)
+_TOKENS = {
+    ColumnRole.ROW_ID: _TEXT,
+    ColumnRole.DAY: st.integers(0, 2**31 - 1).map(str),
+    ColumnRole.CATEGORICAL: st.one_of(
+        st.sampled_from(["", "NaN", MISSING_TOKEN, "é", "日本"]), _TEXT),
+    ColumnRole.CONTINUOUS: st.one_of(
+        st.sampled_from(["", "NaN", "nan", "-0.0", "inf", "1e400"]),
+        st.floats(allow_nan=False).map(repr)),
+    ColumnRole.BINARY: st.sampled_from(["", "NaN", "0", "1", "0.0", "1.0"]),
+    ColumnRole.LABEL_INSTALL: st.sampled_from(["0", "1", "0.0", "1.0", "-0.5", "1.9"]),
+}
+#: one bad field: a row with an extra or a missing field, a non-numeric
+#: continuous value or day, a missing label, a label of 2 (the label is last)
+_CORRUPTIONS = {
+    "extra field": lambda row: row.append("z"),
+    "missing field": lambda row: row.pop(),
+    "non-numeric": lambda row: row.__setitem__(4, "oops"),
+    "non-numeric day": lambda row: row.__setitem__(1, "d1"),
+    "missing label": lambda row: row.__setitem__(-1, ""),
+    "label 2": lambda row: row.__setitem__(-1, "2"),
+}
+
+
+@st.composite
+def delimited_files(draw):
+    """1-3 files of one schema, with or without a header, mixed line
+    endings, and up to two corrupted fields."""
+    schema = Schema(_COLUMNS, delimiter=draw(st.sampled_from("\t,;")),
+                    has_header=draw(st.booleans()))
+    row = st.tuples(*(_TOKENS[role] for _, role in _COLUMNS)).map(list)
+    files = draw(st.lists(st.lists(row, max_size=12), min_size=1, max_size=3))
+    filled = [rows for rows in files if rows]
+    for corruption in draw(st.lists(st.sampled_from(list(_CORRUPTIONS)), max_size=2)):
+        if filled:
+            rows = draw(st.sampled_from(filled))
+            _CORRUPTIONS[corruption](rows[draw(st.integers(0, len(rows) - 1))])
+    texts = []
+    for rows in files:
+        lines = [schema.names] * schema.has_header + rows
+        ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                             min_size=len(lines), max_size=len(lines)))
+        if ends and draw(st.booleans()):
+            ends[-1] = ""  # no line break at the end of the file
+        texts.append("".join(schema.delimiter.join(line) + end
+                             for line, end in zip(lines, ends)))
+    return schema, texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=delimited_files(), block_lines=st.integers(1, 4))
+def test_block_parser_matches_the_row_loop_reference(case, block_lines):
+    schema, texts = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(tabular, "_BLOCK_LINES", block_lines):
+        paths = [Path(tmp) / f"f{k}.csv" for k in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_bytes(text.encode("utf-8"))
+        try:
+            want = _reference_ingest(paths, schema)
+        except TabularError as exc:
+            with pytest.raises(TabularError) as got:
+                ingest_csv_group(paths, schema)
+            assert str(got.value) == str(exc)
+            return
+        got = ingest_csv_group(paths, schema)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.equals(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-5, 40), max_size=60))
+def test_integer_categories_code_like_their_strings(values):
+    ints = np.array(values, dtype=np.int64)
+    codes, dictionary = first_occurrence_codes(ints)
+    builder = _DictBuilder()
+    assert codes.dtype == np.int32
+    assert codes.tolist() == [builder.code(str(v)) for v in values]
+    assert dictionary == builder.tokens
+    str_codes, str_dictionary = first_occurrence_codes(ints.astype(np.str_))
+    assert np.array_equal(str_codes, codes) and str_dictionary == dictionary
 
 
 class TestSplit:
@@ -275,6 +496,13 @@ class TestBinaryPersistence:
     def test_malformed_header_errors(self, tmp_path, edit, match):
         dest, blob = self._four_row_cache(tmp_path)
         dest.write_bytes(with_header(blob, edit))
+        with pytest.raises(TabularError, match=match):
+            load_binary(dest)
+
+    @pytest.mark.parametrize("doc, match", MALFORMED_SCHEMAS)
+    def test_malformed_header_schema_errors(self, tmp_path, doc, match):
+        dest, blob = self._four_row_cache(tmp_path)
+        dest.write_bytes(with_header(blob, lambda h: {**h, "schema": doc}))
         with pytest.raises(TabularError, match=match):
             load_binary(dest)
 
