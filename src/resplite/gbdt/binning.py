@@ -145,19 +145,26 @@ def mapper_to_json(mapper: BinMapper) -> list[dict]:
 
 
 def mapper_from_json(doc: list[dict]) -> BinMapper:
+    """Parse a mapper saved by :func:`mapper_to_json`; a feature whose bins
+    would not fit a uint8 bin, or whose thresholds descend, raises."""
     names = []
     bins: list[NumericBins | CategoricalBins] = []
     for entry in doc:
-        names.append(entry["name"])
-        if entry["kind"] == "categorical":
-            bins.append(
-                CategoricalBins(
-                    n_categories=int(entry["n_categories"]),
-                    overflow_bin=int(entry["overflow_bin"]),
-                )
+        name, kind = entry["name"], entry["kind"]
+        if kind == "categorical":
+            fb = CategoricalBins(
+                n_categories=int(entry["n_categories"]),
+                overflow_bin=int(entry["overflow_bin"]),
             )
+            ok = fb.n_categories >= 1 and 1 <= fb.overflow_bin <= STRIDE - 2
+        elif kind == "numeric":
+            fb = NumericBins(np.asarray(entry["thresholds"], dtype=np.float64))
+            t = fb.thresholds
+            ok = t.ndim == 1 and fb.n_bins <= STRIDE and bool((t[1:] >= t[:-1]).all())
         else:
-            bins.append(
-                NumericBins(np.asarray(entry["thresholds"], dtype=np.float64))
-            )
+            raise GbdtError(f"feature {name!r} has unknown bin kind {kind!r}")
+        if not ok:
+            raise GbdtError(f"{kind} bins of feature {name!r} are malformed")
+        names.append(name)
+        bins.append(fb)
     return BinMapper(tuple(names), tuple(bins))

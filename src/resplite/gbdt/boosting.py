@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -274,20 +274,55 @@ def save_model(model: GbdtModel, path) -> None:
 
 
 def load_model(path) -> GbdtModel:
+    """Read a model written by :func:`save_model`.  The document is checked
+    before anything is scored with it: a field that does not fit the model's
+    bin mapper raises :class:`GbdtError` naming the field (and the tree)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise GbdtError(f"not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_VERSION:
         raise GbdtError(f"unsupported model version {doc.get('version')}")
+    try:
+        return _model_from_json(doc)
+    except (KeyError, TypeError) as exc:
+        raise GbdtError(f"malformed model document: {exc!r}") from None
+
+
+def _model_from_json(doc: dict) -> GbdtModel:
+    unknown = sorted(set(doc["params"]) - {f.name for f in fields(GbdtParams)})
+    if unknown:
+        raise GbdtError(f"params has unknown keys {unknown}")
+    mapper = mapper_from_json(doc["bin_mapper"])
+    feature_names = tuple(doc["feature_names"])
+    if feature_names != mapper.feature_names:
+        raise GbdtError("feature_names disagree with the bin mapper's features")
+    split_counts = np.asarray(doc["split_counts"], dtype=np.int64)
+    if split_counts.shape != (mapper.n_features,):
+        raise GbdtError(
+            f"split_counts holds {split_counts.size} counts for {mapper.n_features} features"
+        )
+    base_score = float(doc["base_score"])
+    if not math.isfinite(base_score):
+        raise GbdtError(f"base_score {base_score} is not finite")
+    n_bins = mapper.n_bins()
+    is_cat = [mapper.is_categorical(j) for j in range(mapper.n_features)]
+    trees = []
+    for t, tree in enumerate(doc["trees"]):
+        try:
+            trees.append(node_from_json(tree, n_bins, is_cat))
+        except KeyError as exc:
+            raise GbdtError(f"tree {t}: a node lacks the field {exc}") from None
+        except (TypeError, ValueError) as exc:  # GbdtError is a ValueError
+            raise GbdtError(f"tree {t}: {exc}") from None
     return GbdtModel(
         params=GbdtParams(**doc["params"]),
-        feature_names=tuple(doc["feature_names"]),
-        bin_mapper=mapper_from_json(doc["bin_mapper"]),
-        base_score=float(doc["base_score"]),
-        trees=[node_from_json(t) for t in doc["trees"]],
+        feature_names=feature_names,
+        bin_mapper=mapper,
+        base_score=base_score,
+        trees=trees,
         best_iteration=int(doc["best_iteration"]),
-        split_counts=np.asarray(doc["split_counts"], dtype=np.int64),
+        split_counts=split_counts,
         train_curve=[float(x) for x in doc["train_curve"]],
         valid_curve=[float(x) for x in doc["valid_curve"]],
     )

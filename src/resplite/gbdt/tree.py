@@ -16,17 +16,27 @@ ascending index order and then over bins, so ties keep the lowest feature
 index and lowest bin; equal-gain leaves split in creation order; missing
 values go left on exact gain ties.  Sibling histograms are derived by
 subtraction from the parent (smaller child built directly).
+
+Scoring walks no nodes (QuickScorer, Lucchese et al. 2015, over histogram
+bins).  Leaves are numbered left to right and each row carries one bit per
+leaf, in 64-leaf uint64 words.  A node that sends the row right rules out
+every leaf of its left subtree.  Each node depends on one bin, so the nodes
+on one feature fold into a 256-entry table of leaf masks, and a row's
+surviving leaves are the AND of one table entry per feature the tree uses.
+The exit leaf is the lowest surviving bit: it is never ruled out, and every
+leaf to its left lies in the left subtree of a node where the row goes right.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .binning import STRIDE
+from .binning import STRIDE, GbdtError
 
 
 @dataclass
@@ -229,6 +239,11 @@ def _split_node(split: _Split) -> NumericSplitNode | CategoricalSplitNode:
     )
 
 
+_ALL_BINS = np.arange(STRIDE)
+#: rows scored at a time, so that a block's uint64 words stay in cache
+_SCORE_BLOCK = 1 << 15
+
+
 def _left_mask(
     node: NumericSplitNode | CategoricalSplitNode, bins_rows: np.ndarray
 ) -> np.ndarray:
@@ -324,20 +339,63 @@ def grow_tree(
     return GrownTree(tree_root, leaf_updates, n_leaves)
 
 
+def _compile(root: Node) -> tuple[np.ndarray, list[tuple[int, list]]]:
+    """The tree as leaf bitmasks (see the module docstring).
+
+    Returns the leaf values left to right and, per 64-leaf word, the mask of
+    the leaves that exist in it and a ``(feature, table)`` pair for each
+    feature that rules out some of them.  ``table[b]`` keeps the leaves that
+    no node on that feature rules out for a row in bin ``b``.
+    """
+    values: list[float] = []
+    cuts: list[tuple[int, np.ndarray, int, int]] = []  # feature, right bins, left leaves
+
+    def number(node: Node) -> None:
+        if isinstance(node, LeafNode):
+            values.append(node.value)
+            return
+        first = len(values)
+        number(node.left)
+        cuts.append((node.feature, ~_left_mask(node, _ALL_BINS), first, len(values)))
+        number(node.right)
+
+    number(root)
+    features = sorted({f for f, *_ in cuts})
+    n_words = -(-len(values) // 64)
+    keep = np.zeros((len(features) + 1, STRIDE, 64 * n_words), dtype=bool)
+    keep[:, :, : len(values)] = True  # the last plane is the valid-leaf mask
+    for f, right, first, end in cuts:
+        keep[features.index(f), right, first:end] = False
+    packed = np.packbits(keep, axis=2, bitorder="little").view("<u8").astype(np.uint64)
+    words = []
+    for w in range(n_words):
+        valid = int(packed[-1, 0, w])
+        masks = [(f, packed[i, :, w].copy()) for i, f in enumerate(features)
+                 if (packed[i, :, w] != valid).any()]
+        words.append((valid, masks))
+    return np.asarray(values, dtype=np.float64), words
+
+
 def tree_output(root: Node, binned: np.ndarray) -> np.ndarray:
     """Route every column of the binned matrix through the tree and return
     the per-row leaf values."""
+    values, words = _compile(root)
     n = binned.shape[1]
     out = np.empty(n, dtype=np.float64)
-    stack: list[tuple[Node, np.ndarray]] = [(root, np.arange(n, dtype=np.int64))]
-    while stack:
-        node, idx = stack.pop()
-        if isinstance(node, LeafNode):
-            out[idx] = node.value
-            continue
-        mask = _left_mask(node, binned[node.feature][idx])
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
+    for start in range(0, n, _SCORE_BLOCK):
+        cols = binned[:, start : start + _SCORE_BLOCK]
+        leaf = None
+        # the exit leaf is in the first word with a surviving bit
+        for w in reversed(range(len(words))):
+            valid, masks = words[w]
+            v = np.full(cols.shape[1], valid, dtype=np.uint64)
+            for f, table in masks:
+                v &= np.take(table, cols[f])
+            # v ^ (v - 1) keeps the lowest set bit and sets every bit below
+            # it, so its popcount is that bit's index + 1
+            low = np.bitwise_count(v ^ (v - 1)).astype(np.intp) + (64 * w - 1)
+            leaf = low if leaf is None else np.where(v != 0, low, leaf)
+        out[start : start + _SCORE_BLOCK] = np.take(values, leaf)
     return out
 
 
@@ -363,23 +421,43 @@ def node_to_json(node: Node) -> dict:
     return doc
 
 
-def node_from_json(doc: dict) -> Node:
+def node_from_json(doc: dict, n_bins: np.ndarray, is_cat: np.ndarray) -> Node:
+    """Parse a node saved by :func:`node_to_json`, checking it against the
+    model's per-feature ``n_bins`` and ``is_cat``; a value the scorer cannot
+    route raises :class:`GbdtError` naming its field."""
     if "leaf" in doc:
-        return LeafNode(float(doc["leaf"]))
-    left = node_from_json(doc["left"])
-    right = node_from_json(doc["right"])
-    if "threshold_bin" in doc:
-        return NumericSplitNode(
-            feature=int(doc["feature"]),
-            threshold_bin=int(doc["threshold_bin"]),
-            missing_left=bool(doc["missing_left"]),
-            left=left,
-            right=right,
+        value = float(doc["leaf"])
+        if not math.isfinite(value):
+            raise GbdtError(f"leaf value {value} is not finite")
+        return LeafNode(value)
+    feature = int(doc["feature"])
+    if not 0 <= feature < len(n_bins):
+        raise GbdtError(f"feature {feature} is outside [0, {len(n_bins)})")
+    bins = int(n_bins[feature])
+    missing_left = bool(doc["missing_left"])
+    numeric = "threshold_bin" in doc
+    if numeric == bool(is_cat[feature]):
+        kind = "categorical" if is_cat[feature] else "numeric"
+        field = "threshold_bin" if numeric else "left_bins"
+        raise GbdtError(f"feature {feature} is {kind} but its node has {field}")
+    left = node_from_json(doc["left"], n_bins, is_cat)
+    right = node_from_json(doc["right"], n_bins, is_cat)
+    if numeric:
+        threshold = int(doc["threshold_bin"])
+        if not 1 <= threshold <= bins - 2:
+            raise GbdtError(
+                f"threshold_bin {threshold} of feature {feature} is outside [1, {bins - 2}]"
+            )
+        return NumericSplitNode(feature, threshold, missing_left, left, right)
+    left_bins = np.asarray(doc["left_bins"], dtype=np.int64)
+    if not (
+        left_bins.ndim == 1 and len(left_bins)
+        and 0 <= left_bins[0] and left_bins[-1] < bins
+        and (left_bins[1:] > left_bins[:-1]).all()
+    ):
+        raise GbdtError(
+            f"left_bins of feature {feature} are not ascending bins in [0, {bins})"
         )
-    return CategoricalSplitNode(
-        feature=int(doc["feature"]),
-        left_bins=np.asarray(doc["left_bins"], dtype=np.int64),
-        missing_left=bool(doc["missing_left"]),
-        left=left,
-        right=right,
-    )
+    if missing_left != (left_bins[0] == 0):
+        raise GbdtError(f"missing_left of feature {feature} disagrees with its left_bins")
+    return CategoricalSplitNode(feature, left_bins, missing_left, left, right)

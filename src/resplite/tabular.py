@@ -16,7 +16,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice, repeat
+from itertools import islice, pairwise, repeat
 from pathlib import Path
 
 import numpy as np
@@ -419,11 +419,15 @@ def first_occurrence_codes(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return rank[inverse.ravel()], [MISSING_TOKEN] + tokens[order].tolist()
 
 
-def _parse_column(role: ColumnRole, tokens: list[str]) -> np.ndarray | None:
+def _parse_column(role: ColumnRole, tokens: list[str], nul: bool) -> np.ndarray | None:
     """One block column of ``tokens`` as ``role``'s values (ids and
-    categories stay strings), or None when some token is not valid."""
+    categories stay strings), or None when some token is not valid.
+    ``nul`` says whether the block's text holds a NUL character."""
     try:
         if role in (ColumnRole.ROW_ID, ColumnRole.CATEGORICAL):
+            # numpy strings drop trailing NULs: "r1\0" would become "r1"
+            if nul and any("\0" in t for t in tokens):
+                return None
             return np.array(tokens, dtype=np.str_)
         if role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
             return np.array([float(t) if t else math.nan for t in tokens], dtype=np.float64)
@@ -441,6 +445,8 @@ def _parse_column(role: ColumnRole, tokens: list[str]) -> np.ndarray | None:
 def _token_error(role: ColumnRole, name: str, token: str) -> str | None:
     """Why ``token`` is not a valid value of the ``role`` column ``name``,
     or None when it is; :func:`_parse_column` one token at a time."""
+    if role in (ColumnRole.ROW_ID, ColumnRole.CATEGORICAL):
+        return f"NUL character in {role.value} column {name!r}" if "\0" in token else None
     label = role in (ColumnRole.LABEL_CLICK, ColumnRole.LABEL_INSTALL)
     if label and token == "":
         return f"missing label value in column {name!r}"
@@ -473,10 +479,12 @@ def _read_columns(path: Path, schema: Schema) -> list[np.ndarray]:
                       for row in np.flatnonzero(counts != n_cols - 1)[:1]]
             # the lines before a miscounted one report their own errors first
             good = lines[: errors[0][0]] if errors else lines
-            fields = delim.join(good).split(delim) if good else []
+            text = delim.join(good)
+            fields = text.split(delim) if good else []
+            nul = "\0" in text
             for i, (name, role) in enumerate(schema.columns):
                 tokens = fields[i::n_cols]
-                values = _parse_column(role, tokens)
+                values = _parse_column(role, tokens, nul)
                 if values is None:
                     reasons = (_token_error(role, name, t) for t in tokens)
                     errors.append(next((r, i, why) for r, why in enumerate(reasons) if why))
@@ -544,10 +552,13 @@ def _unpack_strings(buf: bytes, what: str) -> list[str]:
     offsets = np.frombuffer(buf, dtype="<u8", count=count + 1, offset=8)
     if base + int(offsets[-1]) != len(buf):
         raise TabularError(f"string block in {what} does not end where its offsets say")
-    return [
-        buf[base + offsets[i]: base + offsets[i + 1]].decode("utf-8")
-        for i in range(count)
-    ]
+    blob = buf[base:]
+    # lazy ints: offsets.tolist() would hold one Python int per id at once
+    ends = map(int, offsets)
+    if blob.isascii():  # one decode; byte offsets are then string offsets
+        text = blob.decode("ascii")
+        return [text[a:b] for a, b in pairwise(ends)]
+    return [blob[a:b].decode("utf-8") for a, b in pairwise(ends)]
 
 
 _ROLE_WIRE_DTYPES = {

@@ -1,10 +1,14 @@
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resplite import metrics
 from resplite.gbdt import (
+    CategoricalSplitNode,
     GbdtError,
     GbdtModel,
     GbdtParams,
@@ -19,6 +23,7 @@ from resplite.gbdt import (
     predict_raw,
     save_model,
     total_leaves,
+    tree_output,
 )
 from resplite.gbdt.binning import (
     BinMapper,
@@ -27,7 +32,7 @@ from resplite.gbdt.binning import (
     build_bin_mapper,
 )
 from resplite.gbdt.boosting import _grad_hess
-from resplite.gbdt.tree import _build_hist
+from resplite.gbdt.tree import Node, _build_hist, _left_mask, node_from_json
 from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, Table
 
 from conftest import make_cat_table, make_table
@@ -485,3 +490,240 @@ class TestRawScores:
         raw = predict_raw(model, valid)
         probs = predict(model, valid)
         assert np.allclose(1 / (1 + np.exp(-raw)), probs)
+
+
+def _reference_tree_output(root: Node, binned: np.ndarray) -> np.ndarray:
+    """The per-node traversal that ``tree_output`` replaced: partition the
+    row indices at every node by the node's bin routing."""
+    n = binned.shape[1]
+    out = np.empty(n, dtype=np.float64)
+    stack: list[tuple[Node, np.ndarray]] = [(root, np.arange(n, dtype=np.int64))]
+    while stack:
+        node, idx = stack.pop()
+        if isinstance(node, LeafNode):
+            out[idx] = node.value
+            continue
+        mask = _left_mask(node, binned[node.feature][idx])
+        stack.append((node.left, idx[mask]))
+        stack.append((node.right, idx[~mask]))
+    return out
+
+
+def _random_tree(rng, n_leaves, n_bins, is_cat) -> Node:
+    """A tree of ``n_leaves`` leaves grown by splitting random leaves, so
+    paths reuse features; categorical ``left_bins`` may hold bin 0."""
+    root = LeafNode(0.0)
+    leaves = [(root, None, None)]  # leaf, parent, side
+    while len(leaves) < n_leaves:
+        leaf, parent, side = leaves.pop(int(rng.integers(len(leaves))))
+        f = int(rng.integers(len(n_bins)))
+        if is_cat[f]:
+            size = int(rng.integers(1, n_bins[f]))
+            left_bins = np.sort(rng.choice(n_bins[f], size=size, replace=False))
+            node = CategoricalSplitNode(f, left_bins, bool(left_bins[0] == 0), None, None)
+        else:
+            node = NumericSplitNode(f, int(rng.integers(1, n_bins[f] - 1)),
+                                    bool(rng.integers(2)), None, None)
+        node.left, node.right = LeafNode(0.0), LeafNode(0.0)
+        if parent is None:
+            root = node
+        else:
+            setattr(parent, side, node)
+        leaves += [(node.left, node, "left"), (node.right, node, "right")]
+    for leaf, _, _ in leaves:
+        leaf.value = float(rng.standard_normal())
+    return root
+
+
+class TestTreeOutput:
+    @settings(max_examples=200, deadline=None)
+    @given(n_leaves=st.integers(1, 150), n_features=st.integers(1, 6),
+           n_rows=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_the_node_traversal(self, n_leaves, n_features, n_rows, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n_bins = rng.integers(3, 257, n_features)
+        is_cat = rng.random(n_features) < 0.5
+        root = _random_tree(rng, n_leaves, n_bins, is_cat)
+        binned = np.stack([rng.integers(0, b, n_rows) for b in n_bins]).astype(np.uint8)
+        got = tree_output(root, binned)
+        want = _reference_tree_output(root, binned)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_root_leaf_from_json(self):
+        root = node_from_json({"leaf": -0.25}, np.array([3]), np.array([False]))
+        binned = np.arange(256, dtype=np.uint8)[None, :]
+        assert tree_output(root, binned).tolist() == [-0.25] * 256
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_65_leaf_chain_crosses_a_word(self, side):
+        # a chain of 64 nodes on one feature, each with a leaf on ``side``:
+        # bin b leaves the chain at its own depth, so all 65 leaves are
+        # reached, and one of them sits alone in the second 64-leaf word
+        node = LeafNode(64.0)
+        for k in reversed(range(64)):
+            leaf = LeafNode(float(k))
+            if side == "right":  # bins above k + 1 go on down the chain
+                split = NumericSplitNode(0, k + 1, bool(k % 2), leaf, node)
+            else:  # bins up to 254 - k go on down the chain
+                split = NumericSplitNode(0, 254 - k, bool(k % 2), node, leaf)
+            node = split
+        binned = np.arange(256, dtype=np.uint8)[None, :]
+        want = _reference_tree_output(node, binned)
+        assert len(np.unique(want)) == 65
+        assert np.array_equal(tree_output(node, binned), want)
+
+
+def _mixed_tables(seed, n=1200):
+    """Train/valid tables with a continuous x0 (10% missing), a categorical
+    c0 of 12 codes and a continuous x1; the label depends on all three."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x0 = rng.standard_normal(n)
+    x0[rng.random(n) < 0.1] = np.nan
+    c0 = rng.integers(0, 12, n).astype(np.int32)
+    x1 = rng.standard_normal(n)
+    logit = np.nan_to_num(x0, nan=1.0) + np.isin(c0, (2, 5, 7)) - 0.5 * x1
+    y = (rng.random(n) < 1 / (1 + np.exp(-logit))).astype(np.uint8)
+    schema = Schema((("day", ColumnRole.DAY), ("x0", ColumnRole.CONTINUOUS),
+                     ("c0", ColumnRole.CATEGORICAL), ("x1", ColumnRole.CONTINUOUS),
+                     ("y", ColumnRole.LABEL_INSTALL)))
+    dictionary = [MISSING_TOKEN] + [f"k{i}" for i in range(1, 12)]
+    table = Table.from_columns(
+        schema, {"day": np.where(np.arange(n) < n * 4 // 5, 45, 46), "x0": x0,
+                 "c0": c0, "x1": x1, "y": y}, {"c0": dictionary})
+    idx = np.arange(n)
+    return table.take(idx[: n * 4 // 5]), table.take(idx[n * 4 // 5:])
+
+
+class TestModelRoundTrip:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), num_leaves=st.integers(2, 80),
+           max_bins=st.integers(2, 255), feature_fraction=st.sampled_from([0.5, 1.0]))
+    def test_save_load_predict_is_bit_identical(
+        self, tmp_path_factory, seed, num_leaves, max_bins, feature_fraction
+    ):
+        train, valid = _mixed_tables(seed)
+        model = fit(GbdtParams(num_leaves=num_leaves, num_iterations=6,
+                               early_stopping_rounds=6, min_data_in_leaf=3,
+                               max_bins=max_bins, feature_fraction=feature_fraction,
+                               seed=seed), train, valid)
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        again = load_model(path)
+        for table in (train, valid):
+            assert np.array_equal(predict_raw(again, table).view(np.uint64),
+                                  predict_raw(model, table).view(np.uint64))
+        assert again.params == model.params
+
+
+def _split_nodes(tree: dict) -> list[dict]:
+    if "leaf" in tree:
+        return []
+    return [tree] + _split_nodes(tree["left"]) + _split_nodes(tree["right"])
+
+
+def _leaves(tree: dict) -> list[dict]:
+    if "leaf" in tree:
+        return [tree]
+    return _leaves(tree["left"]) + _leaves(tree["right"])
+
+
+def _edit_node(kind, **changes):
+    """Update the first node that has the field ``kind``; returns its tree."""
+    def edit(doc):
+        for t, tree in enumerate(doc["trees"]):
+            for node in _split_nodes(tree) + _leaves(tree):
+                if kind in node:
+                    node.update(changes)
+                    return t
+        raise AssertionError(f"no {kind} node to corrupt")
+    return edit
+
+
+def _edit_doc(change):
+    def edit(doc):
+        change(doc)
+        return None
+    return edit
+
+
+#: one corrupted field each: (edit, what the error says after "tree N: ")
+MODEL_CORRUPTIONS = {
+    "feature -1": (_edit_node("threshold_bin", feature=-1),
+                   "feature -1 is outside [0, 3)"),
+    "feature 99": (_edit_node("threshold_bin", feature=99),
+                   "feature 99 is outside [0, 3)"),
+    "threshold_bin 300": (_edit_node("threshold_bin", threshold_bin=300),
+                          "threshold_bin 300 of feature"),
+    "threshold_bin 0": (_edit_node("threshold_bin", threshold_bin=0),
+                        "threshold_bin 0 of feature"),
+    "numeric split on categorical c0": (
+        _edit_node("threshold_bin", feature=1),
+        "feature 1 is categorical but its node has threshold_bin"),
+    "categorical split on numeric x0": (
+        _edit_node("left_bins", feature=0),
+        "feature 0 is numeric but its node has left_bins"),
+    "left_bins [300]": (_edit_node("left_bins", left_bins=[300]),
+                        "left_bins of feature 1 are not ascending bins in [0, 12)"),
+    "left_bins empty": (_edit_node("left_bins", left_bins=[]),
+                        "left_bins of feature 1 are not"),
+    "left_bins descending": (_edit_node("left_bins", left_bins=[5, 2]),
+                             "left_bins of feature 1 are not"),
+    "left_bins negative": (_edit_node("left_bins", left_bins=[-1, 2]),
+                           "left_bins of feature 1 are not"),
+    "missing_left without bin 0": (
+        _edit_node("left_bins", left_bins=[3, 4], missing_left=True),
+        "missing_left of feature 1 disagrees with its left_bins"),
+    "leaf NaN": (_edit_node("leaf", leaf=float("nan")), "leaf value nan is not finite"),
+    "leaf inf": (_edit_node("leaf", leaf=float("inf")), "leaf value inf is not finite"),
+    "node without right": (_edit_node("threshold_bin", right=None), ""),
+    "split_counts one too long": (_edit_doc(lambda d: d["split_counts"].append(0)),
+                             "split_counts holds 4 counts for 3 features"),
+    "feature_names reordered": (
+        _edit_doc(lambda d: d["feature_names"].reverse()),
+        "feature_names disagree with the bin mapper's features"),
+    "unknown params key": (_edit_doc(lambda d: d["params"].update(n_threads=2)),
+                           "params has unknown keys ['n_threads']"),
+    "overflow_bin 300": (_edit_doc(lambda d: d["bin_mapper"][1].update(overflow_bin=300)),
+                         "categorical bins of feature 'c0' are malformed"),
+    "base_score NaN": (_edit_doc(lambda d: d.update(base_score=float("nan"))),
+                       "base_score nan is not finite"),
+    "unknown bin kind": (_edit_doc(lambda d: d["bin_mapper"][2].update(kind="ordinal")),
+                         "feature 'x1' has unknown bin kind 'ordinal'"),
+    "descending thresholds": (
+        _edit_doc(lambda d: d["bin_mapper"][0]["thresholds"].reverse()),
+        "numeric bins of feature 'x0' are malformed"),
+}
+
+
+@pytest.fixture(scope="module")
+def mixed_model_doc(tmp_path_factory):
+    train, valid = _mixed_tables(seed=8)
+    model = fit(GbdtParams(num_leaves=8, num_iterations=8, early_stopping_rounds=8,
+                           min_data_in_leaf=5), train, valid, ["x0", "c0", "x1"])
+    path = tmp_path_factory.mktemp("mixed") / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    kinds = {k for tree in doc["trees"] for node in _split_nodes(tree) for k in node}
+    assert {"threshold_bin", "left_bins"} <= kinds
+    return doc
+
+
+class TestModelValidation:
+    def test_fitted_model_loads(self, mixed_model_doc, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(mixed_model_doc))
+        assert load_model(path).n_trees == len(mixed_model_doc["trees"])
+
+    @pytest.mark.parametrize("name", list(MODEL_CORRUPTIONS))
+    def test_corrupted_field_fails_loudly(self, mixed_model_doc, tmp_path, name):
+        edit, message = MODEL_CORRUPTIONS[name]
+        doc = copy.deepcopy(mixed_model_doc)
+        tree = edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GbdtError) as exc:
+            load_model(path)
+        prefix = "" if tree is None else f"tree {tree}: "
+        assert str(exc.value).startswith(prefix)
+        assert message in str(exc.value)

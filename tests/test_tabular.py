@@ -233,6 +233,20 @@ class TestIngest:
             ingest_csv(path, small_schema)
         assert str(exc.value) == f"t.tsv: {message}"
 
+    @pytest.mark.parametrize("line, message", [
+        ("r1\x00\t45\ta\t1.0\t0", "line 2: NUL character in row_id column 'id'"),
+        ("r2\t45\ta\x00\x00\t1.0\t0", "line 2: NUL character in categorical column 'c1'"),
+        ("r2\t45\ta\x00b\t1.0\t0", "line 2: NUL character in categorical column 'c1'"),
+    ])
+    def test_nul_in_id_or_category_names_file_line_and_column(
+        self, tmp_path, small_schema, line, message
+    ):
+        # numpy strings drop trailing NULs, so "r1\0" would be stored as "r1"
+        path = write(tmp_path, "t.tsv", "r1\t45\ta\t1.0\t0\n" + line + "\n")
+        with pytest.raises(TabularError) as exc:
+            ingest_csv(path, small_schema)
+        assert str(exc.value) == f"t.tsv: {message}"
+
     def test_dictionary_stability(self, tmp_path, small_schema):
         path = write(
             tmp_path, "t.tsv", "r1\t45\tc\t1.0\t0\nr2\t45\ta\t1.0\t1\nr3\t45\tc\t1.0\t0\n"
@@ -443,6 +457,15 @@ class TestBinaryPersistence:
         save_binary(table, dest)
         again = load_binary(dest)
         assert again.equals(table)
+
+    @pytest.mark.parametrize("ids", [["r1", "", "r33"], ["r1", "é", "", "日本", "r5"]])
+    def test_row_ids_round_trip(self, tmp_path, ids):
+        # all-ASCII blocks are decoded at once, others id by id
+        schema = Schema((("id", ColumnRole.ROW_ID), ("y", ColumnRole.LABEL_INSTALL)))
+        table = Table.from_columns(schema, {"id": ids, "y": np.zeros(len(ids))})
+        dest = tmp_path / "t.rlt"
+        save_binary(table, dest)
+        assert load_binary(dest).col("id").tolist() == ids
 
     def test_wrong_magic_errors(self, tmp_path):
         path = tmp_path / "bad.rlt"
