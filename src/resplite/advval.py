@@ -18,7 +18,6 @@ files by construction, and labels are not feature candidates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ import numpy as np
 from .gbdt import fit as gbdt_fit, predict as gbdt_predict  # noqa: F401
 from .gbdt.binning import NumericBins, _numeric_thresholds, bin_column
 from .metrics import EvalBatch, MetricError, auc
+from .report import write_json
 from .tabular import ColumnRole, Table
 
 #: the GBDT's default bin budget; categorical codes >= MAX_BINS - 1 share one bin
@@ -99,17 +99,9 @@ class AdvReport:
             ],
         }
 
-    def to_csv_rows(self) -> list[tuple[str, str, str]]:
-        rows = []
-        for e in self.entries:
-            rows.append((e.name, "" if e.auc is None else f"{e.auc:.6f}", e.verdict))
-        return rows
-
 
 def save_report(report: AdvReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, report.to_json_dict())
 
 
 def _subsample(values: np.ndarray, cap: int | None, rng: np.random.Generator) -> np.ndarray:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import denoise as denoise_mod, encoders as enc_mod, pipeline
 from .advval import AdvConfig
-from .gbdt import GbdtParams, feature_importance
-from .report import RunReport, report_export
+from .gbdt import feature_importance, params_from_json
+from .report import RunReport, report_export, save_correlation_csv, write_json
 from .tabular import SplitPlan, save_binary
 
 
@@ -89,7 +89,7 @@ def _cmd_denoise(args) -> int:
 def _cmd_correlate(args) -> int:
     (table,) = pipeline.load_tables([args.table], args.schema)
     matrix, features = denoise_mod.correlation_matrix(table)
-    denoise_mod.save_correlation_csv(matrix, features, args.out)
+    save_correlation_csv(matrix, features, args.out)
     print(f"wrote {len(features)}x{len(features)} matrix to {args.out}")
     return 0
 
@@ -122,7 +122,7 @@ def _cmd_train(args) -> int:
     if args.params:
         with open(args.params, "r", encoding="utf-8") as fh:
             params_doc = json.load(fh)
-    params = GbdtParams(**params_doc)
+    params = params_from_json(params_doc)
     train_days: frozenset[int] = frozenset()
     if args.train_days:
         lo, hi = args.train_days.split("-")
@@ -171,9 +171,7 @@ def _cmd_evaluate(args) -> int:
     probs = np.asarray([preds[rid] for rid in ids])
     install = table.schema.require_install()
     section = pipeline._metrics_dict(table.col(install), probs)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(section, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(args.out, section)
     print(json.dumps(section, sort_keys=True))
     return 0
 
@@ -277,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-days", help="inclusive range, e.g. 45-65")
     p.add_argument("--params", help="JSON file of GBDT parameter overrides")
     p.add_argument("--predict", help="table to score after training")
-    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_train)
 

@@ -19,12 +19,12 @@ distinct raw values never share a code.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .report import write_json
 from .tabular import ColumnRole, MISSING_TOKEN, Table
 
 DEFAULT_TOL_REL = 1e-3
@@ -324,13 +324,10 @@ def apply_denoise(
 def save_estimates(
     estimates: list[DeltaEstimate], path, groups: list[list[str]] | None = None
 ) -> None:
-    doc = {
+    write_json(path, {
         "estimates": [e.to_json_dict() for e in estimates],
         "groups": groups if groups is not None else group_deltas(estimates),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
 def correlation_matrix(
@@ -378,14 +375,3 @@ def correlation_matrix(
             r = float(xi @ xj / np.sqrt((xi @ xi) * (xj @ xj)))
             out[i, j] = out[j, i] = r
     return out, list(features)
-
-
-def save_correlation_csv(matrix: np.ndarray, features: list[str], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("feature," + ",".join(features) + "\n")
-        for i, name in enumerate(features):
-            cells = ",".join(
-                "" if np.isnan(matrix[i, j]) else f"{matrix[i, j]:.6f}"
-                for j in range(len(features))
-            )
-            fh.write(f"{name},{cells}\n")

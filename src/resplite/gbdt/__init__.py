@@ -10,6 +10,7 @@ from .boosting import (
     fit,
     load_model,
     loss_grad_hess,
+    params_from_json,
     predict,
     predict_raw,
     save_model,
@@ -46,6 +47,7 @@ __all__ = [
     "grow_tree",
     "load_model",
     "loss_grad_hess",
+    "params_from_json",
     "predict",
     "predict_raw",
     "save_model",

@@ -23,6 +23,13 @@ class GbdtError(ValueError):
     """Raised for invalid training or scoring inputs, or parameters."""
 
 
+def json_value(value, types: tuple[type, ...], what: str):
+    """``value`` when JSON decoded it as one of ``types`` (a bool is no int)."""
+    if type(value) not in types:
+        raise GbdtError(f"{what} is {value!r}, not {' or '.join(t.__name__ for t in types)}")
+    return value
+
+
 @dataclass(frozen=True)
 class NumericBins:
     """Ascending thresholds; finite value v lands in the first bin whose
@@ -153,14 +160,18 @@ def mapper_from_json(doc: list[dict]) -> BinMapper:
         name, kind = entry["name"], entry["kind"]
         if kind == "categorical":
             fb = CategoricalBins(
-                n_categories=int(entry["n_categories"]),
-                overflow_bin=int(entry["overflow_bin"]),
+                n_categories=json_value(entry["n_categories"], (int,), f"n_categories of {name!r}"),
+                overflow_bin=json_value(entry["overflow_bin"], (int,), f"overflow_bin of {name!r}"),
             )
             ok = fb.n_categories >= 1 and 1 <= fb.overflow_bin <= STRIDE - 2
         elif kind == "numeric":
-            fb = NumericBins(np.asarray(entry["thresholds"], dtype=np.float64))
+            fb = NumericBins(np.asarray(
+                [json_value(t, (int, float), f"a threshold of {name!r}")
+                 for t in entry["thresholds"]],
+                dtype=np.float64,
+            ))
             t = fb.thresholds
-            ok = t.ndim == 1 and fb.n_bins <= STRIDE and bool((t[1:] >= t[:-1]).all())
+            ok = fb.n_bins <= STRIDE and bool((t[1:] >= t[:-1]).all())
         else:
             raise GbdtError(f"feature {name!r} has unknown bin kind {kind!r}")
         if not ok:

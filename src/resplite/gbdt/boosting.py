@@ -3,8 +3,7 @@ on validation log loss, split-count importance, and a versioned JSON model
 format.
 
 Scores and histogram sums are accumulated in float64 throughout; given the
-same params, data, and seed the fit is bit-reproducible.  The fit runs on one
-thread: ``n_threads`` is accepted for compatibility and has no effect.
+same params, data, and seed the fit is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from .binning import (
     GbdtError,
     bin_table,
     build_bin_mapper,
+    json_value,
     mapper_from_json,
     mapper_to_json,
 )
@@ -71,6 +71,20 @@ class GbdtParams:
             raise GbdtError("feature_fraction must be in (0, 1]")
 
 
+def params_from_json(doc, seed: int = 0) -> GbdtParams:
+    """GbdtParams from a JSON object of overrides (``seed`` when it has none);
+    a key that is not a parameter, or a value of the wrong type, raises."""
+    if not isinstance(doc, dict):
+        raise GbdtError(f"params must be a JSON object, not {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(GbdtParams)})
+    if unknown:
+        raise GbdtError(f"params has unknown keys {unknown}")
+    try:
+        return GbdtParams(**{"seed": seed, **doc})
+    except TypeError as exc:
+        raise GbdtError(f"params: {exc}") from None
+
+
 @dataclass
 class GbdtModel:
     params: GbdtParams
@@ -116,13 +130,12 @@ def fit(
     valid: Table,
     feature_names: list[str] | None = None,
     target: str | None = None,
-    n_threads: int = 1,
 ) -> GbdtModel:
     """Boost trees on the train table, early-stopping on validation log loss.
 
     Keeps trees up to the iteration with the lowest validation loss (first
     minimum on ties).  The validation table must be non-empty; the train
-    labels must contain both classes.  ``n_threads`` has no effect.
+    labels must contain both classes.
     """
     if feature_names is None:
         feature_names = list(train.schema.feature_columns())
@@ -290,9 +303,7 @@ def load_model(path) -> GbdtModel:
 
 
 def _model_from_json(doc: dict) -> GbdtModel:
-    unknown = sorted(set(doc["params"]) - {f.name for f in fields(GbdtParams)})
-    if unknown:
-        raise GbdtError(f"params has unknown keys {unknown}")
+    params = params_from_json(doc["params"])
     mapper = mapper_from_json(doc["bin_mapper"])
     feature_names = tuple(doc["feature_names"])
     if feature_names != mapper.feature_names:
@@ -302,7 +313,7 @@ def _model_from_json(doc: dict) -> GbdtModel:
         raise GbdtError(
             f"split_counts holds {split_counts.size} counts for {mapper.n_features} features"
         )
-    base_score = float(doc["base_score"])
+    base_score = float(json_value(doc["base_score"], (int, float), "base_score"))
     if not math.isfinite(base_score):
         raise GbdtError(f"base_score {base_score} is not finite")
     n_bins = mapper.n_bins()
@@ -316,7 +327,7 @@ def _model_from_json(doc: dict) -> GbdtModel:
         except (TypeError, ValueError) as exc:  # GbdtError is a ValueError
             raise GbdtError(f"tree {t}: {exc}") from None
     return GbdtModel(
-        params=GbdtParams(**doc["params"]),
+        params=params,
         feature_names=feature_names,
         bin_mapper=mapper,
         base_score=base_score,

@@ -36,7 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from .binning import STRIDE, GbdtError
+from .binning import STRIDE, GbdtError, json_value
 
 
 @dataclass
@@ -426,15 +426,15 @@ def node_from_json(doc: dict, n_bins: np.ndarray, is_cat: np.ndarray) -> Node:
     model's per-feature ``n_bins`` and ``is_cat``; a value the scorer cannot
     route raises :class:`GbdtError` naming its field."""
     if "leaf" in doc:
-        value = float(doc["leaf"])
+        value = float(json_value(doc["leaf"], (int, float), "leaf value"))
         if not math.isfinite(value):
             raise GbdtError(f"leaf value {value} is not finite")
         return LeafNode(value)
-    feature = int(doc["feature"])
+    feature = json_value(doc["feature"], (int,), "feature")
     if not 0 <= feature < len(n_bins):
         raise GbdtError(f"feature {feature} is outside [0, {len(n_bins)})")
     bins = int(n_bins[feature])
-    missing_left = bool(doc["missing_left"])
+    missing_left = json_value(doc["missing_left"], (bool,), f"missing_left of feature {feature}")
     numeric = "threshold_bin" in doc
     if numeric == bool(is_cat[feature]):
         kind = "categorical" if is_cat[feature] else "numeric"
@@ -443,16 +443,19 @@ def node_from_json(doc: dict, n_bins: np.ndarray, is_cat: np.ndarray) -> Node:
     left = node_from_json(doc["left"], n_bins, is_cat)
     right = node_from_json(doc["right"], n_bins, is_cat)
     if numeric:
-        threshold = int(doc["threshold_bin"])
+        threshold = json_value(doc["threshold_bin"], (int,), f"threshold_bin of feature {feature}")
         if not 1 <= threshold <= bins - 2:
             raise GbdtError(
                 f"threshold_bin {threshold} of feature {feature} is outside [1, {bins - 2}]"
             )
         return NumericSplitNode(feature, threshold, missing_left, left, right)
-    left_bins = np.asarray(doc["left_bins"], dtype=np.int64)
+    left_bins = np.asarray(
+        [json_value(b, (int,), f"a left_bins entry of feature {feature}")
+         for b in doc["left_bins"]],
+        dtype=np.int64,
+    )
     if not (
-        left_bins.ndim == 1 and len(left_bins)
-        and 0 <= left_bins[0] and left_bins[-1] < bins
+        len(left_bins) and 0 <= left_bins[0] and left_bins[-1] < bins
         and (left_bins[1:] > left_bins[:-1]).all()
     ):
         raise GbdtError(

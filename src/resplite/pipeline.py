@@ -26,10 +26,12 @@ import numpy as np
 
 from . import advval, denoise as denoise_mod, encoders as enc_mod, metrics
 from .gbdt import (
+    GbdtError,
     GbdtModel,
     GbdtParams,
     feature_importance,
     fit as gbdt_fit,
+    params_from_json,
     predict as gbdt_predict,
     save_model,
 )
@@ -37,7 +39,9 @@ from .report import (
     RunReport,
     report_export,
     save_report_json,
+    write_json,
     write_predictions_csv,
+    write_rows,
 )
 from .synth import default_spec, generate, split_train_test, write_csv
 from .tabular import (
@@ -88,7 +92,6 @@ class PipelineConfig:
     keep_originals: bool
     gbdt: GbdtParams
     seed: int
-    n_threads: int  # accepted; training runs on one thread
     raw: dict = field(default_factory=dict)
 
 
@@ -160,11 +163,9 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
     enc_doc = doc.get("encoders", {})
     freq_doc = enc_doc.get("frequency", {})
     te_doc = enc_doc.get("target", {})
-    gbdt_doc = dict(doc.get("gbdt", {}))
-    gbdt_doc.setdefault("seed", seed)
     try:
-        params = GbdtParams(**gbdt_doc)
-    except (TypeError, ValueError) as exc:
+        params = params_from_json(doc.get("gbdt", {}), seed)
+    except GbdtError as exc:
         raise PipelineError("config", f"bad gbdt params: {exc}") from exc
 
     return PipelineConfig(
@@ -187,7 +188,6 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
         keep_originals=bool(enc_doc.get("keep_originals", True)),
         gbdt=params,
         seed=seed,
-        n_threads=int(doc.get("n_threads", 1)),
         raw=doc,
     )
 
@@ -341,22 +341,38 @@ def encoder_specs(config: PipelineConfig, table: Table) -> list[dict]:
     return specs
 
 
+def _fit_spec(table: Table, i: int, spec) -> enc_mod.EncoderState:
+    """Fit spec ``i`` of an encoder spec list on ``table``.  A spec that
+    names no encoder of the table raises, naming ``i`` and the bad key."""
+    if not isinstance(spec, dict):
+        raise enc_mod.EncoderError(f"encoder spec {i} is not a JSON object")
+    kind = spec.get("kind")
+    for key in ("kind", "feature") + (("target",) if kind == "target" else ()):
+        if key not in spec:
+            raise enc_mod.EncoderError(f"encoder spec {i} lacks the key {key!r}")
+    feature = spec["feature"]
+    if feature not in table.schema.names:
+        raise enc_mod.EncoderError(f"encoder spec {i} has feature {feature!r}, not a table column")
+    if kind == "frequency":
+        window = enc_mod.FreqWindow(spec.get("window", "prev_week"))
+        return enc_mod.fit_frequency(table, feature, window)
+    if kind == "target":
+        smoothing = float(spec.get("smoothing", 1.0))
+        return enc_mod.fit_target(table, feature, spec["target"], smoothing)
+    raise enc_mod.EncoderError(f"encoder spec {i} has kind {kind!r}, not frequency or target")
+
+
 def encode_stage(
     tables: list[Table], specs: list[dict], out_dir: Path
 ) -> tuple[list[enc_mod.EncoderState], list[Table]]:
     """Fit one encoder state per spec on ``tables[0]``, write
-    ``encoders.json``, and append the encoded columns to every table."""
-    table = tables[0]
-    states = [
-        enc_mod.fit_frequency(
-            table, spec["feature"], enc_mod.FreqWindow(spec.get("window", "prev_week"))
+    ``encoders.json``, and append the encoded columns to every table.  A
+    malformed spec list raises :class:`~resplite.encoders.EncoderError`."""
+    if not isinstance(specs, list):
+        raise enc_mod.EncoderError(
+            f"encoder specs must be a JSON list, not {type(specs).__name__}"
         )
-        if spec["kind"] == "frequency"
-        else enc_mod.fit_target(
-            table, spec["feature"], spec["target"], float(spec.get("smoothing", 1.0))
-        )
-        for spec in specs
-    ]
+    states = [_fit_spec(tables[0], i, spec) for i, spec in enumerate(specs)]
     enc_mod.save_states(states, out_dir / "encoders.json")
     return states, [enc_mod.apply_encoders(states, t) for t in tables]
 
@@ -493,9 +509,7 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
                 test_probs = predict_stage(model, test, out_dir / "test_predictions.csv")
                 if test.schema.install_column is not None:
                     section["test_proxy"] = _metrics_dict(test.col(install), test_probs)
-            with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-                json.dump(section, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            write_json(out_dir / "metrics.json", section)
             return section
 
         report.sections["metrics"] = _timed(report, "evaluate", evaluate)
@@ -556,17 +570,11 @@ def ablate(config: PipelineConfig, stages: list[str] | None = None) -> list[dict
             row["test_nce"] = m["test_proxy"]["nce"]
         rows.append(row)
 
-    with open(out_dir / "ablation.csv", "w", encoding="utf-8", newline="\n") as fh:
-        cols = list(rows[0].keys())
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    f"{row[c]:.6f}" if isinstance(row[c], float) else str(row[c])
-                    for c in cols
-                )
-                + "\n"
-            )
+    cols = list(rows[0])
+    write_rows(out_dir / "ablation.csv", cols, (
+        [f"{row[c]:.6f}" if isinstance(row[c], float) else row[c] for c in cols]
+        for row in rows
+    ))
     return rows
 
 

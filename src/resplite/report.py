@@ -1,10 +1,12 @@
 """Run reports and their file exports (JSON, CSV, and self-contained SVG).
 
-Everything written here is byte-deterministic for a given report: floats are
-formatted with fixed precision or shortest-round-trip repr, JSON keys are
-sorted, and the SVG writer emits no timestamps or generated ids.  Wall-clock
-timings are the one exception and live in their own file, ``timings.json``,
-so the main report stays byte-comparable across runs.
+Every JSON report of the program is written by :func:`write_json` and every
+CSV report by :func:`write_rows`.  Everything written here is
+byte-deterministic for a given report: floats are formatted with fixed
+precision or shortest-round-trip repr, JSON keys are sorted, and the SVG
+writer emits no timestamps or generated ids.  Wall-clock timings are the one
+exception and live in their own file, ``timings.json``, so the main report
+stays byte-comparable across runs.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .advval import AdvReport
-from .denoise import save_correlation_csv
+
+if TYPE_CHECKING:  # advval and denoise import the writers below
+    from .advval import AdvReport
 
 EXPORT_FORMATS = ("csv", "svg", "all")
 
@@ -51,43 +55,39 @@ class RunReport:
         }
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` as a report document: sorted keys, a 2-space indent and
+    one trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a CSV report: the header, then one line per row, each cell as
+    ``str`` renders it (callers format their floats), with ``\\n`` endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(",".join(map(str, cells)) + "\n" for cells in [header, *rows]))
+
+
 def save_report_json(report: RunReport, out_dir: Path) -> None:
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(out_dir / "timings.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {k: round(v, 6) for k, v in report.timings.items()},
-            fh,
-            sort_keys=True,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(out_dir / "report.json", report.to_json_dict())
+    write_json(out_dir / "timings.json", {k: round(v, 6) for k, v in report.timings.items()})
 
 
 # ---------------------------------------------------------------------------
 # CSV exports
 
 
-def write_adversarial_csv(report: AdvReport, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("feature,auc,verdict\n")
-        for name, score, verdict in report.to_csv_rows():
-            fh.write(f"{name},{score},{verdict}\n")
+def correlation_table(matrix: np.ndarray, features: list[str]) -> tuple[list, list]:
+    """Header and rows of the correlation CSV; NaN cells are empty."""
+    return ["feature", *features], [
+        [name, *("" if np.isnan(r) else f"{r:.6f}" for r in matrix[i])]
+        for i, name in enumerate(features)
+    ]
 
 
-def write_importance_csv(importance: list[tuple[str, int]], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("feature,split_count\n")
-        for name, count in importance:
-            fh.write(f"{name},{count}\n")
-
-
-def write_curve_csv(train_curve: list[float], valid_curve: list[float], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,train_logloss,valid_logloss\n")
-        for i, (tr, va) in enumerate(zip(train_curve, valid_curve), start=1):
-            fh.write(f"{i},{tr:.10f},{va:.10f}\n")
+def save_correlation_csv(matrix: np.ndarray, features: list[str], path) -> None:
+    write_rows(path, *correlation_table(matrix, features))
 
 
 def write_predictions_csv(row_ids, probabilities, path: Path) -> None:
@@ -162,49 +162,38 @@ def report_export(report: RunReport, out_dir: Path, fmt: str = "all") -> list[Pa
         raise ReportError(
             f"unknown export format {fmt!r}; supported: {', '.join(EXPORT_FORMATS)}"
         )
-    out_dir = Path(out_dir)
-    written: list[Path] = []
-    do_csv = fmt in ("csv", "all")
-    do_svg = fmt in ("svg", "all")
-
+    # file name -> (header, rows) of a CSV, or (labels, values, title, value format) of a chart
+    tables: dict[str, tuple] = {}
+    charts: dict[str, tuple] = {}
     if report.adversarial is not None:
-        if do_csv:
-            p = out_dir / "adversarial_auc.csv"
-            write_adversarial_csv(report.adversarial, p)
-            written.append(p)
-        if do_svg:
-            entries = [e for e in report.adversarial.entries if e.auc is not None]
-            p = out_dir / "adversarial_auc.svg"
-            write_bar_chart_svg(
-                [e.name for e in entries],
-                [e.auc for e in entries],
-                p,
-                title="Adversarial validation AUC by feature",
-            )
-            written.append(p)
-    if report.correlation is not None and do_csv:
-        matrix, features = report.correlation
-        p = out_dir / "correlation.csv"
-        save_correlation_csv(matrix, features, p)
-        written.append(p)
+        entries = report.adversarial.entries
+        tables["adversarial_auc.csv"] = (["feature", "auc", "verdict"], [
+            (e.name, "" if e.auc is None else f"{e.auc:.6f}", e.verdict) for e in entries
+        ])
+        scored = [e for e in entries if e.auc is not None]
+        charts["adversarial_auc.svg"] = (
+            [e.name for e in scored], [e.auc for e in scored],
+            "Adversarial validation AUC by feature", "{:.4f}",
+        )
+    if report.correlation is not None:
+        tables["correlation.csv"] = correlation_table(*report.correlation)
     if report.importance is not None:
-        if do_csv:
-            p = out_dir / "feature_importance.csv"
-            write_importance_csv(report.importance, p)
-            written.append(p)
-        if do_svg:
-            top = report.importance[:20]
-            p = out_dir / "feature_importance.svg"
-            write_bar_chart_svg(
-                [name for name, _ in top],
-                [float(c) for _, c in top],
-                p,
-                title="Feature importance (split counts, top 20)",
-                value_format="{:.0f}",
-            )
-            written.append(p)
-    if report.train_curve and do_csv:
-        p = out_dir / "training_curve.csv"
-        write_curve_csv(report.train_curve, report.valid_curve, p)
-        written.append(p)
-    return written
+        tables["feature_importance.csv"] = (["feature", "split_count"], report.importance)
+        top = report.importance[:20]
+        charts["feature_importance.svg"] = (
+            [name for name, _ in top], [float(c) for _, c in top],
+            "Feature importance (split counts, top 20)", "{:.0f}",
+        )
+    if report.train_curve:
+        tables["training_curve.csv"] = (["iteration", "train_logloss", "valid_logloss"], [
+            (i, f"{tr:.10f}", f"{va:.10f}")
+            for i, (tr, va) in enumerate(zip(report.train_curve, report.valid_curve), 1)
+        ])
+    out_dir = Path(out_dir)
+    tables = tables if fmt in ("csv", "all") else {}
+    charts = charts if fmt in ("svg", "all") else {}
+    for name, (header, rows) in tables.items():
+        write_rows(out_dir / name, header, rows)
+    for name, (labels, values, title, value_format) in charts.items():
+        write_bar_chart_svg(labels, values, out_dir / name, title, value_format)
+    return [out_dir / name for name in [*tables, *charts]]

@@ -173,6 +173,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+#: the bit pattern of np.nan, the one NaN a stored column holds
+_NAN_BITS = np.float64(np.nan).view(np.uint64)
+
 _ROLE_DTYPES = {
     ColumnRole.CATEGORICAL: np.int32,
     ColumnRole.CONTINUOUS: np.float64,
@@ -236,9 +239,10 @@ class Table:
                 raise TabularError(f"column {name!r} length mismatch")
             if role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
                 nan_mask = np.isnan(arr)
-                if nan_mask.any():
+                # copied only when some NaN differs: derived tables share columns
+                if (arr[nan_mask].view(np.uint64) != _NAN_BITS).any():
                     arr = arr.copy()
-                    arr[nan_mask] = np.nan  # canonical NaN bit pattern
+                    arr[nan_mask] = np.nan
             if role is ColumnRole.BINARY:
                 finite = arr[~np.isnan(arr)]
                 if finite.size and not np.isin(finite, (0.0, 1.0)).all():
@@ -287,44 +291,29 @@ class Table:
         values: np.ndarray,
         dictionary: tuple[str, ...] | None = None,
     ) -> "Table":
-        """New table with one column's role and values swapped in place."""
-        if len(values) != self.n_rows:
-            raise TabularError(f"replacement column {name!r} length mismatch")
-        columns = tuple(
-            (n, role if n == name else r) for n, r in self.schema.columns
-        )
-        schema = Schema(columns, self.schema.delimiter, self.schema.has_header)
-        cols = dict(self._columns)
+        """New table with one column's role and values swapped in place,
+        checked as :meth:`from_columns` checks every column."""
+        columns = tuple((n, role if n == name else r) for n, r in self.schema.columns)
         dicts = {k: v for k, v in self._dicts.items() if k != name}
         if dictionary is not None:
-            dicts[name] = tuple(dictionary)
-        new_cols = {name: values}
-        new_dicts = {name: dicts[name]} if name in dicts else {}
-        tmp = Table.from_columns(
-            Schema(((name, role),), self.schema.delimiter),
-            new_cols,
-            new_dicts,
+            dicts[name] = dictionary
+        return Table.from_columns(
+            Schema(columns, self.schema.delimiter, self.schema.has_header),
+            {**self._columns, name: values},
+            dicts,
         )
-        cols[name] = tmp.col(name)
-        return Table(schema, self.n_rows, cols, dicts)
 
     def append_columns(
         self, new: list[tuple[str, ColumnRole, np.ndarray]]
     ) -> "Table":
-        """New table with extra (non-categorical) columns appended."""
+        """New table with extra (non-categorical) columns appended, checked as
+        :meth:`from_columns` checks every column."""
         columns = tuple(self.schema.columns) + tuple((n, r) for n, r, _ in new)
-        schema = Schema(columns, self.schema.delimiter, self.schema.has_header)
-        cols = dict(self._columns)
-        for n, r, arr in new:
-            if r is ColumnRole.CATEGORICAL:
-                raise TabularError("append_columns does not build dictionaries")
-            a = np.asarray(arr, dtype=_ROLE_DTYPES[r])
-            nan_mask = np.isnan(a) if a.dtype == np.float64 else None
-            if nan_mask is not None and nan_mask.any():
-                a = a.copy()
-                a[nan_mask] = np.nan
-            cols[n] = _freeze(a)
-        return Table(schema, self.n_rows, cols, dict(self._dicts))
+        return Table.from_columns(
+            Schema(columns, self.schema.delimiter, self.schema.has_header),
+            {**self._columns, **{n: arr for n, _, arr in new}},
+            self._dicts,
+        )
 
     def equals(self, other: "Table") -> bool:
         """Structural equality: schema, dictionaries, and bit-exact columns."""

@@ -51,6 +51,30 @@ def test_malformed_schema_file_fails_with_an_error_line(data, tmp_path, capsys, 
     assert err.startswith("error: ") and match in err
 
 
+@pytest.mark.parametrize("command, doc, match", [
+    ("train", {"bogus": 1}, "params has unknown keys ['bogus']"),
+    ("train", [1, 2], "params must be a JSON object, not list"),
+    ("encode", [{"feature": "c0"}], "encoder spec 0 lacks the key 'kind'"),
+    ("encode", [{"feature": "c0", "kind": "frequency"}, {"feature": "c0", "kind": "target"}],
+     "encoder spec 1 lacks the key 'target'"),
+    ("encode", [{"feature": "c0", "kind": "freq"}],
+     "encoder spec 0 has kind 'freq', not frequency or target"),
+    ("encode", [{"feature": "c9", "kind": "frequency"}],
+     "encoder spec 0 has feature 'c9', not a table column"),
+    ("encode", {"feature": "c0", "kind": "frequency"},
+     "encoder specs must be a JSON list, not dict"),
+])
+def test_malformed_document_fails_with_an_error_line(caches, tmp_path, capsys, command, doc,
+                                                     match):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    flags = ["--valid-day", "66", "--params"] if command == "train" else ["--spec"]
+    assert main([command, "--table", str(caches / "train.rlt"), *flags, str(path),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err and "Traceback" not in err
+
+
 class TestSynthAndIngest:
     def test_synth_emits_expected_files(self, data):
         for name in ("train.csv", "test.csv", "truth.json", "schema.json"):

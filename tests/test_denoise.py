@@ -10,8 +10,8 @@ from resplite.denoise import (
     detect_delta,
     group_deltas,
     quantize,
-    save_correlation_csv,
 )
+from resplite.report import save_correlation_csv
 from resplite.synth import (
     ArithmeticFeature,
     CorrelatedPair,

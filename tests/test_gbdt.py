@@ -412,7 +412,7 @@ class TestHistograms:
 
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_predictions(self):
+    def test_repeat_fit_is_bit_identical(self):
         rng = np.random.Generator(np.random.PCG64(17))
         n = 4000
         x0 = rng.standard_normal(n)
@@ -427,10 +427,10 @@ class TestDeterminism:
         params = GbdtParams(num_leaves=31, num_iterations=40,
                             early_stopping_rounds=40, learning_rate=0.1,
                             min_data_in_leaf=5, seed=2)
-        m1 = fit(params, train, valid, ["x0", "x1", "x2"], n_threads=1)
-        m4 = fit(params, train, valid, ["x0", "x1", "x2"], n_threads=4)
-        assert np.array_equal(predict(m1, valid), predict(m4, valid))
-        assert m1.valid_curve == m4.valid_curve
+        m1 = fit(params, train, valid, ["x0", "x1", "x2"])
+        m2 = fit(params, train, valid, ["x0", "x1", "x2"])
+        assert np.array_equal(predict(m1, valid), predict(m2, valid))
+        assert m1.valid_curve == m2.valid_curve
 
     def test_same_seed_reproduces_with_feature_fraction(self):
         rng = np.random.Generator(np.random.PCG64(19))
@@ -690,6 +690,22 @@ MODEL_CORRUPTIONS = {
                        "base_score nan is not finite"),
     "unknown bin kind": (_edit_doc(lambda d: d["bin_mapper"][2].update(kind="ordinal")),
                          "feature 'x1' has unknown bin kind 'ordinal'"),
+    "threshold_bin 1.7": (_edit_node("threshold_bin", threshold_bin=1.7),
+                          "is 1.7, not int"),
+    "missing_left 'false'": (_edit_node("threshold_bin", missing_left="false"),
+                             "is 'false', not bool"),
+    "left_bins [1.5, 2.5]": (_edit_node("left_bins", left_bins=[1.5, 2.5], missing_left=False),
+                             "a left_bins entry of feature 1 is 1.5, not int"),
+    "feature 0.3": (_edit_node("threshold_bin", feature=0.3), "feature is 0.3, not int"),
+    "leaf '0.1'": (_edit_node("leaf", leaf="0.1"), "leaf value is '0.1', not int or float"),
+    "base_score '0.1'": (_edit_doc(lambda d: d.update(base_score="0.1")),
+                         "base_score is '0.1', not int or float"),
+    "string thresholds": (
+        _edit_doc(lambda d: d["bin_mapper"][0].update(
+            thresholds=[str(t) for t in d["bin_mapper"][0]["thresholds"]])),
+        "a threshold of 'x0' is '"),
+    "n_categories 12.0": (_edit_doc(lambda d: d["bin_mapper"][1].update(n_categories=12.0)),
+                          "n_categories of 'c0' is 12.0, not int"),
     "descending thresholds": (
         _edit_doc(lambda d: d["bin_mapper"][0]["thresholds"].reverse()),
         "numeric bins of feature 'x0' are malformed"),

@@ -67,6 +67,17 @@ class TestLoadConfig:
         with pytest.raises(PipelineError, match="valid_day"):
             load_config(doc, env={})
 
+    @pytest.mark.parametrize("gbdt, match", [
+        ({"bogus": 1}, r"params has unknown keys \['bogus'\]"),
+        ([1, 2], "params must be a JSON object, not list"),
+        ({"num_leaves": "31"}, "bad gbdt params: params: '<' not supported"),
+    ])
+    def test_bad_gbdt_params_rejected(self, gbdt, match):
+        doc = {"paths": {"train": "a", "test": "b", "output_dir": "o"},
+               "split": {"valid_day": 66}, "gbdt": gbdt}
+        with pytest.raises(PipelineError, match=match):
+            load_config(doc, env={})
+
     def test_env_overrides(self, dataset, tmp_path):
         doc = base_config(dataset, tmp_path)
         cfg = load_config(

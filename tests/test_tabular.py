@@ -612,3 +612,14 @@ class TestColumnOps:
             Table.from_columns(schema, {"b": np.array([0.0, 2.0])})
         table = Table.from_columns(schema, {"b": np.array([0.0, 1.0, np.nan])})
         assert table.n_rows == 3
+
+    @pytest.mark.parametrize("role, values, match", [
+        (ColumnRole.CONTINUOUS, [1.0, 2.0], "length mismatch"),
+        (ColumnRole.BINARY, [0.0, 2.0, 1.0], "outside"),
+        (ColumnRole.LABEL_INSTALL, [0, 7, 1], "outside"),
+    ])
+    def test_appended_column_is_checked_like_from_columns(self, role, values, match):
+        table = Table.from_columns(Schema((("x", ColumnRole.CONTINUOUS),)),
+                                   {"x": [0.5, np.nan, 1.5]})
+        with pytest.raises(TabularError, match=match):
+            table.append_columns([("new", role, np.asarray(values))])
