@@ -71,7 +71,7 @@ def _cmd_denoise(args) -> int:
     tables = pipeline.load_tables([args.table] + args.apply_to, args.schema)
     out_dir = _out_dir(args)
     estimates, _, transformed = pipeline.denoise_stage(
-        tables, args.tol_rel, not args.as_continuous, args.origin, out_dir
+        tables, args.tol_rel, not args.as_continuous, out_dir
     )
     save_binary(transformed[0], out_dir / "denoised.rlt")
     for src, t in zip(args.apply_to, transformed[1:]):
@@ -241,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--schema")
     p.add_argument("--tol-rel", type=float, default=denoise_mod.DEFAULT_TOL_REL)
-    p.add_argument("--origin", choices=("zero", "vmin"), default="zero")
     p.add_argument(
         "--as-continuous",
         action="store_true",

@@ -194,51 +194,31 @@ def refine_estimates(
     return [_refine(tables, est) for est in estimates]
 
 
-def quantize(
-    column: np.ndarray,
-    estimate: DeltaEstimate,
-    origin: str = "zero",
-) -> np.ndarray:
-    """Divide by the detected step and round to integers; NaN stays missing.
+def quantize(column: np.ndarray, estimate: DeltaEstimate) -> np.ndarray:
+    """Compute round(v / delta) at the detected step; NaN stays missing.
 
-    ``origin="zero"`` computes round(v / delta); ``origin="vmin"`` computes
-    round((v - v_min) / delta).  Returned as float64 with integral values so
-    missing cells stay representable.
+    Returned as float64 with integral values so missing cells stay
+    representable.
     """
     if not estimate.detected:
         raise DenoiseError(
             f"no lattice detected for {estimate.feature or 'column'}; cannot quantize"
         )
-    if origin not in ("zero", "vmin"):
-        raise DenoiseError(f"unknown origin {origin!r}; use 'zero' or 'vmin'")
-    base = 0.0 if origin == "zero" else estimate.v_min
     out = np.full(len(column), np.nan)
     finite = np.isfinite(column)
-    out[finite] = np.round((column[finite] - base) / estimate.delta)
+    out[finite] = np.round(column[finite] / estimate.delta)
     return out
 
 
-def detect_all(
-    table: Table,
-    features: list[str] | None = None,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> list[DeltaEstimate]:
-    """Run detection over the given (default: all) continuous features."""
-    if features is None:
-        features = [
-            name
-            for name, role in table.schema.columns
-            if role is ColumnRole.CONTINUOUS
-        ]
+def detect_all(table: Table, tol_rel: float = DEFAULT_TOL_REL) -> list[DeltaEstimate]:
+    """Run detection over every continuous feature of ``table``."""
     return [
         detect_delta(table.col(name), tol_rel=tol_rel, feature=name)
-        for name in features
+        for name in table.schema.names_of(ColumnRole.CONTINUOUS)
     ]
 
 
-def group_deltas(
-    estimates: list[DeltaEstimate], rel_tol: float = 0.01
-) -> list[list[str]]:
+def group_deltas(estimates: list[DeltaEstimate]) -> list[list[str]]:
     """Cluster detected steps within 1% relative difference; reporting only,
     detection itself stays per-feature."""
     detected = sorted(
@@ -247,7 +227,7 @@ def group_deltas(
     groups: list[list[str]] = []
     last_delta = None
     for e in detected:
-        if last_delta is not None and (e.delta - last_delta) <= rel_tol * last_delta:
+        if last_delta is not None and (e.delta - last_delta) <= 0.01 * last_delta:
             groups[-1].append(e.feature)
         else:
             groups.append([e.feature])
@@ -259,7 +239,6 @@ def apply_denoise_group(
     tables: list[Table],
     estimates: list[DeltaEstimate],
     as_categorical: bool = True,
-    origin: str = "zero",
 ) -> list[Table]:
     """Replace each detected column with its quantized integers, in place
     under the same name, typed categorical or continuous per the flag.
@@ -277,7 +256,7 @@ def apply_denoise_group(
         if not est.detected:
             continue
         quantized = [
-            quantize(t.col(est.feature), est, origin=origin)
+            quantize(t.col(est.feature), est)
             if est.feature in t.schema.names else None
             for t in out
         ]
@@ -311,16 +290,6 @@ def apply_denoise_group(
     return out
 
 
-def apply_denoise(
-    table: Table,
-    estimates: list[DeltaEstimate],
-    as_categorical: bool = True,
-    origin: str = "zero",
-) -> Table:
-    """Single-table form of :func:`apply_denoise_group`."""
-    return apply_denoise_group([table], estimates, as_categorical, origin)[0]
-
-
 def save_estimates(
     estimates: list[DeltaEstimate], path, groups: list[list[str]] | None = None
 ) -> None:
@@ -339,11 +308,7 @@ def correlation_matrix(
     of well-behaved features is exactly 1.
     """
     if features is None:
-        features = [
-            name
-            for name, role in table.schema.columns
-            if role is ColumnRole.CONTINUOUS
-        ]
+        features = table.schema.names_of(ColumnRole.CONTINUOUS)
     if len(features) < 2:
         raise DenoiseError("correlation matrix needs at least 2 continuous features")
     cols = [table.col(name) for name in features]

@@ -23,10 +23,11 @@ class GbdtError(ValueError):
     """Raised for invalid training or scoring inputs, or parameters."""
 
 
-def json_value(value, types: tuple[type, ...], what: str):
-    """``value`` when JSON decoded it as one of ``types`` (a bool is no int)."""
+def json_value(value, types: tuple[type, ...], what: str, error=GbdtError):
+    """``value`` when JSON decoded it as one of ``types`` (a bool is no int);
+    otherwise raises ``error`` with a message naming ``what``."""
     if type(value) not in types:
-        raise GbdtError(f"{what} is {value!r}, not {' or '.join(t.__name__ for t in types)}")
+        raise error(f"{what} is {value!r}, not {' or '.join(t.__name__ for t in types)}")
     return value
 
 

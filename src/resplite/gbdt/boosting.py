@@ -80,9 +80,12 @@ def params_from_json(doc, seed: int = 0) -> GbdtParams:
     if unknown:
         raise GbdtError(f"params has unknown keys {unknown}")
     try:
-        return GbdtParams(**{"seed": seed, **doc})
+        params = GbdtParams(**{"seed": seed, **doc})
     except TypeError as exc:
         raise GbdtError(f"params: {exc}") from None
+    for f in fields(GbdtParams):
+        json_value(getattr(params, f.name), (int,) if f.type == "int" else (int, float), f.name)
+    return params
 
 
 @dataclass
@@ -115,13 +118,11 @@ def _grad_hess(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return p - labels, p * (1.0 - p)
 
 
-def _check_features(table: Table, feature_names: list[str], target: str) -> None:
+def _check_features(table: Table, feature_names: list[str]) -> None:
     for name in feature_names:
         role = table.schema.role(name)
         if role in (ColumnRole.LABEL_CLICK, ColumnRole.LABEL_INSTALL, ColumnRole.ROW_ID):
             raise GbdtError(f"column {name!r} ({role.value}) cannot be a feature")
-        if name == target:
-            raise GbdtError(f"target column {name!r} cannot also be a feature")
 
 
 def fit(
@@ -129,7 +130,6 @@ def fit(
     train: Table,
     valid: Table,
     feature_names: list[str] | None = None,
-    target: str | None = None,
 ) -> GbdtModel:
     """Boost trees on the train table, early-stopping on validation log loss.
 
@@ -139,15 +139,14 @@ def fit(
     """
     if feature_names is None:
         feature_names = list(train.schema.feature_columns())
-    if target is None:
-        target = train.schema.require_install()
+    target = train.schema.require_install()
     if train.schema != valid.schema:
         raise GbdtError("train and valid tables must share a schema")
     if valid.n_rows == 0:
         raise GbdtError("validation table is empty; early stopping needs it")
     if not feature_names:
         raise GbdtError("no feature columns given")
-    _check_features(train, feature_names, target)
+    _check_features(train, feature_names)
 
     y_train = train.col(target).astype(np.float64)
     y_valid = valid.col(target).astype(np.float64)

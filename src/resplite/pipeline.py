@@ -20,11 +20,13 @@ import os
 import re
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import advval, denoise as denoise_mod, encoders as enc_mod, metrics
+from .denoise import DEFAULT_TOL_REL
 from .gbdt import (
     GbdtError,
     GbdtModel,
@@ -35,6 +37,7 @@ from .gbdt import (
     predict as gbdt_predict,
     save_model,
 )
+from .gbdt.binning import json_value
 from .report import (
     RunReport,
     report_export,
@@ -83,7 +86,6 @@ class PipelineConfig:
     re_audit_encoded: bool
     denoise_tol_rel: float
     denoise_as_categorical: bool
-    denoise_origin: str
     freq_features: list[str] | str
     freq_window: enc_mod.FreqWindow
     te_features: list[str] | str
@@ -116,8 +118,21 @@ def _apply_env_overrides(doc: dict, env: dict[str, str]) -> dict:
     return doc
 
 
+_config_error = partial(PipelineError, "config")
+
+
+def _get(doc: dict, path: str, default, types: tuple[type, ...]):
+    """The value at the dotted ``path`` of ``doc`` (``default`` when absent)
+    when JSON typed it as one of ``types``; otherwise a config error."""
+    *sections, key = path.split(".")
+    for name in sections:
+        doc = json_value(doc.get(name, {}), (dict,), f"section {name!r}", _config_error)
+    return json_value(doc.get(key, default), types, path, _config_error)
+
+
 def load_config(source: str | Path | dict, env: dict[str, str] | None = None) -> PipelineConfig:
-    """Build a PipelineConfig from a JSON file or dict plus env overrides."""
+    """Build a PipelineConfig from a JSON file or dict plus env overrides.
+    Values must have their JSON types (``"false"`` is no bool)."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -139,30 +154,28 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
     else:
         schema = None  # allowed when both inputs are binary caches
 
-    split_doc = doc.get("split", {})
-    if "valid_day" not in split_doc:
+    if "valid_day" not in _get(doc, "split", {}, (dict,)):
         raise PipelineError("config", "split.valid_day is required")
+    train_days = _get(doc, "split.train_days", [], (list,))
     plan = SplitPlan(
-        train_days=frozenset(int(d) for d in split_doc.get("train_days", [])),
-        valid_day=int(split_doc["valid_day"]),
-        test_day=None,
+        frozenset(json_value(d, (int,), "a split.train_days entry", _config_error)
+                  for d in train_days),
+        _get(doc, "split.valid_day", None, (int,)),
     )
 
     stages = {name: True for name in STAGE_NAMES}
-    stages.update({k: bool(v) for k, v in doc.get("stages", {}).items()})
+    for name in _get(doc, "stages", {}, (dict,)):
+        stages[name] = _get(doc, f"stages.{name}", True, (bool,))
 
-    seed = int(doc.get("seed", 0))
-    adv_doc = doc.get("adversarial", {})
+    seed = _get(doc, "seed", 0, (int,))
     adv_cfg = advval.AdvConfig(
-        auc_threshold=float(adv_doc.get("auc_threshold", 0.75)),
-        holdout_fraction=float(adv_doc.get("holdout_fraction", 0.2)),
-        seed=int(adv_doc.get("seed", seed)),
-        subsample_per_side=adv_doc.get("subsample_per_side", 200_000),
+        auc_threshold=float(_get(doc, "adversarial.auc_threshold", 0.75, (int, float))),
+        holdout_fraction=float(_get(doc, "adversarial.holdout_fraction", 0.2, (int, float))),
+        seed=_get(doc, "adversarial.seed", seed, (int,)),
+        subsample_per_side=_get(doc, "adversarial.subsample_per_side", 200_000, (int, type(None))),
     )
-    den_doc = doc.get("denoise", {})
-    enc_doc = doc.get("encoders", {})
-    freq_doc = enc_doc.get("frequency", {})
-    te_doc = enc_doc.get("target", {})
+    freq_doc = _get(doc, "encoders.frequency", {}, (dict,))
+    te_doc = _get(doc, "encoders.target", {}, (dict,))
     try:
         params = params_from_json(doc.get("gbdt", {}), seed)
     except GbdtError as exc:
@@ -176,16 +189,15 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
         split_plan=plan,
         stages=stages,
         adversarial=adv_cfg,
-        re_audit_encoded=bool(adv_doc.get("re_audit_encoded", False)),
-        denoise_tol_rel=float(den_doc.get("tol_rel", denoise_mod.DEFAULT_TOL_REL)),
-        denoise_as_categorical=bool(den_doc.get("as_categorical", True)),
-        denoise_origin=str(den_doc.get("origin", "zero")),
+        re_audit_encoded=_get(doc, "adversarial.re_audit_encoded", False, (bool,)),
+        denoise_tol_rel=float(_get(doc, "denoise.tol_rel", DEFAULT_TOL_REL, (int, float))),
+        denoise_as_categorical=_get(doc, "denoise.as_categorical", True, (bool,)),
         freq_features=freq_doc.get("features", ALL_CATEGORICAL),
         freq_window=enc_mod.FreqWindow(freq_doc.get("window", "prev_week")),
         te_features=te_doc.get("features", ALL_CATEGORICAL),
         te_targets=list(te_doc.get("targets", ["click", "install"])),
-        te_smoothing=float(te_doc.get("smoothing", 1.0)),
-        keep_originals=bool(enc_doc.get("keep_originals", True)),
+        te_smoothing=float(_get(doc, "encoders.target.smoothing", 1.0, (int, float))),
+        keep_originals=_get(doc, "encoders.keep_originals", True, (bool,)),
         gbdt=params,
         seed=seed,
         raw=doc,
@@ -227,10 +239,7 @@ def load_tables(paths: list[str], schema: Schema | str | Path | None) -> list[Ta
 
 
 def _resolve_cat_features(spec: list[str] | str, table: Table) -> list[str]:
-    cats = [
-        name for name, role in table.schema.columns
-        if role is ColumnRole.CATEGORICAL
-    ]
+    cats = list(table.schema.names_of(ColumnRole.CATEGORICAL))
     if spec == ALL_CATEGORICAL:
         return cats
     present = set(cats)
@@ -271,17 +280,6 @@ def _row_ids(table: Table) -> list[str]:
 # Stages: each one is called both by `run` and by the matching subcommand
 
 
-def split_plan(table: Table, plan: SplitPlan) -> SplitPlan:
-    """Check that the plan's valid day has rows in ``table``.  Empty
-    ``train_days`` become every day of the table before the valid day."""
-    days = {int(d) for d in np.unique(table.day_values)}
-    if plan.valid_day not in days:
-        raise TabularError(f"valid_day {plan.valid_day} selects zero rows")
-    if plan.train_days:
-        return plan
-    return SplitPlan(frozenset(d for d in days if d < plan.valid_day), plan.valid_day)
-
-
 def audit_stage(
     tables: list[Table],
     cfg: advval.AdvConfig,
@@ -304,7 +302,7 @@ def audit_stage(
 
 
 def denoise_stage(
-    tables: list[Table], tol_rel: float, as_categorical: bool, origin: str, out_dir: Path
+    tables: list[Table], tol_rel: float, as_categorical: bool, out_dir: Path
 ) -> tuple[list[denoise_mod.DeltaEstimate], list[list[str]], list[Table]]:
     """Detect lattices on ``tables[0]``, refine them over every table, write
     ``delta_estimates.json``, and quantize every table with shared code
@@ -314,9 +312,7 @@ def denoise_stage(
     )
     groups = denoise_mod.group_deltas(estimates)
     denoise_mod.save_estimates(estimates, out_dir / "delta_estimates.json", groups)
-    quantized = denoise_mod.apply_denoise_group(
-        tables, estimates, as_categorical=as_categorical, origin=origin
-    )
+    quantized = denoise_mod.apply_denoise_group(tables, estimates, as_categorical)
     return estimates, groups, quantized
 
 
@@ -357,7 +353,8 @@ def _fit_spec(table: Table, i: int, spec) -> enc_mod.EncoderState:
         window = enc_mod.FreqWindow(spec.get("window", "prev_week"))
         return enc_mod.fit_frequency(table, feature, window)
     if kind == "target":
-        smoothing = float(spec.get("smoothing", 1.0))
+        smoothing = float(json_value(spec.get("smoothing", 1.0), (int, float),
+                                     f"smoothing of encoder spec {i}", enc_mod.EncoderError))
         return enc_mod.fit_target(table, feature, spec["target"], smoothing)
     raise enc_mod.EncoderError(f"encoder spec {i} has kind {kind!r}, not frequency or target")
 
@@ -380,9 +377,9 @@ def encode_stage(
 def train_stage(
     table: Table, plan: SplitPlan, params: GbdtParams, out_dir: Path
 ) -> tuple[SplitResult, GbdtModel]:
-    """Split ``table`` by the plan (see :func:`split_plan`), fit the GBDT
-    with early stopping on the valid day, and write ``model.json``."""
-    parts = temporal_split(table, split_plan(table, plan))
+    """Split ``table`` by the plan (see :meth:`SplitPlan.resolve`), fit the
+    GBDT with early stopping on the valid day, and write ``model.json``."""
+    parts = temporal_split(table, plan)
     model = gbdt_fit(params, parts.train, parts.valid)
     save_model(model, out_dir / "model.json")
     return parts, model
@@ -427,7 +424,7 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
 
     # validate the plan up front; the row partition happens in the train
     # stage, after the column transforms (which are all order-preserving)
-    plan = _timed(report, "split", lambda: split_plan(tables[0], config.split_plan))
+    plan = _timed(report, "split", lambda: config.split_plan.resolve(tables[0].day_values))
     report.sections["split"] = {
         "train_days": sorted(plan.train_days),
         "valid_day": plan.valid_day,
@@ -445,15 +442,11 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
 
     if config.stages.get("denoise", True):
         def denoise():
-            cont = [
-                name for name, role in tables[0].schema.columns
-                if role is ColumnRole.CONTINUOUS
-            ]
+            cont = tables[0].schema.names_of(ColumnRole.CONTINUOUS)
             if len(cont) >= 2:
                 report.correlation = denoise_mod.correlation_matrix(tables[0], cont)
             return denoise_stage(
-                tables, config.denoise_tol_rel, config.denoise_as_categorical,
-                config.denoise_origin, out_dir,
+                tables, config.denoise_tol_rel, config.denoise_as_categorical, out_dir
             )
 
         estimates, groups, tables = _timed(report, "denoise", denoise)

@@ -116,7 +116,6 @@ def write_bar_chart_svg(
     path: Path,
     title: str,
     value_format: str = "{:.4f}",
-    bar_color: str = "#4878a8",
 ) -> None:
     """Horizontal bar chart as a self-contained SVG document."""
     n = len(labels)
@@ -141,7 +140,7 @@ def write_bar_chart_svg(
         )
         lines.append(
             f'<rect x="{left}" y="{y}" width="{w:.2f}" height="{bar_h}" '
-            f'fill="{bar_color}"/>'
+            'fill="#4878a8"/>'
         )
         lines.append(
             f'<text x="{left + w + 6:.2f}" y="{y + 13}" font-family="sans-serif" '

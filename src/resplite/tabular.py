@@ -75,7 +75,7 @@ class Schema:
         if len(self.delimiter) != 1:
             raise TabularError("delimiter must be a single character")
         for role in _UNIQUE_ROLES:
-            if sum(1 for _, r in self.columns if r is role) > 1:
+            if len(self.names_of(role)) > 1:
                 raise TabularError(f"schema may declare at most one {role.value} column")
 
     @property
@@ -88,11 +88,11 @@ class Schema:
                 return role
         raise KeyError(name)
 
+    def names_of(self, role: ColumnRole) -> tuple[str, ...]:
+        return tuple(name for name, r in self.columns if r is role)
+
     def _single(self, role: ColumnRole) -> str | None:
-        for name, r in self.columns:
-            if r is role:
-                return name
-        return None
+        return next(iter(self.names_of(role)), None)
 
     @property
     def day_column(self) -> str | None:
@@ -335,50 +335,44 @@ class Table:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Temporal split: train on a set of days, validate on one later day,
-    optionally hold out a single test day after that."""
+    """Temporal split: train on a set of days, validate on one later day.
+    Empty ``train_days`` stand for every day before the valid day."""
 
     train_days: frozenset[int]
     valid_day: int
-    test_day: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "train_days", frozenset(self.train_days))
-        if self.valid_day in self.train_days:
-            raise TabularError("valid_day must not be a train day")
         if any(d >= self.valid_day for d in self.train_days):
             raise TabularError("all train days must precede valid_day")
-        if self.test_day is not None and self.test_day <= self.valid_day:
-            raise TabularError("test_day must come after valid_day")
+
+    def resolve(self, days: np.ndarray) -> SplitPlan:
+        """The plan over a table's ``days``: raises when the valid day has
+        no rows, and lists the train days when the plan leaves them empty."""
+        if not (days == self.valid_day).any():
+            raise TabularError(f"valid_day {self.valid_day} selects zero rows")
+        if self.train_days:
+            return self
+        before = np.unique(days[days < self.valid_day])
+        return SplitPlan(frozenset(int(d) for d in before), self.valid_day)
 
 
 @dataclass
 class SplitResult:
     train: Table
     valid: Table
-    test: Table  # zero rows when the plan has no test day
 
 
 def split(table: Table, plan: SplitPlan) -> SplitResult:
-    """Partition rows by day per the plan, preserving row order within parts.
-
-    Rows whose day is not covered by the plan are excluded.  Raises when the
-    validation day selects zero rows (validation would be empty).
-    """
+    """Partition rows by day per the resolved plan (see
+    :meth:`SplitPlan.resolve`), preserving row order within parts.  Rows
+    whose day is not covered by the plan are excluded."""
     days = table.day_values
-    train_mask = np.isin(days, sorted(plan.train_days))
-    valid_mask = days == plan.valid_day
-    if not valid_mask.any():
-        raise TabularError(f"valid_day {plan.valid_day} selects zero rows")
-    if plan.test_day is not None:
-        test_mask = days == plan.test_day
-    else:
-        test_mask = np.zeros(table.n_rows, dtype=bool)
+    plan = plan.resolve(days)
     idx = np.arange(table.n_rows)
     return SplitResult(
-        train=table.take(idx[train_mask]),
-        valid=table.take(idx[valid_mask]),
-        test=table.take(idx[test_mask]),
+        train=table.take(idx[np.isin(days, sorted(plan.train_days))]),
+        valid=table.take(idx[days == plan.valid_day]),
     )
 
 

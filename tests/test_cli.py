@@ -75,6 +75,31 @@ def test_malformed_document_fails_with_an_error_line(caches, tmp_path, capsys, c
     assert err.startswith("error: ") and match in err and "Traceback" not in err
 
 
+def test_run_config_value_of_the_wrong_type_exits_1(data, tmp_path, capsys):
+    doc = {"paths": {"train": str(data / "train.csv"), "test": str(data / "test.csv"),
+                     "output_dir": str(tmp_path / "out")},
+           "schema_path": str(data / "schema.json"), "split": {"valid_day": 66},
+           "denoise": {"tol_rel": [1]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stage config: denoise.tol_rel is [1], not int or float")
+    assert "Traceback" not in err
+
+
+def test_encode_spec_smoothing_of_the_wrong_type_exits_1(caches, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        [{"feature": "c0", "kind": "target", "target": "install", "smoothing": [1]}]
+    ))
+    assert main(["encode", "--table", str(caches / "train.rlt"), "--spec", str(path),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: smoothing of encoder spec 0 is [1], not int or float")
+    assert "Traceback" not in err
+
+
 class TestSynthAndIngest:
     def test_synth_emits_expected_files(self, data):
         for name in ("train.csv", "test.csv", "truth.json", "schema.json"):

@@ -3,7 +3,6 @@ import pytest
 
 from resplite.denoise import (
     DenoiseError,
-    apply_denoise,
     apply_denoise_group,
     correlation_matrix,
     detect_all,
@@ -83,17 +82,6 @@ class TestQuantize:
         with pytest.raises(DenoiseError, match="cannot quantize"):
             quantize(np.array([1.0]), e)
 
-    def test_bad_origin_rejected(self):
-        e = detect_delta(np.array([0.1, 0.2, 0.3]))
-        with pytest.raises(DenoiseError, match="origin"):
-            quantize(np.array([0.1]), e, origin="midpoint")
-
-    def test_vmin_origin(self):
-        values = np.array([10.1, 10.2, 10.4])
-        e = detect_delta(values)
-        out = quantize(values, e, origin="vmin")
-        assert out.tolist() == [0.0, 1.0, 3.0]
-
     def test_reconstruction_bound(self):
         rng = np.random.Generator(np.random.PCG64(2))
         k = rng.integers(0, 200, size=2000)
@@ -150,7 +138,7 @@ class TestApplyDenoise:
     def test_as_categorical_swaps_role_and_dictionary(self):
         table, k = self.make()
         estimates = detect_all(table)
-        out = apply_denoise(table, estimates, as_categorical=True)
+        out = apply_denoise_group([table], estimates, as_categorical=True)[0]
         assert out.schema.role("a") is ColumnRole.CATEGORICAL
         assert out.schema.role("b") is ColumnRole.CONTINUOUS
         d = out.dictionary("a")
@@ -161,7 +149,7 @@ class TestApplyDenoise:
     def test_as_continuous_keeps_role(self):
         table, k = self.make()
         estimates = detect_all(table)
-        out = apply_denoise(table, estimates, as_categorical=False)
+        out = apply_denoise_group([table], estimates, as_categorical=False)[0]
         assert out.schema.role("a") is ColumnRole.CONTINUOUS
         assert np.array_equal(out.col("a"), k.astype(float))
 

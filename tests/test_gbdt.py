@@ -19,6 +19,7 @@ from resplite.gbdt import (
     fit,
     load_model,
     loss_grad_hess,
+    params_from_json,
     predict,
     predict_raw,
     save_model,
@@ -114,6 +115,18 @@ class TestParams:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(GbdtError):
             GbdtParams(**kwargs)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"num_leaves": 31.5}, "num_leaves is 31.5, not int"),
+    ({"max_bins": 100.5}, "max_bins is 100.5, not int"),
+    ({"seed": 1.5}, "seed is 1.5, not int"),
+    ({"max_depth": "3"}, "max_depth is '3', not int"),
+    ({"feature_fraction": True}, "feature_fraction is True, not int or float"),
+])
+def test_params_of_the_wrong_json_type_rejected(doc, match):
+    with pytest.raises(GbdtError, match=match):
+        params_from_json(doc)
 
 
 class TestFit:

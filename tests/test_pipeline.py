@@ -94,6 +94,37 @@ class TestLoadConfig:
         assert cfg.seed == 99
         assert cfg.adversarial.auc_threshold == 0.8
 
+    @pytest.mark.parametrize("section, key, value, match", [
+        ("stages", "denoise", "false", "stages.denoise is 'false', not bool"),
+        ("encoders", "keep_originals", "false", "encoders.keep_originals is 'false', not bool"),
+        ("adversarial", "re_audit_encoded", "no", "adversarial.re_audit_encoded is 'no', not bool"),
+        ("denoise", "tol_rel", [1], r"denoise.tol_rel is \[1\], not int or float"),
+        ("split", "valid_day", 66.0, "split.valid_day is 66.0, not int"),
+        ("split", "train_days", [60.5], "a split.train_days entry is 60.5, not int"),
+        ("adversarial", "subsample_per_side", 1.5,
+         "adversarial.subsample_per_side is 1.5, not int or NoneType"),
+        ("encoders", "target", {"smoothing": "1"}, "encoders.target.smoothing is '1'"),
+        ("denoise", "as_categorical", None, "denoise.as_categorical is None, not bool"),
+    ])
+    def test_value_of_the_wrong_json_type_rejected(self, section, key, value, match):
+        doc = {"paths": {"train": "a", "test": "b", "output_dir": "o"},
+               "split": {"valid_day": 66}}
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(PipelineError, match="stage config: " + match):
+            load_config(doc, env={})
+
+    def test_env_override_that_is_no_json_bool_rejected(self):
+        doc = {"paths": {"train": "a", "test": "b", "output_dir": "o"},
+               "split": {"valid_day": 66}}
+        assert load_config(doc, env={"RLT_STAGES_DENOISE": "false"}).stages["denoise"] is False
+        with pytest.raises(PipelineError, match="stages.denoise is 'False', not bool"):
+            load_config(doc, env={"RLT_STAGES_DENOISE": "False"})
+
+    def test_unknown_keys_ignored(self):
+        doc = {"paths": {"train": "a", "test": "b", "output_dir": "o"},
+               "split": {"valid_day": 66}, "n_threads": 1, "denoise": {"origin": "vmin"}}
+        assert load_config(doc, env={}).stages["denoise"] is True
+
     def test_seed_propagates_to_gbdt_and_adversarial(self, dataset, tmp_path):
         doc = base_config(dataset, tmp_path)
         del doc["gbdt"]
@@ -126,6 +157,28 @@ class TestRun:
         # timings stay out of the deterministic report
         report_doc = json.loads((out / "report.json").read_text())
         assert "timings" not in report_doc
+
+    def test_re_audit_without_originals_on_listed_train_days(self, dataset, tmp_path):
+        doc = base_config(dataset, tmp_path / "out")
+        doc["split"]["train_days"] = [60, 61, 62, 63, 64, 65]
+        doc["adversarial"]["re_audit_encoded"] = True
+        doc["encoders"] = {"keep_originals": False}
+        report = run(load_config(doc, env={}))
+        out = tmp_path / "out"
+        features = set(json.loads((out / "model.json").read_text())["feature_names"])
+        re_audit = json.loads((out / "adversarial_encoded.json").read_text())["features"]
+        dropped = {e["name"] for e in re_audit if e["verdict"] == "drop"}
+        assert dropped and sorted(dropped) == sorted(
+            report.sections["encoding"]["re_audit_dropped"])
+        assert not dropped & features
+        encoded = report.sections["encoding"]["columns"]
+        originals = {name.split("__")[0] for name in encoded}
+        assert originals and not originals & features
+        assert set(encoded) - dropped <= features
+        sections = json.loads((out / "report.json").read_text())["sections"]
+        assert sections["split"]["train_days"] == [60, 61, 62, 63, 64, 65]
+        days = load_binary(out / "cache" / "train.rlt").day_values
+        assert sections["training"]["train_rows"] == np.isin(days, range(60, 66)).sum()
 
     def test_training_disabled_drops_metrics_sections(self, dataset, tmp_path):
         doc = base_config(dataset, tmp_path / "out")

@@ -389,7 +389,6 @@ class TestSplit:
         parts = split(table, SplitPlan(frozenset({64, 65}), 66))
         assert parts.train.day_values.tolist() == [64, 65, 64]
         assert parts.valid.day_values.tolist() == [66, 66]
-        assert parts.test.n_rows == 0
 
     def test_absent_valid_day_errors(self):
         table = self.make([64, 65])
@@ -401,36 +400,31 @@ class TestSplit:
             SplitPlan(frozenset({66}), 66)
         with pytest.raises(TabularError):
             SplitPlan(frozenset({67}), 66)
-        with pytest.raises(TabularError):
-            SplitPlan(frozenset({60}), 66, test_day=65)
 
     def test_thousand_rows_against_brute_force(self):
         rng = np.random.Generator(np.random.PCG64(42))
         days = rng.integers(45, 68, size=1000)
         table = self.make(days)
-        plan = SplitPlan(frozenset(range(45, 66)), 66, test_day=67)
+        plan = SplitPlan(frozenset(range(45, 66)), 66)
         parts = split(table, plan)
 
         # independent oracle: plain row scan
         want_train = [i for i, d in enumerate(days) if 45 <= d <= 65]
         want_valid = [i for i, d in enumerate(days) if d == 66]
-        want_test = [i for i, d in enumerate(days) if d == 67]
         assert parts.train.n_rows == len(want_train)
         assert parts.valid.n_rows == len(want_valid)
-        assert parts.test.n_rows == len(want_test)
         assert parts.train.day_values.tolist() == [days[i] for i in want_train]
         assert set(parts.train.day_values.tolist()) <= set(range(45, 66))
         assert set(parts.valid.day_values.tolist()) == {66}
-        assert set(parts.test.day_values.tolist()) == {67}
-        total = parts.train.n_rows + parts.valid.n_rows + parts.test.n_rows
-        assert total == np.isin(days, list(range(45, 68))).sum()
+        total = parts.train.n_rows + parts.valid.n_rows
+        assert total == np.isin(days, list(range(45, 67))).sum()
 
     def test_partition_property_uncovered_days_excluded(self):
         rng = np.random.Generator(np.random.PCG64(7))
         for trial in range(5):
             days = rng.integers(0, 10, size=200)
             table = self.make(days)
-            plan = SplitPlan(frozenset({1, 2, 3}), 5, test_day=7)
+            plan = SplitPlan(frozenset({1, 2, 3}), 5)
             parts = split(table, plan) if (days == 5).any() else None
             if parts is None:
                 continue
@@ -438,12 +432,17 @@ class TestSplit:
             for part, day_set in (
                 (parts.train, {1, 2, 3}),
                 (parts.valid, {5}),
-                (parts.test, {7}),
             ):
                 assert set(part.day_values.tolist()) <= day_set
-            covered = np.isin(days, [1, 2, 3, 5, 7])
-            total = parts.train.n_rows + parts.valid.n_rows + parts.test.n_rows
+            covered = np.isin(days, [1, 2, 3, 5])
+            total = parts.train.n_rows + parts.valid.n_rows
             assert total == covered.sum()
+
+    def test_empty_train_days_mean_every_day_before_valid(self):
+        table = self.make([63, 67, 64, 66, 65, 66, 62])
+        parts = split(table, SplitPlan(frozenset(), 66))
+        assert parts.train.day_values.tolist() == [63, 64, 65, 62]
+        assert parts.valid.day_values.tolist() == [66, 66]
 
 
 class TestBinaryPersistence:
