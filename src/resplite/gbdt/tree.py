@@ -302,15 +302,17 @@ def grow_tree(
             rows_r, leaf.depth + 1,
             leaf.grad - split.grad_left, leaf.hess - split.hess_left, len(rows_r),
         )
+        leaf.rows = None
+        leaf.node_box = [node, left, right]
+        n_leaves += 1
+        if n_leaves == num_leaves:
+            break  # the children stay leaves: no histogram, no scan
+
         # build the smaller child's histogram directly, derive the sibling
         small, big = (left, right) if left.count <= right.count else (right, left)
         small.hist = _build_hist(binned, subset, small.rows, grad, hess)
         big.hist = leaf.hist - small.hist
         leaf.hist = None
-        leaf.rows = None
-
-        leaf.node_box = [node, left, right]
-        n_leaves += 1
 
         for child in (left, right):
             if max_depth < 0 or child.depth < max_depth:
@@ -320,8 +322,6 @@ def grow_tree(
                 continue
             seq += 1
             heapq.heappush(heap, (-child.split.gain, seq, child))
-        if n_leaves >= num_leaves:
-            break
 
     leaf_updates: list[tuple[np.ndarray, float]] = []
 

@@ -130,6 +130,17 @@ def _get(doc: dict, path: str, default, types: tuple[type, ...]):
     return json_value(doc.get(key, default), types, path, _config_error)
 
 
+def _names(doc: dict, path: str, default, keyword: str | None = None) -> list[str] | str:
+    """The list of strings at the dotted ``path`` of ``doc``, or ``keyword``
+    when that string stands there instead; otherwise a config error."""
+    value = _get(doc, path, default, (list,) if keyword is None else (list, str))
+    if value == keyword:
+        return value
+    if isinstance(value, str):
+        raise _config_error(f"{path} is {value!r}, not a list or {keyword!r}")
+    return [json_value(v, (str,), f"an entry of {path}", _config_error) for v in value]
+
+
 def load_config(source: str | Path | dict, env: dict[str, str] | None = None) -> PipelineConfig:
     """Build a PipelineConfig from a JSON file or dict plus env overrides.
     Values must have their JSON types (``"false"`` is no bool)."""
@@ -174,8 +185,12 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
         seed=_get(doc, "adversarial.seed", seed, (int,)),
         subsample_per_side=_get(doc, "adversarial.subsample_per_side", 200_000, (int, type(None))),
     )
-    freq_doc = _get(doc, "encoders.frequency", {}, (dict,))
-    te_doc = _get(doc, "encoders.target", {}, (dict,))
+    window = _get(doc, "encoders.frequency.window", "prev_week", (str,))
+    windows = [w.value for w in enc_mod.FreqWindow]
+    if window not in windows:
+        raise _config_error(
+            f"encoders.frequency.window is {window!r}, not one of {', '.join(windows)}"
+        )
     try:
         params = params_from_json(doc.get("gbdt", {}), seed)
     except GbdtError as exc:
@@ -192,10 +207,10 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
         re_audit_encoded=_get(doc, "adversarial.re_audit_encoded", False, (bool,)),
         denoise_tol_rel=float(_get(doc, "denoise.tol_rel", DEFAULT_TOL_REL, (int, float))),
         denoise_as_categorical=_get(doc, "denoise.as_categorical", True, (bool,)),
-        freq_features=freq_doc.get("features", ALL_CATEGORICAL),
-        freq_window=enc_mod.FreqWindow(freq_doc.get("window", "prev_week")),
-        te_features=te_doc.get("features", ALL_CATEGORICAL),
-        te_targets=list(te_doc.get("targets", ["click", "install"])),
+        freq_features=_names(doc, "encoders.frequency.features", ALL_CATEGORICAL, ALL_CATEGORICAL),
+        freq_window=enc_mod.FreqWindow(window),
+        te_features=_names(doc, "encoders.target.features", ALL_CATEGORICAL, ALL_CATEGORICAL),
+        te_targets=_names(doc, "encoders.target.targets", ["click", "install"]),
         te_smoothing=float(_get(doc, "encoders.target.smoothing", 1.0, (int, float))),
         keep_originals=_get(doc, "encoders.keep_originals", True, (bool,)),
         gbdt=params,
@@ -269,11 +284,12 @@ def _metrics_dict(labels: np.ndarray, probs: np.ndarray) -> dict:
     }
 
 
-def _row_ids(table: Table) -> list[str]:
+def _row_ids(table: Table) -> np.ndarray:
+    """The table's row-id column, or the row numbers as strings."""
     name = table.schema.row_id_column
     if name is not None:
-        return [str(v) for v in table.col(name)]
-    return [str(i) for i in range(table.n_rows)]
+        return table.col(name)
+    return np.arange(table.n_rows).astype(np.str_)
 
 
 # ---------------------------------------------------------------------------

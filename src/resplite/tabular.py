@@ -526,8 +526,15 @@ def _pack_strings(values) -> bytes:
     )
 
 
-def _unpack_strings(buf: bytes, what: str) -> list[str]:
-    """Inverse of :func:`_pack_strings`; ``buf`` must hold exactly one block."""
+def _unpack_strings(buf: bytes, what: str) -> np.ndarray:
+    """Inverse of :func:`_pack_strings`; ``buf`` must hold exactly one block.
+
+    An ASCII block without NUL bytes becomes a fixed-width ``<U`` array,
+    gathered one character position at a time.  Any other block is decoded
+    string by string into an object array, because a ``<U`` array drops
+    trailing NULs.  Offsets that do not ascend from 0 to the end of the
+    block, or that split a UTF-8 character, raise naming ``what``.
+    """
     (count,) = struct.unpack_from("<Q", buf, 0) if len(buf) >= 8 else (-1,)
     base = 8 + 8 * (count + 1)
     if count < 0 or base > len(buf):
@@ -535,13 +542,24 @@ def _unpack_strings(buf: bytes, what: str) -> list[str]:
     offsets = np.frombuffer(buf, dtype="<u8", count=count + 1, offset=8)
     if base + int(offsets[-1]) != len(buf):
         raise TabularError(f"string block in {what} does not end where its offsets say")
+    if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
+        raise TabularError(f"string block in {what} has offsets that do not ascend from 0")
     blob = buf[base:]
-    # lazy ints: offsets.tolist() would hold one Python int per id at once
-    ends = map(int, offsets)
-    if blob.isascii():  # one decode; byte offsets are then string offsets
-        text = blob.decode("ascii")
-        return [text[a:b] for a, b in pairwise(ends)]
-    return [blob[a:b].decode("utf-8") for a, b in pairwise(ends)]
+    if blob.isascii() and b"\0" not in blob:
+        starts = offsets[:-1].astype(np.intp)
+        lengths = np.diff(offsets).astype(np.intp)
+        width = max(int(lengths.max(initial=0)), 1)
+        data = np.frombuffer(blob + b"\0", dtype=np.uint8)  # the NUL pads short strings
+        chars = np.zeros((count, width), dtype=np.uint32)
+        for j in range(width):
+            chars[:, j] = data.take(np.where(lengths > j, starts + j, len(blob)))
+        return chars.view(f"<U{width}").ravel()
+    try:
+        # lazy ints: offsets.tolist() would hold one Python int per string at once
+        strings = [blob[a:b].decode("utf-8") for a, b in pairwise(map(int, offsets))]
+    except UnicodeDecodeError as exc:
+        raise TabularError(f"string block in {what} is not UTF-8: {exc.reason}") from None
+    return np.array(strings, dtype=object)
 
 
 _ROLE_WIRE_DTYPES = {
@@ -626,7 +644,7 @@ def load_binary(path: str | Path) -> Table:
                     f"{what} holds {plen} bytes, the header's {n_rows} rows need {arr_bytes}"
                 )
             if role is ColumnRole.CATEGORICAL:
-                dicts[name] = _unpack_strings(payload[arr_bytes:], f"{what} dictionary")
+                dicts[name] = _unpack_strings(payload[arr_bytes:], f"{what} dictionary").tolist()
             columns[name] = np.frombuffer(payload, dtype=wire, count=n_rows)
         if fh.read(1):
             raise TabularError("trailing bytes after the last column of the table file")

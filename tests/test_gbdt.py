@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from resplite import metrics
 from resplite.gbdt import (
@@ -27,8 +27,10 @@ from resplite.gbdt import (
     tree_output,
 )
 from resplite.gbdt.binning import (
+    _BIN_BLOCK,
     BinMapper,
     NumericBins,
+    bin_column,
     bin_table,
     build_bin_mapper,
 )
@@ -388,6 +390,53 @@ class TestImportance:
         model = fit(params, train, valid, ["x0"])
         for root in model.trees:
             assert count_leaves(root) <= 6
+
+
+def _reference_bin_column(fb: NumericBins, values: np.ndarray) -> np.ndarray:
+    """The ``searchsorted`` binning that ``bin_column`` replaced."""
+    out = np.zeros(len(values), dtype=np.uint8)
+    finite = ~np.isnan(values)
+    out[finite] = (
+        np.searchsorted(fb.thresholds, values[finite], side="left") + 1
+    ).astype(np.uint8)
+    return out
+
+
+#: floats a threshold list draws from, so that equal neighbours are common
+_SPECIAL = [0.0, -0.0, 1.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf]
+_THRESHOLD = st.one_of(st.floats(allow_nan=False), st.sampled_from(_SPECIAL))
+
+
+class TestBinColumn:
+    @settings(max_examples=300, deadline=None)
+    @given(thresholds=st.lists(_THRESHOLD, max_size=254).map(sorted),
+           others=st.lists(st.floats(), max_size=40))
+    @example(thresholds=[0.5], others=[])
+    @example(thresholds=[1.0] * 254, others=[])
+    @example(thresholds=[-np.inf, -np.inf, 0.0, np.inf, np.inf], others=[])
+    @example(thresholds=[5e-324, 1e-310, 2.2250738585072014e-308], others=[0.0, -0.0])
+    def test_equals_searchsorted_and_is_monotone(self, thresholds, others):
+        fb = NumericBins(np.asarray(thresholds, dtype=np.float64))
+        t = fb.thresholds
+        with np.errstate(over="ignore"):  # the neighbours of the largest float
+            around = [np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
+        values = np.concatenate([
+            t, *around, [np.nan, np.inf, -np.inf, 0.0, -0.0], np.asarray(others, dtype=np.float64),
+        ])
+        got = bin_column(fb, values)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, _reference_bin_column(fb, values))
+        nan = np.isnan(values)
+        assert (got[nan] == 0).all() and (got[~nan] >= 1).all()
+        order = np.argsort(values[~nan], kind="stable")
+        assert (np.diff(got[~nan][order].astype(np.int64)) >= 0).all()
+
+    def test_blocks_join_seamlessly(self):
+        rng = np.random.Generator(np.random.PCG64(12))
+        fb = NumericBins(np.unique(rng.standard_normal(254)))
+        values = rng.standard_normal(2 * _BIN_BLOCK + 7)
+        values[rng.random(len(values)) < 0.1] = np.nan
+        assert np.array_equal(bin_column(fb, values), _reference_bin_column(fb, values))
 
 
 class TestHistograms:

@@ -4,10 +4,12 @@ categorical scan must pick exactly the split the vectorized scan picks."""
 
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from resplite.gbdt import tree
 from resplite.gbdt.binning import STRIDE
 from resplite.gbdt.tree import (
     _Leaf,
@@ -332,3 +334,25 @@ def test_build_hist_needs_no_rows_by_features_temporary():
     assert np.array_equal(hist[2].sum(axis=1), np.full(k, m))
     # a (k, m) int64 gather alone is k*m*8 bytes
     assert peak < k * m * 8 / 2
+
+
+def test_the_split_that_fills_the_tree_builds_and_scans_nothing(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(4))
+    n, k = 4000, 3
+    binned = rng.integers(0, 64, size=(k, n), dtype=np.uint8)
+    grad = rng.standard_normal(n)
+    hess = rng.uniform(0.1, 0.25, n)
+    calls = Counter()
+    for name in ("_build_hist", "_find_best_split"):
+        def counted(*args, _real=getattr(tree, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(tree, name, counted)
+    grown = tree.grow_tree(
+        binned, np.full(k, 64), np.zeros(k, dtype=bool), grad, hess, np.arange(k),
+        bin_counts(binned), num_leaves=8, max_depth=-1, min_data=20, lam=1.0,
+        learning_rate=0.1,
+    )
+    assert grown.n_leaves == 8
+    # the root, then one histogram and two scans for each split but the last
+    assert calls == {"_build_hist": 1 + 6, "_find_best_split": 1 + 2 * 6}

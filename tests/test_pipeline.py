@@ -4,16 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resplite import pipeline
 from resplite.pipeline import PipelineError, ablate, emit_synthetic, load_config, run
 from resplite.report import (
+    _CSV_BLOCK,
     RunReport,
     report_export,
     write_bar_chart_svg,
     write_predictions_csv,
 )
-from resplite.tabular import load_binary
+from resplite.tabular import ColumnRole, Schema, Table, load_binary
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,33 @@ class TestLoadConfig:
         doc.setdefault(section, {})[key] = value
         with pytest.raises(PipelineError, match="stage config: " + match):
             load_config(doc, env={})
+
+    @pytest.mark.parametrize("encoders, match", [
+        ({"frequency": {"features": "c0"}},
+         "encoders.frequency.features is 'c0', not a list or 'all_categorical'"),
+        ({"target": {"features": "c0"}},
+         "encoders.target.features is 'c0', not a list or 'all_categorical'"),
+        ({"target": {"features": ["c0", 1]}}, "an entry of encoders.target.features is 1"),
+        ({"target": {"targets": "install"}}, "encoders.target.targets is 'install', not list"),
+        ({"target": {"targets": ["install", None]}},
+         "an entry of encoders.target.targets is None, not str"),
+        ({"frequency": {"window": "prev_month"}},
+         "encoders.frequency.window is 'prev_month', not one of prev_day, prev_week"),
+    ])
+    def test_malformed_encoder_lists_fail_the_config_stage(self, encoders, match):
+        doc = {"paths": {"train": "a", "test": "b", "output_dir": "o"},
+               "split": {"valid_day": 66}, "encoders": encoders}
+        with pytest.raises(PipelineError, match="stage config: " + match):
+            load_config(doc, env={})
+
+    def test_encoder_lists_are_read(self):
+        doc = {"paths": {"train": "a", "test": "b", "output_dir": "o"},
+               "split": {"valid_day": 66},
+               "encoders": {"frequency": {"features": ["c1"], "window": "prev_day"},
+                            "target": {"targets": ["install"]}}}
+        cfg = load_config(doc, env={})
+        assert cfg.freq_features == ["c1"] and cfg.freq_window.value == "prev_day"
+        assert cfg.te_features == "all_categorical" and cfg.te_targets == ["install"]
 
     def test_env_override_that_is_no_json_bool_rejected(self):
         doc = {"paths": {"train": "a", "test": "b", "output_dir": "o"},
@@ -351,6 +380,69 @@ class TestReportExport:
         assert (tmp_path / "p.csv").read_bytes() == (
             b"a,0.000000\nb,0.000002\nc,1.000000\nd,0.000000\ne,1.000000\nf,0.123456\n"
         )
+
+
+def _reference_write_predictions_csv(row_ids, probabilities, path) -> None:
+    """The line-by-line writer that ``write_predictions_csv`` replaced."""
+    ids, probs = np.asarray(row_ids), np.asarray(probabilities)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for at in range(0, len(ids), 8192):
+            rows = zip(ids[at : at + 8192].tolist(), probs[at : at + 8192].tolist())
+            fh.write("".join("%s,%.6f\n" % row for row in rows))
+
+
+@st.composite
+def _rounding_edges(draw):
+    """A probability at or next to a six-decimal rounding half, or outside
+    the fast path: 0, 1, -0.0, NaN, infinities, values outside [0, 1]."""
+    k = draw(st.integers(0, 999_999))
+    half = (k + 0.5) / 1e6
+    return draw(st.sampled_from([
+        half, np.nextafter(half, 0.0), np.nextafter(half, 1.0), k / 1e6,
+        0.0, 1.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -1e-9, 5e-324,
+    ]))
+
+
+_IDS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.one_of(_IDS, st.text(st.characters(max_codepoint=127), max_size=5)),
+    st.one_of(_rounding_edges(), st.floats(0.0, 1.0)),
+), max_size=20))
+def test_predictions_csv_equals_the_line_by_line_writer(rows, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("csv")
+    ids = [i for i, _ in rows]
+    probs = np.array([p for _, p in rows], dtype=np.float64)
+    write_predictions_csv(ids, probs, tmp / "got.csv")
+    _reference_write_predictions_csv(ids, probs, tmp / "want.csv")
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+def test_row_ids_are_passed_as_the_column_itself():
+    labels = {"y": np.zeros(3, dtype=np.uint8)}
+    with_ids = Table.from_columns(
+        Schema((("id", ColumnRole.ROW_ID), ("y", ColumnRole.LABEL_INSTALL))),
+        {"id": ["r7", "r8", "r9"], **labels},
+    )
+    assert pipeline._row_ids(with_ids) is with_ids.col("id")
+    without = Table.from_columns(Schema((("y", ColumnRole.LABEL_INSTALL),)), labels)
+    assert pipeline._row_ids(without).tolist() == ["0", "1", "2"]
+
+
+def test_predictions_csv_blocks_fall_back_one_at_a_time(tmp_path):
+    # a rounding half in the second block sends only that block line by line
+    n = 2 * _CSV_BLOCK + 3
+    rng = np.random.Generator(np.random.PCG64(8))
+    probs = rng.random(n)
+    probs[_CSV_BLOCK + 5] = 0.0078125  # exactly 7812.5 millionths
+    ids = np.arange(n).astype(np.str_)
+    write_predictions_csv(ids, probs, tmp_path / "got.csv")
+    _reference_write_predictions_csv(ids, probs, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert f"\n{_CSV_BLOCK + 5},0.007812\n".encode() in got
 
 
 class TestSynthCommandBackend:

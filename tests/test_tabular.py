@@ -6,10 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from resplite import tabular
 from resplite.tabular import (
+    _pack_strings,
+    _unpack_strings,
     ColumnRole,
     MISSING_TOKEN,
     Schema,
@@ -376,6 +378,63 @@ def test_integer_categories_code_like_their_strings(values):
     assert np.array_equal(str_codes, codes) and str_dictionary == dictionary
 
 
+def _reference_unpack_strings(buf: bytes) -> list[str]:
+    """The string-by-string decode of a well-formed block, as
+    ``_unpack_strings`` did it before its fixed-width ASCII path."""
+    (count,) = struct.unpack_from("<Q", buf, 0)
+    offsets = np.frombuffer(buf, dtype="<u8", count=count + 1, offset=8).tolist()
+    blob = buf[8 + 8 * (count + 1):]
+    return [blob[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
+
+
+#: any text UTF-8 can hold (no lone surrogates), NUL and non-ASCII included
+_STRINGS = st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6), max_size=12)
+_ASCII_STRINGS = st.lists(st.text(st.characters(max_codepoint=127), max_size=6), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strings=st.one_of(_STRINGS, _ASCII_STRINGS))
+def test_string_block_round_trips(strings):
+    buf = _pack_strings(strings)
+    got = _unpack_strings(buf, "a block")
+    assert got.tolist() == strings == _reference_unpack_strings(buf)
+    assert all(type(s) is str for s in got.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(strings=st.one_of(_STRINGS, _ASCII_STRINGS), data=st.data())
+def test_truncated_string_block_errors(strings, data):
+    buf = _pack_strings(strings)
+    cut = data.draw(st.integers(0, len(buf) - 1))
+    with pytest.raises(TabularError, match="in a block"):
+        _unpack_strings(buf[:cut], "a block")
+
+
+@settings(max_examples=500, deadline=None)
+@given(strings=st.one_of(_STRINGS, _ASCII_STRINGS).filter(len), data=st.data())
+def test_string_block_with_other_offsets_errors_or_splits_the_same_bytes(strings, data):
+    buf = _pack_strings(strings)
+    count = len(strings)
+    offsets = np.frombuffer(buf, dtype="<u8", count=count + 1, offset=8).copy()
+    i = data.draw(st.integers(0, count))
+    new = data.draw(st.one_of(st.integers(0, int(offsets[-1]) + 2), st.integers(0, 2**64 - 1)))
+    assume(new != offsets[i])
+    offsets[i] = new
+    bad = buf[:8] + offsets.tobytes() + buf[8 + 8 * (count + 1):]
+    blob_len = len(buf) - 8 - 8 * (count + 1)
+    ends = offsets.tolist()
+    if not (ends[0] == 0 and ends == sorted(ends) and ends[-1] == blob_len):
+        with pytest.raises(TabularError, match="in a block"):
+            _unpack_strings(bad, "a block")
+        return
+    try:
+        got = _unpack_strings(bad, "a block")
+    except TabularError as exc:  # only a split UTF-8 character is left to reject
+        assert "not UTF-8" in str(exc)
+        return
+    assert _pack_strings(got.tolist()) == bad
+
+
 class TestSplit:
     def make(self, days):
         n = len(days)
@@ -465,6 +524,20 @@ class TestBinaryPersistence:
         dest = tmp_path / "t.rlt"
         save_binary(table, dest)
         assert load_binary(dest).col("id").tolist() == ids
+
+    @pytest.mark.parametrize("offsets", [(0, 5, 2, 6), (1, 2, 5, 6), (0, 2, 2, 1, 6)])
+    def test_corrupt_id_offsets_error(self, tmp_path, offsets):
+        # "ab", "cde", "f"; (0, 5, 2, 6) once decoded as "abcde", "", "cdef"
+        # and a first offset of 1 dropped a byte
+        schema = Schema((("id", ColumnRole.ROW_ID),))
+        table = Table.from_columns(schema, {"id": ["ab", "cde", "f"] + [""] * (len(offsets) - 4)})
+        dest = tmp_path / "t.rlt"
+        save_binary(table, dest)
+        good = _pack_strings(table.col("id").tolist())
+        bad = good[:8] + np.array(offsets, dtype="<u8").tobytes() + good[8 + 8 * len(offsets):]
+        dest.write_bytes(dest.read_bytes().replace(good, bad))
+        with pytest.raises(TabularError, match="string block in column 'id' has offsets"):
+            load_binary(dest)
 
     def test_wrong_magic_errors(self, tmp_path):
         path = tmp_path / "bad.rlt"
