@@ -136,11 +136,12 @@ def bin_column(fb: NumericBins | CategoricalBins, values: np.ndarray) -> np.ndar
     return out
 
 
-def bin_table(mapper: BinMapper, table: Table) -> np.ndarray:
-    """Binned feature matrix of shape (n_features, n_rows), one contiguous
-    uint8 row per feature.  Each column must have the role the mapper bins
-    it for: categorical under categorical bins, any other under numeric."""
-    out = np.empty((mapper.n_features, table.n_rows), dtype=np.uint8)
+def bin_table(mapper: BinMapper, table: Table, rows: slice = slice(None)) -> np.ndarray:
+    """Binned feature matrix of shape (n_features, n_rows) over the table's
+    ``rows``, one contiguous uint8 row per feature.  Each column must have
+    the role the mapper bins it for: categorical under categorical bins, any
+    other under numeric."""
+    out = np.empty((mapper.n_features, len(range(table.n_rows)[rows])), dtype=np.uint8)
     for j, name in enumerate(mapper.feature_names):
         role = table.schema.role(name)
         if (role is ColumnRole.CATEGORICAL) != mapper.is_categorical(j):
@@ -149,7 +150,7 @@ def bin_table(mapper: BinMapper, table: Table) -> np.ndarray:
                 f"feature {name!r} is {role.value} in the table "
                 f"but the model bins it as {binned_as}"
             )
-        out[j] = bin_column(mapper.feature_bins[j], table.col(name))
+        out[j] = bin_column(mapper.feature_bins[j], table.col(name)[rows])
     return out
 
 

@@ -4,6 +4,11 @@ format.
 
 Scores and histogram sums are accumulated in float64 throughout; given the
 same params, data, and seed the fit is bit-reproducible.
+
+Prediction compiles every tree once, then scores the table in blocks of
+rows: a block is binned, its trees' leaf values are added in tree order, and
+its scores (or their sigmoid) are written into the one output array, so no
+full-length temporary is made beyond that output.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ from .binning import (
     mapper_to_json,
 )
 from .tree import (
+    _SCORE_BLOCK,
     Node,
+    _compile,
+    _leaf_values,
     bin_counts,
     count_leaves,
     grow_tree,
@@ -238,18 +246,30 @@ def _accumulate_splits(node: Node, counts: np.ndarray) -> None:
         _accumulate_splits(node.right, counts)
 
 
+def _score(model: GbdtModel, table: Table, link=None) -> np.ndarray:
+    """``link`` of every row's raw score, computed one row block at a time;
+    the sum runs over the trees in order, as in :func:`fit`."""
+    trees = [_compile(root) for root in model.trees]
+    out = np.empty(table.n_rows, dtype=np.float64)
+    # at least one block, so that a table of no rows is checked too
+    for start in range(0, max(table.n_rows, 1), _SCORE_BLOCK):
+        rows = slice(start, start + _SCORE_BLOCK)
+        binned = bin_table(model.bin_mapper, table, rows)
+        scores = np.full(binned.shape[1], model.base_score, dtype=np.float64)
+        for tree in trees:
+            scores += _leaf_values(tree, binned)
+        out[rows] = scores if link is None else link(scores)
+    return out
+
+
 def predict_raw(model: GbdtModel, table: Table) -> np.ndarray:
     """Raw additive scores (log-odds); monotone in predicted probability."""
-    binned = bin_table(model.bin_mapper, table)
-    scores = np.full(table.n_rows, model.base_score, dtype=np.float64)
-    for root in model.trees:
-        scores += tree_output(root, binned)
-    return scores
+    return _score(model, table)
 
 
 def predict(model: GbdtModel, table: Table) -> np.ndarray:
     """Predicted installation probabilities for each row."""
-    return sigmoid(predict_raw(model, table))
+    return _score(model, table, sigmoid)
 
 
 def feature_importance(model: GbdtModel) -> list[tuple[str, int]]:

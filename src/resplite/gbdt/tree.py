@@ -376,26 +376,34 @@ def _compile(root: Node) -> tuple[np.ndarray, list[tuple[int, list]]]:
     return np.asarray(values, dtype=np.float64), words
 
 
+def _leaf_values(compiled: tuple[np.ndarray, list], cols: np.ndarray) -> np.ndarray:
+    """Per-column leaf values of ``cols``, one block of a binned matrix, in
+    a tree compiled by :func:`_compile`."""
+    values, words = compiled
+    leaf = None
+    # the exit leaf is in the first word with a surviving bit
+    for w in reversed(range(len(words))):
+        valid, masks = words[w]
+        v = np.full(cols.shape[1], valid, dtype=np.uint64)
+        for f, table in masks:
+            v &= np.take(table, cols[f])
+        # v ^ (v - 1) keeps the lowest set bit and sets every bit below
+        # it, so its popcount is that bit's index + 1
+        low = np.bitwise_count(v ^ (v - 1)).astype(np.intp) + (64 * w - 1)
+        leaf = low if leaf is None else np.where(v != 0, low, leaf)
+    return np.take(values, leaf)
+
+
 def tree_output(root: Node, binned: np.ndarray) -> np.ndarray:
     """Route every column of the binned matrix through the tree and return
     the per-row leaf values."""
-    values, words = _compile(root)
+    compiled = _compile(root)
     n = binned.shape[1]
     out = np.empty(n, dtype=np.float64)
     for start in range(0, n, _SCORE_BLOCK):
-        cols = binned[:, start : start + _SCORE_BLOCK]
-        leaf = None
-        # the exit leaf is in the first word with a surviving bit
-        for w in reversed(range(len(words))):
-            valid, masks = words[w]
-            v = np.full(cols.shape[1], valid, dtype=np.uint64)
-            for f, table in masks:
-                v &= np.take(table, cols[f])
-            # v ^ (v - 1) keeps the lowest set bit and sets every bit below
-            # it, so its popcount is that bit's index + 1
-            low = np.bitwise_count(v ^ (v - 1)).astype(np.intp) + (64 * w - 1)
-            leaf = low if leaf is None else np.where(v != 0, low, leaf)
-        out[start : start + _SCORE_BLOCK] = np.take(values, leaf)
+        out[start : start + _SCORE_BLOCK] = _leaf_values(
+            compiled, binned[:, start : start + _SCORE_BLOCK]
+        )
     return out
 
 

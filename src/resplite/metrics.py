@@ -5,6 +5,11 @@ background positive rate).
 All logs are natural.  Labels are {0,1} externally; the ±1 label convention
 some definitions use reduces to the same per-row weights under
 ``y = 2*label - 1``, so no separate code path is needed.
+
+AUC is an exact pair count: one class's predictions are sorted, and each row
+of the other class counts the rows it beats and ties with two binary
+searches.  Beyond one copy of each class there, the metrics make no
+full-length temporary but one float buffer (two in :func:`sigmoid`).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ class EvalBatch:
             raise MetricError("labels and predictions must have equal length")
         if len(labels) == 0:
             raise MetricError("batch is empty")
-        if not np.isin(labels, (0.0, 1.0)).all():
+        if np.count_nonzero(labels == 0.0) + np.count_nonzero(labels == 1.0) != len(labels):
             raise MetricError("labels must be 0 or 1")
         if np.isnan(preds).any() or preds.min() < 0.0 or preds.max() > 1.0:
             raise MetricError("predictions must be probabilities in [0, 1]")
@@ -65,52 +70,52 @@ class NceResult:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function of log-odds, without overflow for large |z|."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Logistic function of log-odds, without overflow for large |z|:
+    ``1 / (1 + e)`` where z >= 0 and ``e / (1 + e)`` elsewhere, with
+    ``e = exp(-|z|)``."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.add(e, 1.0)
+    np.divide(e, out, out=out, where=z < 0)
+    np.divide(1.0, out, out=out, where=z >= 0)
     return out
 
 
 def logloss(batch: EvalBatch) -> float:
     """Mean negative log likelihood of the labels under the predictions."""
     p = batch.predictions
-    y = batch.labels
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
-
-
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their group's average rank."""
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    ranks = np.empty(len(scores), dtype=np.float64)
-    # group boundaries of equal sorted scores
-    boundary = np.flatnonzero(np.diff(sorted_scores)) + 1
-    starts = np.concatenate(([0], boundary))
-    ends = np.concatenate((boundary, [len(scores)]))
-    avg = (starts + ends + 1) / 2.0  # mean of 1-based ranks start+1..end
-    group_of = np.repeat(np.arange(len(starts)), ends - starts)
-    ranks[order] = avg[group_of]
-    return ranks
+    terms = np.negative(p)
+    np.log1p(terms, out=terms)
+    np.log(p, out=terms, where=batch.labels == 1.0)
+    return float(-np.mean(terms))
 
 
 def auc(batch: EvalBatch) -> float:
-    """ROC AUC via the rank statistic, with ties counted half.
+    """ROC AUC as the pair count: (#(pos, neg) pairs where the positive
+    outranks the negative, plus half the tied pairs) / (n_pos*n_neg).
 
-    Equals the pair-count definition exactly: (#(pos, neg) pairs where the
-    positive outranks the negative, plus half the tied pairs) / (n_pos*n_neg).
+    The larger class is sorted.  For each row of the other class, two
+    ``searchsorted`` calls give the sorted rows below it and at or below it;
+    their sum counts the pairs it wins twice and its ties once.  When the
+    positives are the sorted class this counts the negatives' wins, and the
+    positives' count is the rest of ``2 * n_pos * n_neg``.  The count is an
+    exact integer, equal to twice the Mann-Whitney U of the rank statistic.
     """
     if not batch.has_both_classes():
         raise MetricError("AUC is undefined for a single-class batch")
-    y = batch.labels
-    ranks = _average_ranks(batch.predictions)
-    n_pos = int(y.sum())
+    is_pos = batch.labels == 1.0
+    n_pos = int(np.count_nonzero(is_pos))
     n_neg = batch.n - n_pos
-    rank_sum = float(ranks[y == 1.0].sum())
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    sort_pos = n_pos > n_neg
+    ref = batch.predictions[is_pos if sort_pos else ~is_pos]
+    ref.sort()
+    query = batch.predictions[~is_pos if sort_pos else is_pos]
+    twice = int(np.searchsorted(ref, query, side="left").sum())
+    twice += int(np.searchsorted(ref, query, side="right").sum())
+    if sort_pos:
+        twice = 2 * n_pos * n_neg - twice
+    return twice / 2 / (n_pos * n_neg)
 
 
 def nce(batch: EvalBatch) -> NceResult:

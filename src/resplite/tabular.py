@@ -516,14 +516,25 @@ def ingest_csv_group(paths: list[str | Path], schema: Schema) -> list[Table]:
 
 
 def _pack_strings(values) -> bytes:
-    blobs = [s.encode("utf-8") for s in values]
-    offsets = np.zeros(len(blobs) + 1, dtype="<u8")
-    np.cumsum([len(b) for b in blobs], out=offsets[1:])
-    return (
-        struct.pack("<Q", len(blobs))
-        + offsets.tobytes()
-        + b"".join(blobs)
-    )
+    """A string block: the count, the ascending byte offsets, then the UTF-8
+    bytes of every string.  An ASCII ``<U`` array is packed from its code
+    points, one character position at a time (the inverse of the fast path
+    of :func:`_unpack_strings`); any other input string by string."""
+    chars = None
+    if isinstance(values, np.ndarray) and values.dtype.kind == "U" and values.size:
+        chars = np.ascontiguousarray(values).view(np.uint32).reshape(len(values), -1)
+    if chars is not None and chars.max() < 128:
+        # a <U array pads with NULs: a string ends after its last non-NUL
+        lengths = np.zeros(len(values), dtype=np.intp)
+        for j in range(chars.shape[1]):
+            lengths[chars[:, j] != 0] = j + 1
+        blob = chars[np.arange(chars.shape[1]) < lengths[:, None]].astype(np.uint8).tobytes()
+    else:
+        blobs = [s.encode("utf-8") for s in values]
+        lengths, blob = [len(b) for b in blobs], b"".join(blobs)
+    offsets = np.zeros(len(lengths) + 1, dtype="<u8")
+    np.cumsum(lengths, out=offsets[1:])
+    return struct.pack("<Q", len(lengths)) + offsets.tobytes() + blob
 
 
 def _unpack_strings(buf: bytes, what: str) -> np.ndarray:
@@ -589,7 +600,7 @@ def save_binary(table: Table, path: str | Path) -> None:
         for name, role in table.schema.columns:
             arr = table.col(name)
             if role is ColumnRole.ROW_ID:
-                payload = _pack_strings(arr.tolist())
+                payload = _pack_strings(arr)
             else:
                 payload = arr.astype(_ROLE_WIRE_DTYPES[role]).tobytes()
                 if role is ColumnRole.CATEGORICAL:

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from resplite.gbdt.binning import (
     build_bin_mapper,
 )
 from resplite.gbdt.boosting import _grad_hess
-from resplite.gbdt.tree import Node, _build_hist, _left_mask, node_from_json
+from resplite.gbdt.tree import _SCORE_BLOCK, Node, _build_hist, _left_mask, node_from_json
 from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, Table
 
 from conftest import make_cat_table, make_table
@@ -319,6 +320,8 @@ class TestPredict:
         )
         with pytest.raises(GbdtError, match="'cat'"):
             predict(cat_model, raw)
+        with pytest.raises(GbdtError, match="'cat'"):  # with no rows too
+            predict(cat_model, raw.take(np.arange(0)))
         # and the reverse: categorical under numeric bins
         num_model = fit(params, raw, raw, ["cat"])
         with pytest.raises(GbdtError, match="'cat'"):
@@ -634,6 +637,75 @@ class TestTreeOutput:
         want = _reference_tree_output(node, binned)
         assert len(np.unique(want)) == 65
         assert np.array_equal(tree_output(node, binned), want)
+
+
+def _scoring_table(rng, n):
+    """A table of a continuous x0 (10% missing), a categorical c0 of 12
+    codes and a continuous x1, with a random label."""
+    x0 = rng.standard_normal(n)
+    x0[rng.random(n) < 0.1] = np.nan
+    schema = Schema((("day", ColumnRole.DAY), ("x0", ColumnRole.CONTINUOUS),
+                     ("c0", ColumnRole.CATEGORICAL), ("x1", ColumnRole.CONTINUOUS),
+                     ("y", ColumnRole.LABEL_INSTALL)))
+    columns = {"day": np.full(n, 45), "x0": x0, "c0": rng.integers(0, 12, n).astype(np.int32),
+               "x1": rng.standard_normal(n), "y": rng.integers(0, 2, n).astype(np.uint8)}
+    dictionary = [MISSING_TOKEN] + [f"k{i}" for i in range(1, 12)]
+    return Table.from_columns(schema, columns, {"c0": dictionary})
+
+
+def _random_model(rng, n_trees, n_leaves) -> GbdtModel:
+    """A model of random trees over the bins of a 2,000-row scoring table."""
+    mapper = build_bin_mapper(_scoring_table(rng, 2000), ["x0", "c0", "x1"], 255)
+    n_bins = mapper.n_bins()
+    is_cat = np.array([mapper.is_categorical(j) for j in range(3)])
+    trees = [_random_tree(rng, n_leaves, n_bins, is_cat) for _ in range(n_trees)]
+    return GbdtModel(params=GbdtParams(), feature_names=mapper.feature_names,
+                     bin_mapper=mapper, base_score=-1.3, trees=trees,
+                     best_iteration=n_trees, split_counts=np.zeros(3, dtype=np.int64))
+
+
+class TestRowBlockScoring:
+    B = _SCORE_BLOCK
+
+    # 40 leaves fit one 64-leaf word; 150 leaves take three
+    @pytest.mark.parametrize("n_leaves", [40, 150])
+    @pytest.mark.parametrize("n_rows", [0, 1, B - 1, B, B + 1, 2 * B + 7])
+    def test_equals_the_per_tree_sum(self, n_rows, n_leaves):
+        rng = np.random.Generator(np.random.PCG64(n_rows * 1000 + n_leaves))
+        model = _random_model(rng, 3, n_leaves)
+        table = _scoring_table(rng, n_rows)
+        binned = bin_table(model.bin_mapper, table)
+        want = np.full(n_rows, model.base_score)
+        for root in model.trees:
+            want += tree_output(root, binned)
+        raw = predict_raw(model, table)
+        assert raw.dtype == np.float64 and raw.shape == (n_rows,)
+        assert np.array_equal(raw.view(np.uint64), want.view(np.uint64))
+        probs = predict(model, table)
+        assert np.array_equal(probs.view(np.uint64), metrics.sigmoid(want).view(np.uint64))
+
+    def test_scoring_and_evaluation_peak_per_row(self):
+        # at 200k rows predict holds its output (8 bytes a row) and one
+        # block's temporaries: 17 bytes a row.  The metrics add the batch's
+        # two float64 copies and about one float buffer of temporaries: 39
+        # bytes a row.  Two more full-length float64 arrays alive at once
+        # (16 bytes a row) break either bound
+        n = 200_000
+        rng = np.random.Generator(np.random.PCG64(4))
+        model = _random_model(rng, 20, 63)
+        table = _scoring_table(rng, n)
+        tracemalloc.start()
+        try:
+            probs = predict(model, table)
+            _, predict_peak = tracemalloc.get_traced_memory()
+            batch = metrics.EvalBatch(table.col("y"), probs)
+            metrics.nce(batch)
+            metrics.auc(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert predict_peak / n < 24, f"predict peak {predict_peak / n:.1f} bytes a row"
+        assert peak / n < 48, f"peak {peak / n:.1f} bytes a row"
 
 
 def _mixed_tables(seed, n=1200):

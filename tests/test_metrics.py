@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from resplite.metrics import EvalBatch, MetricError, auc, logloss, nce
+from resplite.metrics import EPS, EvalBatch, MetricError, auc, logloss, nce, sigmoid
 
 
 def brute_force_auc(labels, preds):
@@ -137,3 +138,92 @@ class TestJointInvariance:
         assert logloss(a) == pytest.approx(logloss(b), abs=1e-12)
         assert auc(a) == pytest.approx(auc(b), abs=1e-12)
         assert nce(a).nce == pytest.approx(nce(b).nce, abs=1e-12)
+
+
+def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The body ``sigmoid`` had before it moved to two buffers: a gather,
+    an exp and a divide per sign."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_logloss(batch: EvalBatch) -> float:
+    """The body ``logloss`` had before it moved to one buffer."""
+    p = batch.predictions
+    y = batch.labels
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+
+
+#: the edge inputs of the bit-identity tests: ±0, exp's underflow edge, ±inf
+_EDGES = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf]
+_LOGITS = st.lists(
+    st.one_of(st.floats(allow_nan=False), st.sampled_from(_EDGES),
+              st.floats(-40, 40, allow_nan=False)),
+    min_size=1, max_size=60,
+)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestBitIdentityWithTheReferenceBodies:
+    @settings(max_examples=300, deadline=None)
+    @given(z=_LOGITS)
+    @example(z=_EDGES)
+    def test_sigmoid(self, z):
+        z = np.asarray(z, dtype=np.float64)
+        assert np.array_equal(_bits(sigmoid(z)), _bits(_reference_sigmoid(z)))
+
+    def test_sigmoid_keeps_nan_a_nan(self):
+        # a NaN stays NaN, but exp(-|z|) may flip its sign bit, so only
+        # NaN-ness is compared
+        z = np.array([np.nan, -np.nan, 1.0, -1.0])
+        got, want = sigmoid(z), _reference_sigmoid(z)
+        assert np.isnan(got[:2]).all() and np.isnan(want[:2]).all()
+        assert np.array_equal(_bits(got[2:]), _bits(want[2:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=_LOGITS, data=st.data())
+    @example(z=_EDGES, data=None)
+    def test_logloss_of_sigmoid(self, z, data):
+        z = np.asarray(z, dtype=np.float64)
+        if data is None:
+            labels = np.arange(len(z)) % 2
+        else:
+            labels = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=len(z),
+                                                   max_size=len(z))))
+        batch = EvalBatch(labels, sigmoid(z))
+        assert _bits(logloss(batch)) == _bits(_reference_logloss(batch))
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_logloss_at_the_clamp(self, label):
+        preds = np.array([0.0, -0.0, 1.0, EPS, 1 - EPS, EPS / 2, 1 - EPS / 2, 0.5])
+        batch = EvalBatch(np.full(len(preds), label), preds)
+        assert _bits(logloss(batch)) == _bits(_reference_logloss(batch))
+
+
+#: predictions on a coarse grid (heavy ties) plus values at and beyond the
+#: clamp, which EvalBatch folds onto EPS and 1 - EPS
+_PREDICTIONS = st.one_of(
+    st.sampled_from([0.0, EPS / 3, EPS, 0.25, 0.5, 0.75, 1 - EPS, 1 - EPS / 3, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestAucPairCount:
+    @settings(max_examples=400, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 1), _PREDICTIONS), min_size=2, max_size=80))
+    @example(rows=[(1, 0.3), (0, 0.3)])
+    @example(rows=[(1, 0.0), (0, EPS), (0, 1e-300), (0, 0.5)])  # a single positive
+    @example(rows=[(0, 1.0), (1, 1 - EPS), (1, 1 - 1e-17), (1, 0.5)])  # a single negative
+    def test_equals_the_pair_count_oracle(self, rows):
+        labels = np.array([label for label, _ in rows])
+        if labels.min() == labels.max():
+            labels[0] = 1 - labels[0]
+        batch = EvalBatch(labels, np.array([p for _, p in rows]))
+        assert auc(batch) == brute_force_auc(labels, batch.predictions)

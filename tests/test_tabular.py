@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from resplite import tabular
 from resplite.tabular import (
@@ -399,6 +399,24 @@ def test_string_block_round_trips(strings):
     got = _unpack_strings(buf, "a block")
     assert got.tolist() == strings == _reference_unpack_strings(buf)
     assert all(type(s) is str for s in got.tolist())
+
+
+def _reference_pack_strings(values) -> bytes:
+    """The string-by-string ``_pack_strings`` from before its ``<U`` path."""
+    blobs = [s.encode("utf-8") for s in values]
+    offsets = np.zeros(len(blobs) + 1, dtype="<u8")
+    np.cumsum([len(b) for b in blobs], out=offsets[1:])
+    return struct.pack("<Q", len(blobs)) + offsets.tobytes() + b"".join(blobs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strings=st.one_of(_STRINGS, _ASCII_STRINGS))
+@example(strings=["a\0b", "", "\0", "ab"])  # NULs inside, and a <U pad
+@example(strings=["12", "é", "3"])
+def test_id_array_packs_like_its_strings(strings):
+    # a <U array drops trailing NULs: its strings are what tolist() returns
+    arr = np.array(strings, dtype=np.str_)
+    assert _pack_strings(arr) == _reference_pack_strings(arr.tolist())
 
 
 @settings(max_examples=300, deadline=None)
