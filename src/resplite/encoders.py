@@ -247,10 +247,13 @@ def apply_encoders(states: list[EncoderState], table: Table) -> Table:
 
 
 def save_states(states: list[EncoderState], path) -> None:
-    doc = {"encoders": [s.to_json_dict() for s in states]}
+    """Write ``{"encoders": [...]}`` a state at a time, as one ``json.dumps`` would."""
     # json.dumps uses the C encoder; json.dump to a file never does
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        fh.write('{"encoders": [')
+        for i, state in enumerate(states):
+            fh.write((", " if i else "") + json.dumps(state.to_json_dict(), sort_keys=True))
+        fh.write("]}\n")
 
 
 def load_states(path) -> list[EncoderState]:

@@ -92,9 +92,9 @@ def _numeric_thresholds(values: np.ndarray, max_bins: int) -> np.ndarray:
 
 
 def build_bin_mapper(
-    table: Table, feature_names: list[str], max_bins: int
+    table: Table, feature_names: list[str], max_bins: int, rows: slice | np.ndarray = slice(None)
 ) -> BinMapper:
-    """Compute per-feature bins from the given (training) table."""
+    """Compute per-feature bins from the given (training) ``rows`` of the table."""
     bins: list[NumericBins | CategoricalBins] = []
     for name in feature_names:
         role = table.schema.role(name)
@@ -107,7 +107,7 @@ def build_bin_mapper(
             )
         else:
             bins.append(
-                NumericBins(_numeric_thresholds(table.col(name), max_bins))
+                NumericBins(_numeric_thresholds(table.col(name)[rows], max_bins))
             )
     return BinMapper(tuple(feature_names), tuple(bins))
 
@@ -136,12 +136,15 @@ def bin_column(fb: NumericBins | CategoricalBins, values: np.ndarray) -> np.ndar
     return out
 
 
-def bin_table(mapper: BinMapper, table: Table, rows: slice = slice(None)) -> np.ndarray:
+def bin_table(
+    mapper: BinMapper, table: Table, rows: slice | np.ndarray = slice(None)
+) -> np.ndarray:
     """Binned feature matrix of shape (n_features, n_rows) over the table's
-    ``rows``, one contiguous uint8 row per feature.  Each column must have
-    the role the mapper bins it for: categorical under categorical bins, any
-    other under numeric."""
-    out = np.empty((mapper.n_features, len(range(table.n_rows)[rows])), dtype=np.uint8)
+    ``rows`` (a slice or an index array), one contiguous uint8 row per
+    feature.  Each column must have the role the mapper bins it for:
+    categorical under categorical bins, any other under numeric."""
+    n = len(range(table.n_rows)[rows]) if isinstance(rows, slice) else len(rows)
+    out = np.empty((mapper.n_features, n), dtype=np.uint8)
     for j, name in enumerate(mapper.feature_names):
         role = table.schema.role(name)
         if (role is ColumnRole.CATEGORICAL) != mapper.is_categorical(j):

@@ -138,8 +138,10 @@ def fit(
     train: Table,
     valid: Table,
     feature_names: list[str] | None = None,
+    rows: slice | np.ndarray = slice(None),
 ) -> GbdtModel:
-    """Boost trees on the train table, early-stopping on validation log loss.
+    """Boost trees on the train table's ``rows`` (an index array or a slice;
+    all rows by default), early-stopping on validation log loss.
 
     Keeps trees up to the iteration with the lowest validation loss (first
     minimum on ties).  The validation table must be non-empty; the train
@@ -156,14 +158,15 @@ def fit(
         raise GbdtError("no feature columns given")
     _check_features(train, feature_names)
 
-    y_train = train.col(target).astype(np.float64)
-    y_valid = valid.col(target).astype(np.float64)
+    # 0/1 labels stay uint8: they convert exactly wherever floats meet them
+    y_train = train.col(target)[rows]
+    y_valid = valid.col(target)
     pos_rate = float(y_train.mean())
     if pos_rate <= 0.0 or pos_rate >= 1.0:
         raise GbdtError("train labels are single-class; cannot fit")
 
-    mapper = build_bin_mapper(train, feature_names, params.max_bins)
-    binned_train = bin_table(mapper, train)
+    mapper = build_bin_mapper(train, feature_names, params.max_bins, rows)
+    binned_train = bin_table(mapper, train, rows)
     binned_valid = bin_table(mapper, valid)
     n_bins_all = mapper.n_bins()
     root_counts = bin_counts(binned_train)
@@ -172,7 +175,7 @@ def fit(
     )
 
     base_score = math.log(pos_rate / (1.0 - pos_rate))
-    scores = np.full(train.n_rows, base_score, dtype=np.float64)
+    scores = np.full(len(y_train), base_score, dtype=np.float64)
     valid_scores = np.full(valid.n_rows, base_score, dtype=np.float64)
 
     rng = np.random.Generator(np.random.PCG64(params.seed))

@@ -15,7 +15,10 @@ Determinism rules: the split is the first maximum of gain over features in
 ascending index order and then over bins, so ties keep the lowest feature
 index and lowest bin; equal-gain leaves split in creation order; missing
 values go left on exact gain ties.  Sibling histograms are derived by
-subtraction from the parent (smaller child built directly).
+subtraction from the parent (smaller child built directly).  With b splits
+left in the leaf budget, only the b smallest heap keys can still be popped,
+so the other frontier leaves drop their histograms and stay leaves; this
+cannot change the tree.
 
 Scoring walks no nodes (QuickScorer, Lucchese et al. 2015, over histogram
 bins).  Leaves are numbered left to right and each row carries one bit per
@@ -308,10 +311,10 @@ def grow_tree(
         if n_leaves == num_leaves:
             break  # the children stay leaves: no histogram, no scan
 
-        # build the smaller child's histogram directly, derive the sibling
+        # build the smaller child's histogram directly, derive the sibling's in place
         small, big = (left, right) if left.count <= right.count else (right, left)
         small.hist = _build_hist(binned, subset, small.rows, grad, hess)
-        big.hist = leaf.hist - small.hist
+        big.hist = np.subtract(leaf.hist, small.hist, out=leaf.hist)
         leaf.hist = None
 
         for child in (left, right):
@@ -321,7 +324,11 @@ def grow_tree(
                 child.hist = None
                 continue
             seq += 1
-            heapq.heappush(heap, (-child.split.gain, seq, child))
+            heap.append((-child.split.gain, seq, child))
+        heap.sort()  # keys are unique, and a sorted list is a heap
+        for _, _, rest in heap[num_leaves - n_leaves :]:  # never to be popped
+            rest.hist = None
+        del heap[num_leaves - n_leaves :]
 
     leaf_updates: list[tuple[np.ndarray, float]] = []
 

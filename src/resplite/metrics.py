@@ -30,15 +30,16 @@ class MetricError(ValueError):
 class EvalBatch:
     """A batch of {0,1} labels with predicted probabilities.
 
-    Predictions are clamped into ``[EPS, 1 - EPS]`` at construction so no
-    downstream log can saturate.
+    Labels are kept as a bool array (one byte a row; sums of 0/1 values are
+    exact in any order).  Predictions are clamped into ``[EPS, 1 - EPS]`` at
+    construction so no downstream log can saturate.
     """
 
     labels: np.ndarray
     predictions: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.float64)
+        labels = np.asarray(self.labels)
         preds = np.asarray(self.predictions, dtype=np.float64)
         if labels.ndim != 1 or preds.ndim != 1:
             raise MetricError("labels and predictions must be one-dimensional")
@@ -46,11 +47,12 @@ class EvalBatch:
             raise MetricError("labels and predictions must have equal length")
         if len(labels) == 0:
             raise MetricError("batch is empty")
-        if np.count_nonzero(labels == 0.0) + np.count_nonzero(labels == 1.0) != len(labels):
+        is_pos = labels == 1
+        if np.count_nonzero(labels == 0) + np.count_nonzero(is_pos) != len(labels):
             raise MetricError("labels must be 0 or 1")
         if np.isnan(preds).any() or preds.min() < 0.0 or preds.max() > 1.0:
             raise MetricError("predictions must be probabilities in [0, 1]")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", is_pos)
         object.__setattr__(self, "predictions", np.clip(preds, EPS, 1.0 - EPS))
 
     @property
@@ -87,7 +89,7 @@ def logloss(batch: EvalBatch) -> float:
     p = batch.predictions
     terms = np.negative(p)
     np.log1p(terms, out=terms)
-    np.log(p, out=terms, where=batch.labels == 1.0)
+    np.log(p, out=terms, where=batch.labels)
     return float(-np.mean(terms))
 
 
@@ -104,7 +106,7 @@ def auc(batch: EvalBatch) -> float:
     """
     if not batch.has_both_classes():
         raise MetricError("AUC is undefined for a single-class batch")
-    is_pos = batch.labels == 1.0
+    is_pos = batch.labels
     n_pos = int(np.count_nonzero(is_pos))
     n_neg = batch.n - n_pos
     sort_pos = n_pos > n_neg

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import resource
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -51,13 +52,12 @@ from .tabular import (
     ColumnRole,
     Schema,
     SplitPlan,
-    SplitResult,
     Table,
     TabularError,
     ingest_csv_group,
     load_binary,
     save_binary,
-    split as temporal_split,
+    split_rows,
 )
 
 ENV_PREFIX = "RLT_"
@@ -270,6 +270,8 @@ def _timed(report: RunReport, stage: str, fn):
     except Exception as exc:
         raise PipelineError(stage, exc) from exc
     report.timings[stage] = time.perf_counter() - t0
+    # the process's peak so far: ru_maxrss is in KiB on Linux
+    report.peak_rss_mb[stage] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return result
 
 
@@ -392,13 +394,15 @@ def encode_stage(
 
 def train_stage(
     table: Table, plan: SplitPlan, params: GbdtParams, out_dir: Path
-) -> tuple[SplitResult, GbdtModel]:
-    """Split ``table`` by the plan (see :meth:`SplitPlan.resolve`), fit the
-    GBDT with early stopping on the valid day, and write ``model.json``."""
-    parts = temporal_split(table, plan)
-    model = gbdt_fit(params, parts.train, parts.valid)
+) -> tuple[np.ndarray, Table, GbdtModel]:
+    """Fit the GBDT on the plan's train rows of ``table`` (see :func:`split_rows`),
+    early-stopping on the valid day, and write ``model.json``.  Returns the
+    train row indices, the valid day's table and the model."""
+    train_rows, valid_rows = split_rows(table, plan)
+    valid = table.take(valid_rows)
+    model = gbdt_fit(params, table, valid, rows=train_rows)
     save_model(model, out_dir / "model.json")
-    return parts, model
+    return train_rows, valid, model
 
 
 def predict_stage(model: GbdtModel, table: Table, path: Path) -> np.ndarray:
@@ -493,7 +497,7 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
             report.sections["encoding"]["re_audit_dropped"] = re_report.dropped()
 
     if config.stages.get("train", True):
-        parts, model = _timed(report, "train", lambda: train_stage(
+        train_rows, valid, model = _timed(report, "train", lambda: train_stage(
             tables[0], plan, config.gbdt, out_dir
         ))
         importance = feature_importance(model)
@@ -504,15 +508,15 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
             "features": list(model.feature_names),
             "best_iteration": model.best_iteration,
             "trees": model.n_trees,
-            "train_rows": parts.train.n_rows,
-            "valid_rows": parts.valid.n_rows,
+            "train_rows": len(train_rows),
+            "valid_rows": valid.n_rows,
             "importance": [[name, count] for name, count in importance],
         }
 
         def evaluate():
-            valid_probs = predict_stage(model, parts.valid, out_dir / "valid_predictions.csv")
-            install = parts.valid.schema.require_install()
-            section = {"valid": _metrics_dict(parts.valid.col(install), valid_probs)}
+            valid_probs = predict_stage(model, valid, out_dir / "valid_predictions.csv")
+            install = valid.schema.require_install()
+            section = {"valid": _metrics_dict(valid.col(install), valid_probs)}
             test = tables[1]
             if test.n_rows:
                 test_probs = predict_stage(model, test, out_dir / "test_predictions.csv")

@@ -4,9 +4,10 @@ Every JSON report of the program is written by :func:`write_json` and every
 CSV report by :func:`write_rows`.  Everything written here is
 byte-deterministic for a given report: floats are formatted with fixed
 precision or shortest-round-trip repr, JSON keys are sorted, and the SVG
-writer emits no timestamps or generated ids.  Wall-clock timings are the one
-exception and live in their own file, ``timings.json``, so the main report
-stays byte-comparable across runs.
+writer emits no timestamps or generated ids.  Wall-clock timings, and the
+peak RSS at the end of each stage, are the one exception and live in their
+own file, ``timings.json``, so the main report stays byte-comparable across
+runs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class RunReport:
     stages: dict[str, bool]
     sections: dict[str, dict] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
+    peak_rss_mb: dict[str, float] = field(default_factory=dict)
     version: str = __version__
     # in-memory extras used by exports
     adversarial: AdvReport | None = None
@@ -71,7 +73,9 @@ def write_rows(path, header, rows) -> None:
 
 def save_report_json(report: RunReport, out_dir: Path) -> None:
     write_json(out_dir / "report.json", report.to_json_dict())
-    write_json(out_dir / "timings.json", {k: round(v, 6) for k, v in report.timings.items()})
+    timings = {k: round(v, 6) for k, v in report.timings.items()}
+    peak = {"peak_rss_mb": report.peak_rss_mb} if report.peak_rss_mb else {}
+    write_json(out_dir / "timings.json", {**timings, **peak})
 
 
 # ---------------------------------------------------------------------------

@@ -363,17 +363,20 @@ class SplitResult:
     valid: Table
 
 
-def split(table: Table, plan: SplitPlan) -> SplitResult:
-    """Partition rows by day per the resolved plan (see
-    :meth:`SplitPlan.resolve`), preserving row order within parts.  Rows
-    whose day is not covered by the plan are excluded."""
+def split_rows(table: Table, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending indices of the train rows and of the valid rows per the
+    resolved plan (see :meth:`SplitPlan.resolve`).  Rows whose day is not
+    covered by the plan are in neither."""
     days = table.day_values
     plan = plan.resolve(days)
-    idx = np.arange(table.n_rows)
-    return SplitResult(
-        train=table.take(idx[np.isin(days, sorted(plan.train_days))]),
-        valid=table.take(idx[days == plan.valid_day]),
-    )
+    train = np.flatnonzero(np.isin(days, sorted(plan.train_days)))
+    return train, np.flatnonzero(days == plan.valid_day)
+
+
+def split(table: Table, plan: SplitPlan) -> SplitResult:
+    """The rows of :func:`split_rows` as tables, in row order."""
+    train, valid = split_rows(table, plan)
+    return SplitResult(train=table.take(train), valid=table.take(valid))
 
 
 # ---------------------------------------------------------------------------

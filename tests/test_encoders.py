@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,6 +257,22 @@ class TestApplyAndPersist:
         for s1, s2 in zip(states, again):
             assert np.array_equal(transform(s1, table), transform(s2, table))
             assert s2.column_name == s1.column_name
+
+    @pytest.mark.parametrize("n_states", [0, 1, 3])
+    def test_state_file_is_the_whole_document_dump(self, tmp_path, n_states):
+        # states are written one at a time; the bytes are those of one
+        # json.dumps of the whole document
+        table = ab_table([(1, "A", 1), (1, "B", 0), (2, "A", 1), (3, "C", 0)])
+        states = [
+            fit_frequency(table, "cat", FreqWindow.PREV_DAY),
+            fit_target(table, "cat", "install", a=0.5),
+            fit_frequency(table, "cat", FreqWindow.ALL_HISTORY),
+        ][:n_states]
+        save_states(states, tmp_path / "enc.json")
+        doc = {"encoders": [s.to_json_dict() for s in states]}
+        assert (tmp_path / "enc.json").read_text(encoding="utf-8") == (
+            json.dumps(doc, sort_keys=True) + "\n"
+        )
 
     def test_test_day_all_history_equals_full_train_count(self):
         rng = np.random.Generator(np.random.PCG64(9))

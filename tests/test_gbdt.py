@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from resplite import metrics
 from resplite.gbdt import (
@@ -37,7 +37,8 @@ from resplite.gbdt.binning import (
 )
 from resplite.gbdt.boosting import _grad_hess
 from resplite.gbdt.tree import _SCORE_BLOCK, Node, _build_hist, _left_mask, node_from_json
-from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, Table
+from resplite.pipeline import train_stage
+from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, SplitPlan, Table, split
 
 from conftest import make_cat_table, make_table
 
@@ -748,6 +749,57 @@ class TestModelRoundTrip:
             assert np.array_equal(predict_raw(again, table).view(np.uint64),
                                   predict_raw(model, table).view(np.uint64))
         assert again.params == model.params
+
+
+@st.composite
+def day_plan_cases(draw):
+    """A table over random days with a continuous feature with NaNs, one with
+    few values, and a categorical of 300 codes (past every overflow bin),
+    plus a plan over its days and the params to fit it with."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = int(rng.integers(60, 900))
+    days = rng.integers(40, 40 + draw(st.integers(2, 6)), n).astype(np.int32)
+    x0 = rng.standard_normal(n)
+    x0[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = np.nan
+    x1 = rng.integers(0, 6, n) / 4.0
+    c0 = rng.integers(0, 300, n).astype(np.int32)
+    logit = np.nan_to_num(x0, nan=-1.0) + (c0 % 3 == 0) + x1 - 0.5
+    y = (rng.random(n) < 1 / (1 + np.exp(-logit))).astype(np.uint8)
+    schema = Schema((("day", ColumnRole.DAY), ("x0", ColumnRole.CONTINUOUS),
+                     ("c0", ColumnRole.CATEGORICAL), ("x1", ColumnRole.CONTINUOUS),
+                     ("y", ColumnRole.LABEL_INSTALL)))
+    dictionary = [MISSING_TOKEN] + [f"k{i}" for i in range(1, 300)]
+    table = Table.from_columns(schema, {"day": days, "x0": x0, "c0": c0, "x1": x1, "y": y},
+                               {"c0": dictionary})
+    present = np.unique(days).tolist()
+    valid_day = draw(st.sampled_from(present[1:] or present))
+    before = [d for d in present if d < valid_day]
+    train_days = draw(st.sets(st.sampled_from(before))) if before else set()
+    params = GbdtParams(
+        num_leaves=int(rng.integers(2, 32)), max_depth=draw(st.sampled_from([-1, 1, 3])),
+        num_iterations=5, early_stopping_rounds=2,
+        min_data_in_leaf=draw(st.sampled_from([1, 5, 20])),
+        max_bins=draw(st.sampled_from([2, 16, 255])),
+        feature_fraction=draw(st.sampled_from([0.4, 1.0])), seed=seed % 1000,
+    )
+    return table, SplitPlan(frozenset(train_days), valid_day), params
+
+
+class TestFitOnRowIndices:
+    @settings(max_examples=60, deadline=None)
+    @given(case=day_plan_cases())
+    def test_model_equals_the_fit_on_split_copies(self, tmp_path_factory, case):
+        table, plan, params = case
+        parts = split(table, plan)
+        labels = parts.train.col("y")
+        assume(0 < labels.sum() < len(labels))
+        out = tmp_path_factory.mktemp("rows")
+        train_rows, valid, _ = train_stage(table, plan, params, out)
+        save_model(fit(params, parts.train, parts.valid), out / "copies.json")
+        assert (out / "model.json").read_bytes() == (out / "copies.json").read_bytes()
+        assert valid.equals(parts.valid)
+        assert table.take(train_rows).equals(parts.train)
 
 
 def _split_nodes(tree: dict) -> list[dict]:

@@ -3,6 +3,8 @@ references: a loop over the single-feature numeric scan below and the
 categorical scan must pick exactly the split the vectorized scan picks."""
 
 import dataclasses
+import heapq
+import json
 import tracemalloc
 from collections import Counter
 
@@ -356,3 +358,128 @@ def test_the_split_that_fills_the_tree_builds_and_scans_nothing(monkeypatch):
     assert grown.n_leaves == 8
     # the root, then one histogram and two scans for each split but the last
     assert calls == {"_build_hist": 1 + 6, "_find_best_split": 1 + 2 * 6}
+
+
+def _reference_grow_tree(binned, n_bins_all, is_cat, grad, hess, subset, root_counts,
+                         num_leaves, max_depth, min_data, lam, learning_rate):
+    """``grow_tree`` as it was before it dropped the histograms of leaves
+    past the leaf budget and derived siblings in the parent's buffer: every
+    frontier leaf keeps its histogram until it is popped."""
+    n = binned.shape[1]
+    scan = _scan_plan(subset, n_bins_all, is_cat)
+    root = _Leaf(np.arange(n, dtype=np.int64), 0, float(grad.sum()), float(hess.sum()), n)
+    root.hist = _build_hist(binned, subset, slice(None), grad, hess, root_counts)
+    root.split = _find_best_split(root, scan, lam, min_data)
+    if root.split is None:
+        return None
+    heap = [(-root.split.gain, 0, root)]
+    seq = 0
+    n_leaves = 1
+    while heap and n_leaves < num_leaves:
+        _, _, leaf = heapq.heappop(heap)
+        split = leaf.split
+        node = tree._split_node(split)
+        mask = tree._left_mask(node, binned[split.feature][leaf.rows])
+        rows_l, rows_r = leaf.rows[mask], leaf.rows[~mask]
+        left = _Leaf(rows_l, leaf.depth + 1, split.grad_left, split.hess_left, len(rows_l))
+        right = _Leaf(rows_r, leaf.depth + 1, leaf.grad - split.grad_left,
+                      leaf.hess - split.hess_left, len(rows_r))
+        leaf.rows = None
+        leaf.node_box = [node, left, right]
+        n_leaves += 1
+        if n_leaves == num_leaves:
+            break
+        small, big = (left, right) if left.count <= right.count else (right, left)
+        small.hist = _build_hist(binned, subset, small.rows, grad, hess)
+        big.hist = leaf.hist - small.hist
+        leaf.hist = None
+        for child in (left, right):
+            if max_depth < 0 or child.depth < max_depth:
+                child.split = _find_best_split(child, scan, lam, min_data)
+            if child.split is None:
+                child.hist = None
+                continue
+            seq += 1
+            heapq.heappush(heap, (-child.split.gain, seq, child))
+
+    leaf_updates = []
+
+    def finalize(leaf):
+        node, left, right = leaf.node_box
+        if left is None:
+            value = -leaf.grad / (leaf.hess + lam) * learning_rate
+            leaf_updates.append((leaf.rows, float(value)))
+            return tree.LeafNode(float(value))
+        node.left = finalize(left)
+        node.right = finalize(right)
+        return node
+
+    return tree.GrownTree(finalize(root), leaf_updates, n_leaves)
+
+
+def _grown_fields(grown):
+    """Everything a grown tree holds, floats as their bits."""
+    if grown is None:
+        return None
+    # repr of a float is exact, and json writes it so
+    return (json.dumps(tree.node_to_json(grown.root)), grown.n_leaves,
+            [(rows.tolist(), value.hex()) for rows, value in grown.leaf_updates])
+
+
+@st.composite
+def grow_cases(draw):
+    """Random binned tables with numeric and categorical features, missing
+    bins, feature subsets, leaf budgets near and past what the data can
+    split, depth limits and leaf minimums."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = int(rng.integers(1, 1500))
+    k = int(rng.integers(1, 9))
+    n_bins_all = rng.integers(2, STRIDE + 1, size=k)
+    is_cat = rng.random(k) < 0.4
+    binned = (rng.random((k, n)) * n_bins_all[:, None]).astype(np.uint8)
+    signal = (binned / n_bins_all[:, None]).sum(axis=0)  # every feature carries some
+    grad = np.round(rng.standard_normal(n) * draw(st.sampled_from([0.1, 1.0])), 1) - signal
+    hess = rng.uniform(0.05, 0.25, n)
+    subset = np.flatnonzero(rng.random(k) < 0.7)
+    if not len(subset):
+        subset = np.array([int(rng.integers(k))])
+    return (binned, n_bins_all, is_cat, grad, hess, subset, bin_counts(binned),
+            int(rng.integers(2, 40)), draw(st.sampled_from([-1, -1, 2, 4, 7])),
+            draw(st.sampled_from([1, 3, 10, 20])), draw(st.sampled_from([0.5, 1.0])), 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=grow_cases())
+def test_grow_tree_equals_the_reference_loop(case):
+    assert _grown_fields(tree.grow_tree(*case)) == _grown_fields(_reference_grow_tree(*case))
+
+
+def test_grow_tree_holds_at_most_32_histograms_for_63_leaves(monkeypatch):
+    # at a split scan the frontier is at its widest; sampled there, the
+    # live histograms (numpy blocks of exactly one histogram's size) are at
+    # most the 31 leaves that can still split plus the new child
+    k, n = 27, 6000
+    rng = np.random.Generator(np.random.PCG64(11))
+    binned = rng.integers(0, 64, size=(k, n), dtype=np.uint8)
+    grad = rng.standard_normal(n) + (binned[0] > 32) - 0.5 * (binned[1] < 20)
+    hess = rng.uniform(0.1, 0.25, n)
+    hist_bytes = 3 * k * STRIDE * 8
+    live = []
+
+    def sampled(*args, _real=tree._find_best_split):
+        sizes = [t.size for t in tracemalloc.take_snapshot().traces]
+        live.append(sizes.count(hist_bytes))
+        return _real(*args)
+
+    case = (binned, np.full(k, 64), np.arange(k) < 3, grad, hess, np.arange(k),
+            bin_counts(binned), 63, -1, 20, 1.0, 0.1)
+    monkeypatch.setattr(tree, "_find_best_split", sampled)
+    tracemalloc.start()
+    try:
+        grown = tree.grow_tree(*case)
+    finally:
+        tracemalloc.stop()
+    assert grown.n_leaves == 63
+    assert max(live) <= 32, f"{max(live)} live histograms"
+    assert _grown_fields(grown) == _grown_fields(_reference_grow_tree(*case))

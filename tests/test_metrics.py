@@ -227,3 +227,47 @@ class TestAucPairCount:
             labels[0] = 1 - labels[0]
         batch = EvalBatch(labels, np.array([p for _, p in rows]))
         assert auc(batch) == brute_force_auc(labels, batch.predictions)
+
+
+def _reference_metrics(labels, preds) -> tuple[float, float, float, float]:
+    """(logloss, nce, background rate, auc) by the bodies the metrics had
+    while ``EvalBatch`` kept its labels as a float64 copy."""
+    y = np.asarray(labels, dtype=np.float64)
+    p = np.clip(np.asarray(preds, dtype=np.float64), EPS, 1.0 - EPS)
+    terms = np.negative(p)
+    np.log1p(terms, out=terms)
+    np.log(p, out=terms, where=y == 1.0)
+    ll = float(-np.mean(terms))
+    rate = float(y.mean())
+    entropy = float(-(rate * np.log(rate) + (1.0 - rate) * np.log(1.0 - rate)))
+    is_pos = y == 1.0
+    n_pos = int(np.count_nonzero(is_pos))
+    n_neg = len(y) - n_pos
+    sort_pos = n_pos > n_neg
+    ref = np.sort(p[is_pos if sort_pos else ~is_pos])
+    query = p[~is_pos if sort_pos else is_pos]
+    twice = int(np.searchsorted(ref, query, side="left").sum())
+    twice += int(np.searchsorted(ref, query, side="right").sum())
+    if sort_pos:
+        twice = 2 * n_pos * n_neg - twice
+    return ll, ll / entropy, rate, twice / 2 / (n_pos * n_neg)
+
+
+class TestOneByteLabels:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 1), _PREDICTIONS), min_size=2, max_size=80),
+           dtype=st.sampled_from([np.uint8, np.int64, np.float64, bool]))
+    def test_metrics_equal_the_float_label_bodies(self, rows, dtype):
+        labels = np.array([label for label, _ in rows])
+        if labels.min() == labels.max():
+            labels[0] = 1 - labels[0]
+        preds = np.array([p for _, p in rows])
+        batch = EvalBatch(labels.astype(dtype), preds)
+        r = nce(batch)
+        got = (logloss(batch), r.nce, r.background_rate, auc(batch))
+        assert _bits(got).tolist() == _bits(_reference_metrics(labels, preds)).tolist()
+
+    def test_labels_take_one_byte_a_row(self):
+        batch = EvalBatch(np.array([0, 1, 1], dtype=np.uint8), np.array([0.2, 0.7, 0.9]))
+        assert batch.labels.itemsize == 1
+        assert batch.labels.tolist() == [False, True, True]
