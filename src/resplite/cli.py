@@ -103,14 +103,14 @@ def _cmd_encode(args) -> int:
     (table,) = pipeline.load_tables([args.table], args.schema)
     out_dir = _out_dir(args)
     if args.state:
-        states = enc_mod.load_states(args.state)
-        encoded = enc_mod.apply_encoders(states, table)
+        encoded = enc_mod.apply_encoders(enc_mod.load_states(args.state), table)
     else:
         with open(args.spec, "r", encoding="utf-8") as fh:
             specs = json.load(fh)
-        states, (encoded,) = pipeline.encode_stage([table], specs, out_dir)
+        _, (encoded,) = pipeline.encode_stage([table], specs, out_dir)
     save_binary(encoded, out_dir / "encoded.rlt")
-    print(f"appended {len(states)} columns -> {out_dir / 'encoded.rlt'}")
+    n_new = len(encoded.schema.names) - len(table.schema.names)
+    print(f"appended {n_new} columns -> {out_dir / 'encoded.rlt'}")
     return 0
 
 
@@ -150,23 +150,25 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     (table,) = pipeline.load_tables([args.table], args.schema)
-    preds: dict[str, float] = {}
-    with open(args.predictions, "r", encoding="utf-8") as fh:
+    # keyed by the ids' bytes, as the table holds them
+    preds: dict[bytes, float] = {}
+    with open(args.predictions, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            line = line.rstrip(b"\r\n")
+            if not line.strip():
                 continue
-            rid, _, prob = line.partition(",")
-            if not prob:
+            rid, comma, prob = line.rpartition(b",")
+            if not comma or not prob:
                 raise SystemExit(
                     f"error: predictions line {line_no} is not 'row_id,probability'"
                 )
             preds[rid] = float(prob)
-    ids = pipeline._row_ids(table)
+    ids = pipeline._row_ids(table).tolist()
     missing = [rid for rid in ids if rid not in preds]
     if missing:
         raise SystemExit(
-            f"error: predictions missing {len(missing)} row ids (first: {missing[0]})"
+            f"error: predictions missing {len(missing)} row ids "
+            f"(first: {missing[0].decode(errors='replace')})"
         )
     probs = np.asarray([preds[rid] for rid in ids])
     install = table.schema.require_install()

@@ -15,8 +15,10 @@ count ``a``, with 0.5 as the cold-start value when no history exists at all.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -246,14 +248,22 @@ def apply_encoders(states: list[EncoderState], table: Table) -> Table:
     return table.append_columns(new_cols)
 
 
-def save_states(states: list[EncoderState], path) -> None:
-    """Write ``{"encoders": [...]}`` a state at a time, as one ``json.dumps`` would."""
+def save_states(states: Iterable[EncoderState], path) -> None:
+    """Write ``{"encoders": [...]}`` a state at a time, as one ``json.dumps``
+    would.  ``states`` may be a generator that fits each state as it is
+    asked for, so that no two are held at once; when it raises, the partial
+    file is removed."""
     # json.dumps uses the C encoder; json.dump to a file never does
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"encoders": [')
-        for i, state in enumerate(states):
-            fh.write((", " if i else "") + json.dumps(state.to_json_dict(), sort_keys=True))
-        fh.write("]}\n")
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write('{"encoders": [')
+            for i, state in enumerate(states):
+                fh.write((", " if i else "") + json.dumps(state.to_json_dict(), sort_keys=True))
+            fh.write("]}\n")
+    except Exception:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def load_states(path) -> list[EncoderState]:

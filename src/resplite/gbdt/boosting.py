@@ -121,9 +121,15 @@ def loss_grad_hess(score: float, label: int) -> tuple[float, float]:
     return p - label, p * (1.0 - p)
 
 
-def _grad_hess(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`loss_grad_hess` at the probabilities ``sigmoid(scores)``."""
-    return p - labels, p * (1.0 - p)
+def _grad_hess(
+    p: np.ndarray, labels: np.ndarray, grad: np.ndarray | None = None,
+    hess: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`loss_grad_hess` at the probabilities ``sigmoid(scores)``,
+    written into ``grad`` and ``hess`` when they are given."""
+    grad = np.subtract(p, labels, out=grad)
+    hess = np.subtract(1.0, p, out=hess)
+    return grad, np.multiply(p, hess, out=hess)
 
 
 def _check_features(table: Table, feature_names: list[str]) -> None:
@@ -187,10 +193,12 @@ def fit(
     valid_curve: list[float] = []
     best_iter = -1
     best_loss = math.inf
-    # one sigmoid per round serves both the train curve and the next gradients
+    # one sigmoid per round serves both the train curve and the next
+    # gradients; all three live in buffers reused every round
     p_train = sigmoid(scores)
+    grad, hess = np.empty_like(scores), np.empty_like(scores)
     for it in range(params.num_iterations):
-        grad, hess = _grad_hess(p_train, y_train)
+        _grad_hess(p_train, y_train, grad, hess)
         if n_sub < n_features:
             subset = np.sort(rng.choice(n_features, size=n_sub, replace=False))
         else:
@@ -215,7 +223,7 @@ def fit(
             scores[rows] += value
         valid_scores += tree_output(grown.root, binned_valid)
         trees.append(grown.root)
-        p_train = sigmoid(scores)
+        sigmoid(scores, out=p_train)
         train_curve.append(logloss(EvalBatch(y_train, p_train)))
         vloss = logloss(EvalBatch(y_valid, sigmoid(valid_scores)))
         valid_curve.append(vloss)

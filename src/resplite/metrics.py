@@ -9,7 +9,9 @@ some definitions use reduces to the same per-row weights under
 AUC is an exact pair count: one class's predictions are sorted, and each row
 of the other class counts the rows it beats and ties with two binary
 searches.  Beyond one copy of each class there, the metrics make no
-full-length temporary but one float buffer (two in :func:`sigmoid`).
+full-length temporary but one float buffer (and :func:`sigmoid` its output
+when it is given none).  :class:`EvalBatch` copies the predictions only
+to clamp one that lies outside ``[EPS, 1 - EPS]``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ class EvalBatch:
 
     Labels are kept as a bool array (one byte a row; sums of 0/1 values are
     exact in any order).  Predictions are clamped into ``[EPS, 1 - EPS]`` at
-    construction so no downstream log can saturate.
+    construction so no downstream log can saturate.  The clamp copies them
+    only when some prediction lies outside that range; otherwise the batch
+    holds the given float64 array itself.  Nothing here writes into it.
     """
 
     labels: np.ndarray
@@ -50,10 +54,13 @@ class EvalBatch:
         is_pos = labels == 1
         if np.count_nonzero(labels == 0) + np.count_nonzero(is_pos) != len(labels):
             raise MetricError("labels must be 0 or 1")
-        if np.isnan(preds).any() or preds.min() < 0.0 or preds.max() > 1.0:
+        lo, hi = preds.min(), preds.max()  # NaN when any prediction is NaN
+        if not (lo >= 0.0 and hi <= 1.0):
             raise MetricError("predictions must be probabilities in [0, 1]")
+        if lo < EPS or hi > 1.0 - EPS:
+            preds = np.clip(preds, EPS, 1.0 - EPS)
         object.__setattr__(self, "labels", is_pos)
-        object.__setattr__(self, "predictions", np.clip(preds, EPS, 1.0 - EPS))
+        object.__setattr__(self, "predictions", preds)
 
     @property
     def n(self) -> int:
@@ -71,14 +78,15 @@ class NceResult:
     background_entropy: float
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function of log-odds, without overflow for large |z|:
     ``1 / (1 + e)`` where z >= 0 and ``e / (1 + e)`` elsewhere, with
-    ``e = exp(-|z|)``."""
+    ``e = exp(-|z|)``.  The result goes into ``out`` (not ``z`` itself)
+    when one is given."""
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.add(e, 1.0)
+    out = np.add(e, 1.0, out=out)
     np.divide(e, out, out=out, where=z < 0)
     np.divide(1.0, out, out=out, where=z >= 0)
     return out

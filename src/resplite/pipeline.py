@@ -56,6 +56,7 @@ from .tabular import (
     TabularError,
     ingest_csv_group,
     load_binary,
+    row_numbers,
     save_binary,
     split_rows,
 )
@@ -287,11 +288,11 @@ def _metrics_dict(labels: np.ndarray, probs: np.ndarray) -> dict:
 
 
 def _row_ids(table: Table) -> np.ndarray:
-    """The table's row-id column, or the row numbers as strings."""
+    """The table's row-id column, or the row numbers, as id bytes."""
     name = table.schema.row_id_column
     if name is not None:
         return table.col(name)
-    return np.arange(table.n_rows).astype(np.str_)
+    return row_numbers(table.n_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +380,29 @@ def _fit_spec(table: Table, i: int, spec) -> enc_mod.EncoderState:
 
 def encode_stage(
     tables: list[Table], specs: list[dict], out_dir: Path
-) -> tuple[list[enc_mod.EncoderState], list[Table]]:
-    """Fit one encoder state per spec on ``tables[0]``, write
-    ``encoders.json``, and append the encoded columns to every table.  A
-    malformed spec list raises :class:`~resplite.encoders.EncoderError`."""
+) -> tuple[list[str], list[Table]]:
+    """Fit the encoder of each spec on ``tables[0]``, one state at a time:
+    write it to ``encoders.json``, encode every table with it, and drop it.
+    Returns the encoded column names and every table with those columns
+    appended.  A malformed spec list raises
+    :class:`~resplite.encoders.EncoderError`."""
     if not isinstance(specs, list):
         raise enc_mod.EncoderError(
             f"encoder specs must be a JSON list, not {type(specs).__name__}"
         )
-    states = [_fit_spec(tables[0], i, spec) for i, spec in enumerate(specs)]
-    enc_mod.save_states(states, out_dir / "encoders.json")
-    return states, [enc_mod.apply_encoders(states, t) for t in tables]
+    encoded: list[list] = [[] for _ in tables]
+
+    def fitted():
+        for i, spec in enumerate(specs):
+            state = _fit_spec(tables[0], i, spec)
+            for new, table in zip(encoded, tables):
+                new.append((state.column_name, ColumnRole.CONTINUOUS,
+                            enc_mod.transform(state, table)))
+            yield state
+
+    enc_mod.save_states(fitted(), out_dir / "encoders.json")
+    columns = [name for name, _, _ in encoded[0]]
+    return columns, [t.append_columns(new) for t, new in zip(tables, encoded)]
 
 
 def train_stage(
@@ -478,14 +491,14 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
 
     if config.stages.get("frequency", True) or config.stages.get("target_encoding", True):
         def encode():
-            states, encoded = encode_stage(tables, encoder_specs(config, tables[0]), out_dir)
+            specs = encoder_specs(config, tables[0])
+            columns, encoded = encode_stage(tables, specs, out_dir)
             if not config.keep_originals:
-                originals = {s.feature for s in states}
+                originals = {spec["feature"] for spec in specs}
                 encoded = [t.drop_columns(originals) for t in encoded]
-            return states, encoded
+            return columns, encoded
 
-        states, tables = _timed(report, "encode", encode)
-        columns = [s.column_name for s in states]
+        columns, tables = _timed(report, "encode", encode)
         report.sections["encoding"] = {
             "columns": columns,
             "keep_originals": config.keep_originals,

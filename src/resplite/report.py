@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
+from .tabular import id_bytes
 
 if TYPE_CHECKING:  # advval and denoise import the writers below
     from .advval import AdvReport
@@ -103,43 +104,43 @@ _PLACES = 10 ** np.arange(6, -1, -1, dtype=np.int64)
 def write_predictions_csv(row_ids, probabilities, path: Path) -> None:
     """Headerless two-column submission-style file: row id, probability.
 
-    Each line is ``"%s,%.6f\\n" % (row_id, probability)``.  A block of rows
-    is laid out in a byte buffer from its ids' code points and the digits
-    of ``rint(p * 1e6)``.  Rounding guard: the float product is within 2**-34
+    ``row_ids`` are UTF-8 bytes, as a table holds them (other values are
+    encoded first, see :func:`~resplite.tabular.id_bytes`).  Each line is
+    ``b"%s,%.6f\\n" % (row_id, probability)``.  A block of rows is laid out
+    in a byte buffer from its ids' bytes and the digits of
+    ``rint(p * 1e6)``.  Rounding guard: the float product is within 2**-34
     of the exact decimal ``p * 10**6`` (p is at most 1), so it rounds the
-    same way unless the exact value lies within that distance of a half.
-    A block where any ``|frac(p * 1e6) - 0.5| <= 1e-9``, any id is not
-    ASCII, or any probability lies outside ``[+0, 1]`` (NaN, ``-0.0`` and
-    infinities included) is formatted line by line with ``%`` instead.
+    same way unless the exact value lies within that distance of a half.  A
+    block where any ``|frac(p * 1e6) - 0.5| <= 1e-9``, or any probability
+    lies outside ``[+0, 1]`` (NaN, ``-0.0`` and infinities included), is
+    formatted line by line with ``%`` instead.
     """
-    ids = np.ascontiguousarray(row_ids, dtype=np.str_)
+    ids = np.ascontiguousarray(id_bytes(row_ids))
     probs = np.asarray(probabilities, dtype=np.float64)
+    width = ids.dtype.itemsize
     with open(path, "wb") as fh:
         for at in range(0, len(ids), _CSV_BLOCK):
             block, p = ids[at : at + _CSV_BLOCK], probs[at : at + _CSV_BLOCK]
-            lengths = np.strings.str_len(block)
-            width = int(lengths.max(initial=0))
-            codes = block.view(np.uint32).reshape(len(block), -1)[:, :width]
             scaled = p * 1e6
             if (
-                (codes < 128).all()
-                and ((p >= 0) & (p <= 1) & ~np.signbit(p)).all()
+                ((p >= 0) & (p <= 1) & ~np.signbit(p)).all()
                 and (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-9).all()
             ):
                 digits = np.rint(scaled).astype(np.int64)[:, None] // _PLACES % 10 + ord("0")
                 line = np.empty((len(block), width + 10), dtype=np.uint8)
-                line[:, :width] = codes
+                line[:, :width] = block.view(np.uint8).reshape(len(block), width)
                 line[:, width] = ord(",")
                 line[:, width + 1] = digits[:, 0]
                 line[:, width + 2] = ord(".")
                 line[:, width + 3 : width + 9] = digits[:, 1:]
                 line[:, width + 9] = ord("\n")
                 keep = np.ones(line.shape, dtype=bool)
-                keep[:, :width] = np.arange(width) < lengths[:, None]  # drop the padding
+                lengths = np.strings.str_len(block)
+                keep[:, :width] = np.arange(width) < lengths[:, None]  # drop the NUL pad
                 fh.write(line[keep].tobytes())
             else:
                 rows = zip(block.tolist(), p.tolist())
-                fh.write("".join("%s,%.6f\n" % row for row in rows).encode("utf-8"))
+                fh.write(b"".join(b"%s,%.6f\n" % row for row in rows))
 
 
 # ---------------------------------------------------------------------------

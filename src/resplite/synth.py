@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import sigmoid
-from .tabular import ColumnRole, Schema, Table, first_occurrence_codes
+from .tabular import ColumnRole, Schema, Table, first_occurrence_codes, row_numbers
 
 
 class SynthError(ValueError):
@@ -268,7 +268,7 @@ def generate(spec: SynthSpec) -> tuple[Table, GroundTruth]:
     clicks = (rng.random(n) < p_click).astype(np.uint8)
 
     columns: dict[str, np.ndarray | list] = {
-        "row_id": [str(i) for i in range(n)],
+        "row_id": row_numbers(n),
         "day": day_col,
     }
     schema_cols: list[tuple[str, ColumnRole]] = [
@@ -319,6 +319,8 @@ def write_csv(table: Table, path) -> None:
             text = np.array(list(map(repr, values.tolist())), dtype=object)
             text[np.isnan(values)] = ""
             cols.append(text)
+        elif role is ColumnRole.ROW_ID:
+            cols.append([v.decode() for v in values.tolist()])
         else:
             cols.append(list(map(str, values.tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -2,10 +2,14 @@
 binary persistence, and day-based temporal splitting.
 
 Tables are immutable after construction. Categorical columns are stored as
-int32 codes plus a per-column dictionary whose code 0 is always the reserved
-missing token ``__MISSING__``; continuous and binary columns are float64 with
-NaN for missing; labels are uint8 {0,1} with missing disallowed; the day
-column is int32.
+int32 codes plus a per-column dictionary (a tuple of ``str``) whose code 0 is
+always the reserved missing token ``__MISSING__``; continuous and binary
+columns are float64 with NaN for missing; labels are uint8 {0,1} with missing
+disallowed; the day column is int32.  Row ids are held as their UTF-8 bytes,
+a fixed-width ``S`` array as wide as the longest id, from ingest, from
+:meth:`Table.from_columns` and from :func:`load_binary` alike; consumers read
+those bytes as they are.  An ``S`` array cannot hold a trailing NUL byte, so
+ids and category tokens holding NUL are rejected wherever they enter.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice, pairwise, repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +172,20 @@ class Schema:
         )
 
 
+def id_bytes(values) -> np.ndarray:
+    """Row ids as a table holds them: an ``S`` array as it is, any other
+    values as the UTF-8 bytes of their ``str``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "S":
+        return arr
+    return np.array([str(v).encode() for v in arr.tolist()], dtype=np.bytes_)
+
+
+def row_numbers(n: int) -> np.ndarray:
+    """The row numbers ``0 .. n-1`` as id bytes, as wide as the longest."""
+    return np.arange(n).astype(f"S{len(str(max(n - 1, 0)))}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -228,7 +246,7 @@ class Table:
         for name, role in schema.columns:
             raw = columns[name]
             if role is ColumnRole.ROW_ID:
-                arr = np.asarray(raw, dtype=np.str_)
+                arr = id_bytes(raw)
             else:
                 arr = np.asarray(raw, dtype=_ROLE_DTYPES[role])
             if arr.ndim != 1:
@@ -323,7 +341,8 @@ class Table:
             return False
         for name, role in self.schema.columns:
             a, b = self._columns[name], other._columns[name]
-            if a.dtype != b.dtype:
+            # ids of the same bytes are equal at any fixed width
+            if a.dtype != b.dtype and not a.dtype.kind == b.dtype.kind == "S":
                 return False
             if a.dtype == np.float64:
                 if a.tobytes() != b.tobytes():
@@ -390,31 +409,34 @@ _INT32 = np.iinfo(np.int32)
 def first_occurrence_codes(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Code one categorical column in first-occurrence order.
 
-    ``values`` holds the column's raw tokens: strings, where the empty token
-    and ``MISSING_TOKEN`` are missing, or integers, each named by its decimal
-    string.  Missing values get code 0 and the k-th distinct other value
-    seen gets code k.  Returns the int32 codes and the dictionary
-    ``[MISSING_TOKEN, first value, second value, ...]``.
+    ``values`` holds the column's raw tokens: UTF-8 bytes (an ``S`` array),
+    where the empty token and ``MISSING_TOKEN`` are missing, or integers,
+    each named by its decimal string.  Missing values get code 0 and the
+    k-th distinct other value seen gets code k.  Returns the int32 codes and
+    the dictionary ``[MISSING_TOKEN, first value, second value, ...]`` of
+    ``str``.
     """
     uniques, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    tokens = uniques.astype(np.str_)
-    present = np.flatnonzero((tokens != "") & (tokens != MISSING_TOKEN))
+    tokens = uniques.astype(np.bytes_, copy=False)
+    present = np.flatnonzero((tokens != b"") & (tokens != MISSING_TOKEN.encode()))
     order = present[np.argsort(first[present])]
     rank = np.zeros(len(uniques), dtype=np.int32)
     rank[order] = np.arange(1, len(order) + 1, dtype=np.int32)
-    return rank[inverse.ravel()], [MISSING_TOKEN] + tokens[order].tolist()
+    return rank[inverse.ravel()], [MISSING_TOKEN] + [t.decode() for t in tokens[order].tolist()]
 
 
-def _parse_column(role: ColumnRole, tokens: list[str], nul: bool) -> np.ndarray | None:
+def _parse_column(role: ColumnRole, tokens: list[str], text: str) -> np.ndarray | None:
     """One block column of ``tokens`` as ``role``'s values (ids and
-    categories stay strings), or None when some token is not valid.
-    ``nul`` says whether the block's text holds a NUL character."""
+    categories as their UTF-8 bytes), or None when some token is not valid.
+    ``text`` is the block's text that the tokens were split from."""
     try:
         if role in (ColumnRole.ROW_ID, ColumnRole.CATEGORICAL):
-            # numpy strings drop trailing NULs: "r1\0" would become "r1"
-            if nul and any("\0" in t for t in tokens):
+            # numpy bytes drop trailing NULs: "r1\0" would become b"r1"
+            if "\0" in text and any("\0" in t for t in tokens):
                 return None
-            return np.array(tokens, dtype=np.str_)
+            # numpy encodes ASCII strings itself
+            utf8 = tokens if text.isascii() else list(map(str.encode, tokens))
+            return np.array(utf8, dtype=np.bytes_)
         if role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
             return np.array([float(t) if t else math.nan for t in tokens], dtype=np.float64)
         if role is ColumnRole.DAY:
@@ -467,10 +489,9 @@ def _read_columns(path: Path, schema: Schema) -> list[np.ndarray]:
             good = lines[: errors[0][0]] if errors else lines
             text = delim.join(good)
             fields = text.split(delim) if good else []
-            nul = "\0" in text
             for i, (name, role) in enumerate(schema.columns):
                 tokens = fields[i::n_cols]
-                values = _parse_column(role, tokens, nul)
+                values = _parse_column(role, tokens, text)
                 if values is None:
                     reasons = (_token_error(role, name, t) for t in tokens)
                     errors.append(next((r, i, why) for r, why in enumerate(reasons) if why))
@@ -479,8 +500,8 @@ def _read_columns(path: Path, schema: Schema) -> list[np.ndarray]:
                 row, _, why = min(errors)
                 raise TabularError(f"{path.name}: line {line_no + row}: {why}")
             line_no += len(lines)
-    # a file with no rows yields string columns; from_columns casts them
-    return [np.concatenate(p or [np.empty(0, np.str_)]) for p in parts]
+    # a file with no rows yields bytes columns; from_columns casts them
+    return [np.concatenate(p or [np.empty(0, np.bytes_)]) for p in parts]
 
 
 def ingest_csv(path: str | Path, schema: Schema) -> Table:
@@ -518,23 +539,21 @@ def ingest_csv_group(paths: list[str | Path], schema: Schema) -> list[Table]:
 # Binary persistence ("RLT1": magic, little-endian, length-prefixed blocks)
 
 
-def _pack_strings(values) -> bytes:
-    """A string block: the count, the ascending byte offsets, then the UTF-8
-    bytes of every string.  An ASCII ``<U`` array is packed from its code
-    points, one character position at a time (the inverse of the fast path
-    of :func:`_unpack_strings`); any other input string by string."""
-    chars = None
-    if isinstance(values, np.ndarray) and values.dtype.kind == "U" and values.size:
-        chars = np.ascontiguousarray(values).view(np.uint32).reshape(len(values), -1)
-    if chars is not None and chars.max() < 128:
-        # a <U array pads with NULs: a string ends after its last non-NUL
-        lengths = np.zeros(len(values), dtype=np.intp)
-        for j in range(chars.shape[1]):
-            lengths[chars[:, j] != 0] = j + 1
-        blob = chars[np.arange(chars.shape[1]) < lengths[:, None]].astype(np.uint8).tobytes()
+def _pack_strings(values: np.ndarray | list[str], what: str) -> bytes:
+    """A string block: the count, the ascending byte offsets, then the bytes
+    of every string: an ``S`` array's as they are, a list's strings in
+    UTF-8.  A NUL byte raises naming ``what``, as no block holding one loads
+    (see :func:`_unpack_strings`)."""
+    if isinstance(values, np.ndarray):
+        lengths = np.strings.str_len(values)
+        width = values.dtype.itemsize
+        chars = np.ascontiguousarray(values).view(np.uint8).reshape(len(values), width)
+        blob = chars[np.arange(width) < lengths[:, None]].tobytes()  # drop the NUL pad
     else:
-        blobs = [s.encode("utf-8") for s in values]
+        blobs = [s.encode() for s in values]
         lengths, blob = [len(b) for b in blobs], b"".join(blobs)
+    if b"\0" in blob:
+        raise TabularError(f"NUL byte in a string of {what}")
     offsets = np.zeros(len(lengths) + 1, dtype="<u8")
     np.cumsum(lengths, out=offsets[1:])
     return struct.pack("<Q", len(lengths)) + offsets.tobytes() + blob
@@ -543,11 +562,11 @@ def _pack_strings(values) -> bytes:
 def _unpack_strings(buf: bytes, what: str) -> np.ndarray:
     """Inverse of :func:`_pack_strings`; ``buf`` must hold exactly one block.
 
-    An ASCII block without NUL bytes becomes a fixed-width ``<U`` array,
-    gathered one character position at a time.  Any other block is decoded
-    string by string into an object array, because a ``<U`` array drops
-    trailing NULs.  Offsets that do not ascend from 0 to the end of the
-    block, or that split a UTF-8 character, raise naming ``what``.
+    The strings become a fixed-width ``S`` array, as wide as the longest,
+    gathered one byte position at a time.  Offsets that do not ascend from 0
+    to the end of the block, a string that is not UTF-8 (or an offset that
+    splits a character), or a NUL byte, which the array would drop, raise
+    naming ``what``.
     """
     (count,) = struct.unpack_from("<Q", buf, 0) if len(buf) >= 8 else (-1,)
     base = 8 + 8 * (count + 1)
@@ -559,21 +578,27 @@ def _unpack_strings(buf: bytes, what: str) -> np.ndarray:
     if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
         raise TabularError(f"string block in {what} has offsets that do not ascend from 0")
     blob = buf[base:]
-    if blob.isascii() and b"\0" not in blob:
-        starts = offsets[:-1].astype(np.intp)
-        lengths = np.diff(offsets).astype(np.intp)
-        width = max(int(lengths.max(initial=0)), 1)
-        data = np.frombuffer(blob + b"\0", dtype=np.uint8)  # the NUL pads short strings
-        chars = np.zeros((count, width), dtype=np.uint32)
-        for j in range(width):
-            chars[:, j] = data.take(np.where(lengths > j, starts + j, len(blob)))
-        return chars.view(f"<U{width}").ravel()
-    try:
-        # lazy ints: offsets.tolist() would hold one Python int per string at once
-        strings = [blob[a:b].decode("utf-8") for a, b in pairwise(map(int, offsets))]
-    except UnicodeDecodeError as exc:
-        raise TabularError(f"string block in {what} is not UTF-8: {exc.reason}") from None
-    return np.array(strings, dtype=object)
+    if b"\0" in blob:
+        raise TabularError(f"string block in {what} holds a NUL byte")
+    data = np.frombuffer(blob + b"\0", dtype=np.uint8)  # the NUL pads short strings
+    offsets = offsets.astype(np.intp)
+    if not blob.isascii():
+        try:
+            blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TabularError(f"string block in {what} is not UTF-8: {exc.reason}") from None
+        # valid as a whole, each string is unless it starts inside a character
+        if ((data[offsets] & 0xC0) == 0x80).any():
+            raise TabularError(f"string block in {what} is not UTF-8: an offset splits a character")
+    starts, ends = offsets[:-1], offsets[1:]
+    width = max(int((ends - starts).max(initial=0)), 1)
+    chars = np.empty((count, width), dtype=np.uint8)
+    at = np.empty(count, dtype=np.intp)
+    for j in range(width):
+        np.add(starts, j, out=at)
+        at[at >= ends] = len(data) - 1
+        chars[:, j] = data[at]
+    return chars.view(f"S{width}").ravel()
 
 
 _ROLE_WIRE_DTYPES = {
@@ -603,11 +628,11 @@ def save_binary(table: Table, path: str | Path) -> None:
         for name, role in table.schema.columns:
             arr = table.col(name)
             if role is ColumnRole.ROW_ID:
-                payload = _pack_strings(arr)
+                payload = _pack_strings(arr, f"column {name!r}")
             else:
                 payload = arr.astype(_ROLE_WIRE_DTYPES[role]).tobytes()
                 if role is ColumnRole.CATEGORICAL:
-                    payload += _pack_strings(table.dictionary(name))
+                    payload += _pack_strings(table.dictionary(name), f"column {name!r} dictionary")
             fh.write(struct.pack("<Q", len(payload)))
             fh.write(payload)
 
@@ -658,7 +683,8 @@ def load_binary(path: str | Path) -> Table:
                     f"{what} holds {plen} bytes, the header's {n_rows} rows need {arr_bytes}"
                 )
             if role is ColumnRole.CATEGORICAL:
-                dicts[name] = _unpack_strings(payload[arr_bytes:], f"{what} dictionary").tolist()
+                tokens = _unpack_strings(payload[arr_bytes:], f"{what} dictionary").tolist()
+                dicts[name] = [t.decode() for t in tokens]
             columns[name] = np.frombuffer(payload, dtype=wire, count=n_rows)
         if fh.read(1):
             raise TabularError("trailing bytes after the last column of the table file")

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from resplite import pipeline
 from resplite.cli import main
+from resplite.report import write_predictions_csv
 from resplite.tabular import ColumnRole, load_binary, save_binary
 
 from conftest import MALFORMED_SCHEMAS, with_header
@@ -420,3 +423,42 @@ def test_subcommand_writes_the_same_artifacts_as_run(data, tmp_path, stage):
     assert main(command(run_dir / "cache") + ["--out-dir", str(cli_dir)]) == 0
     for name in artifacts:
         assert (cli_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+#: ids a delimited file can carry: no tab, line break or NUL
+_FILE_IDS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r\0"), max_size=5
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(_FILE_IDS, min_size=2, max_size=12, unique=True), data=st.data())
+@example(ids=[" a", "b,c", "é", "", "日本 "], data=None)
+def test_ids_travel_from_ingest_through_the_predictions_csv_to_evaluate(
+    ids, data, tmp_path_factory
+):
+    tmp = tmp_path_factory.mktemp("ids")
+    labels = [k % 2 for k in range(len(ids))]
+    (tmp / "t.tsv").write_bytes(
+        "".join(f"{i}\t{y}\n" for i, y in zip(ids, labels)).encode()
+    )
+    (tmp / "schema.json").write_text(
+        json.dumps({"columns": {"id": "row_id", "y": "label_install"}})
+    )
+    assert main(["ingest", "--schema", str(tmp / "schema.json"),
+                 "--out-dir", str(tmp), str(tmp / "t.tsv")]) == 0
+    table = load_binary(tmp / "t.rlt")
+    if data is None:
+        probs = np.linspace(0.05, 0.95, len(ids))
+    else:
+        probs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(ids),
+                                            max_size=len(ids))))
+    write_predictions_csv(pipeline._row_ids(table), probs, tmp / "p.csv")
+    want = "".join("%s,%.6f\n" % row for row in zip(ids, probs.tolist())).encode()
+    assert (tmp / "p.csv").read_bytes() == want
+    assert main(["evaluate", "--predictions", str(tmp / "p.csv"),
+                 "--table", str(tmp / "t.rlt"), "--out", str(tmp / "m.json")]) == 0
+    written = np.array([float("%.6f" % p) for p in probs])
+    assert json.loads((tmp / "m.json").read_text()) == pipeline._metrics_dict(
+        np.array(labels), written
+    )

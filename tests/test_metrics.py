@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,3 +272,42 @@ class TestOneByteLabels:
         batch = EvalBatch(np.array([0, 1, 1], dtype=np.uint8), np.array([0.2, 0.7, 0.9]))
         assert batch.labels.itemsize == 1
         assert batch.labels.tolist() == [False, True, True]
+
+
+class TestClampOnlyWhenNeeded:
+    def test_in_range_predictions_are_held_without_a_copy(self):
+        n = 200_000
+        preds = np.linspace(0.1, 0.9, n)
+        labels = (np.arange(n) % 2).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            batch = EvalBatch(labels, preds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the bool labels take n bytes and one comparison n more; a float
+        # copy of the predictions would take 8n
+        assert peak < 4 * n
+        assert batch.predictions is preds
+
+    def test_clamp_copies_and_leaves_the_callers_array_alone(self):
+        preds = np.array([0.0, 1.0, 0.5, EPS / 2])
+        before = _bits(preds).copy()
+        batch = EvalBatch(np.array([0, 1, 1, 0]), preds)
+        assert np.array_equal(_bits(preds), before)
+        assert not np.shares_memory(batch.predictions, preds)
+        assert batch.predictions.tolist() == [EPS, 1 - EPS, 0.5, EPS]
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.nan, -0.5, 1.5, np.inf])
+    def test_rejects_predictions_outside_the_unit_interval_and_nan(self, bad):
+        with pytest.raises(MetricError, match="probabilities"):
+            EvalBatch(np.array([0, 1, 1]), np.array([0.5, bad, 0.25]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=_LOGITS)
+    @example(z=_EDGES)
+    def test_sigmoid_into_a_buffer_equals_the_fresh_result(self, z):
+        z = np.asarray(z, dtype=np.float64)
+        buf = np.full_like(z, 7.0)
+        assert sigmoid(z, out=buf) is buf
+        assert np.array_equal(_bits(buf), _bits(sigmoid(z)))

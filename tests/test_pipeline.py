@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resplite import pipeline
+from resplite.encoders import EncoderError, load_states
 from resplite.pipeline import PipelineError, ablate, emit_synthetic, load_config, run
 from resplite.report import (
     _CSV_BLOCK,
@@ -15,7 +16,9 @@ from resplite.report import (
     write_bar_chart_svg,
     write_predictions_csv,
 )
-from resplite.tabular import ColumnRole, Schema, Table, load_binary
+from resplite.tabular import MISSING_TOKEN, ColumnRole, Schema, Table, load_binary
+
+from conftest import make_cat_table
 
 
 @pytest.fixture(scope="module")
@@ -428,7 +431,23 @@ def test_row_ids_are_passed_as_the_column_itself():
     )
     assert pipeline._row_ids(with_ids) is with_ids.col("id")
     without = Table.from_columns(Schema((("y", ColumnRole.LABEL_INSTALL),)), labels)
-    assert pipeline._row_ids(without).tolist() == ["0", "1", "2"]
+    assert pipeline._row_ids(without).tolist() == [b"0", b"1", b"2"]
+
+
+def test_encode_stage_streams_states_and_keeps_no_partial_file(tmp_path):
+    table = make_cat_table([45, 45, 46, 46], [1, 2, 1, 0], [MISSING_TOKEN, "a", "b"], [0, 1, 0, 1])
+    specs = [{"feature": "cat", "kind": "frequency"},
+             {"feature": "cat", "kind": "target", "target": "install"}]
+    columns, (encoded,) = pipeline.encode_stage([table], specs, tmp_path)
+    assert columns == ["cat__freq_prev_week", "cat__te_install"]
+    assert encoded.schema.names[-2:] == tuple(columns)
+    states = load_states(tmp_path / "encoders.json")
+    assert [s.column_name for s in states] == columns
+    # a spec that fails after the first state was written leaves no file
+    specs[1] = {"feature": "cat", "kind": "target"}
+    with pytest.raises(EncoderError, match="encoder spec 1 lacks the key 'target'"):
+        pipeline.encode_stage([table], specs, tmp_path)
+    assert not (tmp_path / "encoders.json").exists()
 
 
 def test_predictions_csv_blocks_fall_back_one_at_a_time(tmp_path):

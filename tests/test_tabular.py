@@ -187,7 +187,7 @@ class TestIngest:
         assert table.dictionary("c1") == (MISSING_TOKEN, "beta", "alpha")
         assert table.col("c1").tolist() == [1, 2, 1]
         assert table.col("x1").tolist() == [1.5, 2.5, 0.5]
-        assert table.col("id").tolist() == ["r1", "r2", "r3"]
+        assert table.col("id").tolist() == [b"r1", b"r2", b"r3"]
 
     def test_empty_continuous_field_becomes_missing(self, tmp_path, small_schema):
         path = write(tmp_path, "t.tsv", "r1\t45\ta\t\t0\nr2\t45\ta\tNaN\t1\n")
@@ -395,10 +395,17 @@ _ASCII_STRINGS = st.lists(st.text(st.characters(max_codepoint=127), max_size=6),
 @settings(max_examples=300, deadline=None)
 @given(strings=st.one_of(_STRINGS, _ASCII_STRINGS))
 def test_string_block_round_trips(strings):
-    buf = _pack_strings(strings)
+    # a block holding NUL is rejected: the S array would drop a trailing one
+    buf = _reference_pack_strings(strings)
+    if any("\0" in s for s in strings):
+        with pytest.raises(TabularError, match="in a block holds a NUL byte"):
+            _unpack_strings(buf, "a block")
+        return
+    assert _pack_strings(strings, "a block") == buf
     got = _unpack_strings(buf, "a block")
-    assert got.tolist() == strings == _reference_unpack_strings(buf)
-    assert all(type(s) is str for s in got.tolist())
+    assert got.dtype.kind == "S"
+    assert got.tolist() == [s.encode() for s in strings]
+    assert _reference_unpack_strings(buf) == strings
 
 
 def _reference_pack_strings(values) -> bytes:
@@ -411,18 +418,26 @@ def _reference_pack_strings(values) -> bytes:
 
 @settings(max_examples=300, deadline=None)
 @given(strings=st.one_of(_STRINGS, _ASCII_STRINGS))
-@example(strings=["a\0b", "", "\0", "ab"])  # NULs inside, and a <U pad
+@example(strings=["a\0b", "", "\0", "ab"])  # NULs inside, and an S pad
 @example(strings=["12", "é", "3"])
 def test_id_array_packs_like_its_strings(strings):
-    # a <U array drops trailing NULs: its strings are what tolist() returns
-    arr = np.array(strings, dtype=np.str_)
-    assert _pack_strings(arr) == _reference_pack_strings(arr.tolist())
+    # an S array drops trailing NULs: its strings are what tolist() returns,
+    # and one still holding a NUL is refused, as no block holding one loads
+    arr = np.array([s.encode() for s in strings], dtype=np.bytes_)
+    held = arr.tolist()
+    if any(b"\0" in b for b in held):
+        with pytest.raises(TabularError, match="NUL byte in a string of an id column"):
+            _pack_strings(arr, "an id column")
+        return
+    assert _pack_strings(arr, "an id column") == _reference_pack_strings(
+        [b.decode() for b in held]
+    )
 
 
 @settings(max_examples=300, deadline=None)
 @given(strings=st.one_of(_STRINGS, _ASCII_STRINGS), data=st.data())
 def test_truncated_string_block_errors(strings, data):
-    buf = _pack_strings(strings)
+    buf = _reference_pack_strings(strings)
     cut = data.draw(st.integers(0, len(buf) - 1))
     with pytest.raises(TabularError, match="in a block"):
         _unpack_strings(buf[:cut], "a block")
@@ -431,7 +446,7 @@ def test_truncated_string_block_errors(strings, data):
 @settings(max_examples=500, deadline=None)
 @given(strings=st.one_of(_STRINGS, _ASCII_STRINGS).filter(len), data=st.data())
 def test_string_block_with_other_offsets_errors_or_splits_the_same_bytes(strings, data):
-    buf = _pack_strings(strings)
+    buf = _reference_pack_strings(strings)
     count = len(strings)
     offsets = np.frombuffer(buf, dtype="<u8", count=count + 1, offset=8).copy()
     i = data.draw(st.integers(0, count))
@@ -445,12 +460,16 @@ def test_string_block_with_other_offsets_errors_or_splits_the_same_bytes(strings
         with pytest.raises(TabularError, match="in a block"):
             _unpack_strings(bad, "a block")
         return
+    if any("\0" in s for s in strings):  # any split of a NUL byte is rejected
+        with pytest.raises(TabularError, match="in a block holds a NUL byte"):
+            _unpack_strings(bad, "a block")
+        return
     try:
         got = _unpack_strings(bad, "a block")
     except TabularError as exc:  # only a split UTF-8 character is left to reject
         assert "not UTF-8" in str(exc)
         return
-    assert _pack_strings(got.tolist()) == bad
+    assert _pack_strings(got, "a block") == bad
 
 
 class TestSplit:
@@ -536,12 +555,48 @@ class TestBinaryPersistence:
 
     @pytest.mark.parametrize("ids", [["r1", "", "r33"], ["r1", "é", "", "日本", "r5"]])
     def test_row_ids_round_trip(self, tmp_path, ids):
-        # all-ASCII blocks are decoded at once, others id by id
+        # ASCII and non-ASCII ids alike load as their UTF-8 bytes
         schema = Schema((("id", ColumnRole.ROW_ID), ("y", ColumnRole.LABEL_INSTALL)))
         table = Table.from_columns(schema, {"id": ids, "y": np.zeros(len(ids))})
         dest = tmp_path / "t.rlt"
         save_binary(table, dest)
-        assert load_binary(dest).col("id").tolist() == ids
+        assert load_binary(dest).col("id").tolist() == [i.encode() for i in ids]
+
+    def test_loaded_ids_are_as_wide_as_the_longest_in_utf8(self, tmp_path):
+        ids = ["é", "abc", "日本x", ""]
+        longest = max(len(i.encode()) for i in ids)
+        schema = Schema((("id", ColumnRole.ROW_ID), ("y", ColumnRole.LABEL_INSTALL)))
+        path = write(tmp_path, "t.tsv", "".join(f"{i}\t0\n" for i in ids))
+        ingested = ingest_csv(path, schema)
+        dest = tmp_path / "t.rlt"
+        save_binary(ingested, dest)
+        for table in (ingested, load_binary(dest)):
+            col = table.col("id")
+            assert col.dtype.kind == "S" and col.itemsize == longest == 7
+            assert col.tolist() == [i.encode() for i in ids]
+
+    @pytest.mark.parametrize("column", ["id", "c"])
+    def test_cache_whose_string_block_holds_a_nul_byte_errors(self, tmp_path, column):
+        # an S array would drop the NUL of "idA\0" silently, as ingest guards against
+        schema = Schema((("id", ColumnRole.ROW_ID), ("c", ColumnRole.CATEGORICAL)))
+        table = Table.from_columns(
+            schema, {"id": ["idAA", "idBB"], "c": [1, 2]},
+            {"c": [MISSING_TOKEN, "tokA", "tokB"]},
+        )
+        dest = tmp_path / "t.rlt"
+        save_binary(table, dest)
+        good = b"idAAidBB" if column == "id" else b"tokAtokB"
+        blob = dest.read_bytes()
+        assert blob.count(good) == 1
+        dest.write_bytes(blob.replace(good, good[:3] + b"\0" + good[4:]))
+        with pytest.raises(TabularError, match=f"string block in column '{column}'.* NUL byte"):
+            load_binary(dest)
+
+    def test_saving_an_id_with_a_nul_byte_errors(self, tmp_path):
+        schema = Schema((("id", ColumnRole.ROW_ID),))
+        table = Table.from_columns(schema, {"id": ["a\0b", "c"]})
+        with pytest.raises(TabularError, match="NUL byte in a string of column 'id'"):
+            save_binary(table, tmp_path / "t.rlt")
 
     @pytest.mark.parametrize("offsets", [(0, 5, 2, 6), (1, 2, 5, 6), (0, 2, 2, 1, 6)])
     def test_corrupt_id_offsets_error(self, tmp_path, offsets):
@@ -551,7 +606,7 @@ class TestBinaryPersistence:
         table = Table.from_columns(schema, {"id": ["ab", "cde", "f"] + [""] * (len(offsets) - 4)})
         dest = tmp_path / "t.rlt"
         save_binary(table, dest)
-        good = _pack_strings(table.col("id").tolist())
+        good = _pack_strings(table.col("id"), "column 'id'")
         bad = good[:8] + np.array(offsets, dtype="<u8").tobytes() + good[8 + 8 * len(offsets):]
         dest.write_bytes(dest.read_bytes().replace(good, bad))
         with pytest.raises(TabularError, match="string block in column 'id' has offsets"):
