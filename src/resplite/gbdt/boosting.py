@@ -197,6 +197,7 @@ def fit(
     # gradients; all three live in buffers reused every round
     p_train = sigmoid(scores)
     grad, hess = np.empty_like(scores), np.empty_like(scores)
+    order = np.empty(len(scores), dtype=np.int64)  # each tree's row partition
     for it in range(params.num_iterations):
         _grad_hess(p_train, y_train, grad, hess)
         if n_sub < n_features:
@@ -216,6 +217,7 @@ def fit(
             params.min_data_in_leaf,
             params.lambda_l2,
             params.learning_rate,
+            order,
         )
         if grown is None:
             break

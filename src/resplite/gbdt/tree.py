@@ -18,7 +18,10 @@ values go left on exact gain ties.  Sibling histograms are derived by
 subtraction from the parent (smaller child built directly).  With b splits
 left in the leaf budget, only the b smallest heap keys can still be popped,
 so the other frontier leaves drop their histograms and stay leaves; this
-cannot change the tree.
+cannot change the tree.  The rows live in one index array that every split
+partitions in place, left rows first, each side in row order: a leaf's rows
+are a contiguous view of it, so a tree allocates no row array that outlives
+a split (per-split arrays of changing sizes fragment the heap).
 
 Scoring walks no nodes (QuickScorer, Lucchese et al. 2015, over histogram
 bins).  Leaves are numbered left to right and each row carries one bit per
@@ -274,14 +277,21 @@ def grow_tree(
     min_data: int,
     lam: float,
     learning_rate: float,
+    order: np.ndarray | None = None,
 ) -> GrownTree | None:
     """Grow one tree over all rows; returns None when not even the root can
     be split with positive gain (no further boosting progress is possible).
-    ``root_counts`` is :func:`bin_counts` of ``binned``."""
+    ``root_counts`` is :func:`bin_counts` of ``binned``.  ``order`` is an
+    int64 buffer of one slot per row that the splits partition in place (a
+    new one when not given); the returned leaf updates are views of it, so
+    they hold until it is reused."""
     n = binned.shape[1]
     scan = _scan_plan(subset, n_bins_all, is_cat)
 
-    root = _Leaf(np.arange(n, dtype=np.int64), 0, float(grad.sum()), float(hess.sum()), n)
+    if order is None:
+        order = np.empty(n, dtype=np.int64)
+    order[:] = np.arange(n)
+    root = _Leaf(order, 0, float(grad.sum()), float(hess.sum()), n)
     root.hist = _build_hist(binned, subset, slice(None), grad, hess, root_counts)
     root.split = _find_best_split(root, scan, lam, min_data)
     if root.split is None:
@@ -297,8 +307,11 @@ def grow_tree(
         split = leaf.split
         node = _split_node(split)
         mask = _left_mask(node, binned[split.feature][leaf.rows])
-        rows_l = leaf.rows[mask]
-        rows_r = leaf.rows[~mask]
+        rows, n_left = leaf.rows, int(np.count_nonzero(mask))
+        right_rows = rows[~mask]
+        rows[:n_left] = rows[mask]
+        rows[n_left:] = right_rows
+        rows_l, rows_r = rows[:n_left], rows[n_left:]
 
         left = _Leaf(rows_l, leaf.depth + 1, split.grad_left, split.hess_left, len(rows_l))
         right = _Leaf(

@@ -452,7 +452,14 @@ def grow_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=grow_cases())
 def test_grow_tree_equals_the_reference_loop(case):
-    assert _grown_fields(tree.grow_tree(*case)) == _grown_fields(_reference_grow_tree(*case))
+    want = _grown_fields(_reference_grow_tree(*case))
+    assert _grown_fields(tree.grow_tree(*case)) == want
+    # a reused row buffer, holding stale rows, grows the same tree, and the
+    # leaf updates are views of it
+    order = np.full(case[0].shape[1], -1, dtype=np.int64)
+    grown = tree.grow_tree(*case, order=order)
+    assert _grown_fields(grown) == want
+    assert grown is None or all(np.shares_memory(r, order) for r, _ in grown.leaf_updates)
 
 
 def test_grow_tree_holds_at_most_32_histograms_for_63_leaves(monkeypatch):
