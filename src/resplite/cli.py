@@ -128,7 +128,7 @@ def _cmd_train(args) -> int:
         lo, hi = args.train_days.split("-")
         train_days = frozenset(range(int(lo), int(hi) + 1))
     out_dir = _out_dir(args)
-    _, valid, model = pipeline.train_stage(
+    _, _, model = pipeline.train_stage(
         tables[0], SplitPlan(train_days, args.valid_day), params, out_dir
     )
     report = RunReport(
@@ -136,7 +136,6 @@ def _cmd_train(args) -> int:
         train_curve=model.train_curve, valid_curve=model.valid_curve,
     )
     report_export(report, out_dir, "csv")
-    pipeline.predict_stage(model, valid, out_dir / "valid_predictions.csv")
     if args.predict:
         pipeline.predict_stage(model, tables[1], out_dir / "predictions.csv")
     print(

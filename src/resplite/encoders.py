@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .gbdt.binning import json_value
 from .tabular import ColumnRole, Table
 
 
@@ -87,30 +88,54 @@ class EncoderState:
         return doc
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "EncoderState":
-        kind = doc["kind"]
+    def from_json_dict(cls, doc) -> "EncoderState":
+        """The state that :meth:`to_json_dict` wrote.  A missing key, a value
+        of another JSON type, kind, window or target, or an array of another
+        shape raises :class:`EncoderError` naming the field."""
+        if not isinstance(doc, dict):
+            raise EncoderError(f"is {type(doc).__name__}, not a JSON object")
+
+        def value(key: str, types: tuple[type, ...], choices=None):
+            if key not in doc:
+                raise EncoderError(f"lacks the key {key!r}")
+            got = json_value(doc[key], types, key, EncoderError)
+            if choices is not None and got not in choices:
+                raise EncoderError(f"{key} is {got!r}, not one of {', '.join(choices)}")
+            return got
+
+        def counts(key: str, shape: tuple[int, ...]) -> np.ndarray:
+            rows = value(key, (list,))
+            try:
+                arr = np.asarray(rows)
+            except ValueError:  # a ragged list
+                arr = None
+            if arr is None or arr.dtype.kind != "i" or arr.shape != shape or (arr < 0).any():
+                raise EncoderError(f"{key} is not an array of counts of shape {shape}")
+            return arr.astype(np.int64)
+
+        kind = value("kind", (str,), ("frequency", "target"))
+        n_categories = value("n_categories", (int,))
+        min_day, max_day = value("min_day", (int,)), value("max_day", (int,))
+        if n_categories < 1 or max_day < min_day:
+            raise EncoderError(
+                f"n_categories {n_categories} or days {min_day}..{max_day} hold no counts"
+            )
+        shape = (max_day - min_day + 1, n_categories)
+        state = dict(kind=kind, feature=value("feature", (str,)), n_categories=n_categories,
+                     min_day=min_day, max_day=max_day, counts=counts("counts", shape))
+        if kind == "frequency":
+            return cls(**state, window=FreqWindow(
+                value("window", (str,), [w.value for w in FreqWindow])))
+        smoothing = float(value("smoothing", (int, float)))
+        if not smoothing > 0:
+            raise EncoderError(f"smoothing is {smoothing}, not positive")
         return cls(
-            kind=kind,
-            feature=doc["feature"],
-            n_categories=int(doc["n_categories"]),
-            min_day=int(doc["min_day"]),
-            max_day=int(doc["max_day"]),
-            counts=np.asarray(doc["counts"], dtype=np.int64),
-            window=FreqWindow(doc["window"]) if kind == "frequency" else None,
-            target=doc.get("target"),
-            smoothing=float(doc.get("smoothing", 1.0)),
-            target_sums=(
-                np.asarray(doc["target_sums"], dtype=np.int64)
-                if kind == "target" else None
-            ),
-            day_rows=(
-                np.asarray(doc["day_rows"], dtype=np.int64)
-                if kind == "target" else None
-            ),
-            day_positives=(
-                np.asarray(doc["day_positives"], dtype=np.int64)
-                if kind == "target" else None
-            ),
+            **state,
+            target=value("target", (str,), _TARGETS),
+            smoothing=smoothing,
+            target_sums=counts("target_sums", shape),
+            day_rows=counts("day_rows", shape[:1]),
+            day_positives=counts("day_positives", shape[:1]),
         )
 
 
@@ -240,7 +265,15 @@ def transform(state: EncoderState, table: Table) -> np.ndarray:
 
 
 def apply_encoders(states: list[EncoderState], table: Table) -> Table:
-    """Append one continuous column per fitted encoder state."""
+    """Append one continuous column per fitted encoder state.  A state whose
+    feature is no categorical column of ``table`` raises, naming its index."""
+    cats = table.schema.names_of(ColumnRole.CATEGORICAL)
+    for i, state in enumerate(states):
+        if state.feature not in cats:
+            raise EncoderError(
+                f"encoder state {i}: feature {state.feature!r} is not a categorical "
+                "column of the table"
+            )
     new_cols = [
         (state.column_name, ColumnRole.CONTINUOUS, transform(state, table))
         for state in states
@@ -267,6 +300,17 @@ def save_states(states: Iterable[EncoderState], path) -> None:
 
 
 def load_states(path) -> list[EncoderState]:
+    """The states that :func:`save_states` wrote to ``path``.  A malformed
+    document raises :class:`EncoderError`, naming the bad state's index and
+    field."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return [EncoderState.from_json_dict(d) for d in doc["encoders"]]
+    if not isinstance(doc, dict) or not isinstance(doc.get("encoders"), list):
+        raise EncoderError(f"{path} is not an object holding an encoders list")
+    states = []
+    for i, state in enumerate(doc["encoders"]):
+        try:
+            states.append(EncoderState.from_json_dict(state))
+        except EncoderError as exc:
+            raise EncoderError(f"encoder state {i}: {exc}") from None
+    return states

@@ -79,6 +79,10 @@ class GbdtParams:
             raise GbdtError("feature_fraction must be in (0, 1]")
 
 
+#: the JSON types of each parameter's value
+PARAM_TYPES = {f.name: (int,) if f.type == "int" else (int, float) for f in fields(GbdtParams)}
+
+
 def params_from_json(doc, seed: int = 0) -> GbdtParams:
     """GbdtParams from a JSON object of overrides (``seed`` when it has none);
     a key that is not a parameter, or a value of the wrong type, raises."""
@@ -91,8 +95,8 @@ def params_from_json(doc, seed: int = 0) -> GbdtParams:
         params = GbdtParams(**{"seed": seed, **doc})
     except TypeError as exc:
         raise GbdtError(f"params: {exc}") from None
-    for f in fields(GbdtParams):
-        json_value(getattr(params, f.name), (int,) if f.type == "int" else (int, float), f.name)
+    for name, types in PARAM_TYPES.items():
+        json_value(getattr(params, name), types, name)
     return params
 
 
@@ -107,6 +111,9 @@ class GbdtModel:
     split_counts: np.ndarray
     train_curve: list[float] = field(default_factory=list)
     valid_curve: list[float] = field(default_factory=list)
+    #: the valid table's probabilities under the kept trees, as :func:`fit`
+    #: computed them for early stopping; not saved, so None after loading
+    valid_probs: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_trees(self) -> int:
@@ -196,6 +203,8 @@ def fit(
     # one sigmoid per round serves both the train curve and the next
     # gradients; all three live in buffers reused every round
     p_train = sigmoid(scores)
+    # the valid probabilities the best loss so far was computed from
+    best_valid = sigmoid(valid_scores)
     grad, hess = np.empty_like(scores), np.empty_like(scores)
     order = np.empty(len(scores), dtype=np.int64)  # each tree's row partition
     for it in range(params.num_iterations):
@@ -227,11 +236,11 @@ def fit(
         trees.append(grown.root)
         sigmoid(scores, out=p_train)
         train_curve.append(logloss(EvalBatch(y_train, p_train)))
-        vloss = logloss(EvalBatch(y_valid, sigmoid(valid_scores)))
+        p_valid = sigmoid(valid_scores)
+        vloss = logloss(EvalBatch(y_valid, p_valid))
         valid_curve.append(vloss)
         if vloss < best_loss:
-            best_loss = vloss
-            best_iter = it
+            best_loss, best_iter, best_valid = vloss, it, p_valid
         elif it - best_iter >= params.early_stopping_rounds:
             break
 
@@ -249,6 +258,7 @@ def fit(
         split_counts=split_counts,
         train_curve=train_curve,
         valid_curve=valid_curve,
+        valid_probs=best_valid,
     )
 
 

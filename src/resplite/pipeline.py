@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import resource
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from .gbdt import (
     save_model,
 )
 from .gbdt.binning import json_value
+from .gbdt.boosting import PARAM_TYPES
 from .report import (
     RunReport,
     report_export,
@@ -98,53 +98,94 @@ class PipelineConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _apply_env_overrides(doc: dict, env: dict[str, str]) -> dict:
-    """Apply RLT_<SECTION>_<KEY> overrides; values are parsed as JSON with a
-    plain-string fallback.  Section RUN addresses top-level keys."""
-    pattern = re.compile(rf"^{ENV_PREFIX}([A-Z]+)_(.+)$")
-    for name, value in sorted(env.items()):
-        m = pattern.match(name)
-        if not m:
-            continue
-        section, key = m.group(1).lower(), m.group(2).lower()
-        try:
-            parsed = json.loads(value)
-        except json.JSONDecodeError:
-            parsed = value
-        if section == "run":
-            doc[key] = parsed
-        elif section in ("paths", "split", "stages", "adversarial", "denoise",
-                         "encoders", "gbdt"):
-            doc.setdefault(section, {})[key] = parsed
-    return doc
-
-
 _config_error = partial(PipelineError, "config")
+REQUIRED = object()  # the default of a key the document must give
 
 
-def _get(doc: dict, path: str, default, types: tuple[type, ...]):
-    """The value at the dotted ``path`` of ``doc`` (``default`` when absent)
-    when JSON typed it as one of ``types``; otherwise a config error."""
+@dataclass(frozen=True)
+class ConfigKey:
+    """One key of the config document: its dotted ``path``, the JSON
+    ``types`` its value may have, its ``default`` (or ``REQUIRED``), the
+    strings a ``str`` value may be, the type of a list value's entries, and
+    the :class:`PipelineConfig` field that takes the value as it is."""
+
+    path: str
+    types: tuple[type, ...]
+    default: object = REQUIRED
+    choices: tuple[str, ...] = ()
+    entry: type | None = None
+    attr: str | None = None
+
+
+#: every key the reader knows; a key of the document not listed is ignored
+CONFIG_KEYS = (
+    ConfigKey("paths.train", (str,), attr="train_path"),
+    ConfigKey("paths.test", (str,), attr="test_path"),
+    ConfigKey("paths.output_dir", (str,), attr="output_dir"),
+    ConfigKey("schema", (dict,), None),
+    ConfigKey("schema_path", (str,), None),  # relative to the config file
+    ConfigKey("split.valid_day", (int,)),
+    ConfigKey("split.train_days", (list,), (), entry=int),
+    *(ConfigKey(f"stages.{name}", (bool,), True) for name in STAGE_NAMES),
+    ConfigKey("seed", (int,), 0, attr="seed"),
+    ConfigKey("adversarial.auc_threshold", (int, float), 0.75),
+    ConfigKey("adversarial.holdout_fraction", (int, float), 0.2),
+    ConfigKey("adversarial.seed", (int,), None),  # None: the run's seed
+    ConfigKey("adversarial.subsample_per_side", (int, type(None)), 200_000),
+    ConfigKey("adversarial.re_audit_encoded", (bool,), False, attr="re_audit_encoded"),
+    ConfigKey("denoise.tol_rel", (int, float), DEFAULT_TOL_REL, attr="denoise_tol_rel"),
+    ConfigKey("denoise.as_categorical", (bool,), True, attr="denoise_as_categorical"),
+    ConfigKey("encoders.frequency.features", (list, str), ALL_CATEGORICAL,
+              (ALL_CATEGORICAL,), str, "freq_features"),
+    ConfigKey("encoders.frequency.window", (str,), enc_mod.FreqWindow.PREV_WEEK.value,
+              tuple(w.value for w in enc_mod.FreqWindow)),
+    ConfigKey("encoders.target.features", (list, str), ALL_CATEGORICAL,
+              (ALL_CATEGORICAL,), str, "te_features"),
+    ConfigKey("encoders.target.targets", (list,), ("click", "install"), entry=str),
+    ConfigKey("encoders.target.smoothing", (int, float), 1.0, attr="te_smoothing"),
+    ConfigKey("encoders.keep_originals", (bool,), True, attr="keep_originals"),
+    # the gbdt section goes whole to params_from_json, which checks these types
+    *(ConfigKey(f"gbdt.{f.name}", PARAM_TYPES[f.name], f.default) for f in fields(GbdtParams)),
+)
+
+
+def _section(doc: dict, path: str, create: bool = False) -> tuple[dict, str]:
+    """The object of ``doc`` that holds the dotted ``path``'s last key (made
+    when ``create``), and that key."""
     *sections, key = path.split(".")
     for name in sections:
-        doc = json_value(doc.get(name, {}), (dict,), f"section {name!r}", _config_error)
-    return json_value(doc.get(key, default), types, path, _config_error)
+        value = doc.setdefault(name, {}) if create else doc.get(name, {})
+        doc = json_value(value, (dict,), f"section {name!r}", _config_error)
+    return doc, key
 
 
-def _names(doc: dict, path: str, default, keyword: str | None = None) -> list[str] | str:
-    """The list of strings at the dotted ``path`` of ``doc``, or ``keyword``
-    when that string stands there instead; otherwise a config error."""
-    value = _get(doc, path, default, (list,) if keyword is None else (list, str))
-    if value == keyword:
-        return value
-    if isinstance(value, str):
-        raise _config_error(f"{path} is {value!r}, not a list or {keyword!r}")
-    return [json_value(v, (str,), f"an entry of {path}", _config_error) for v in value]
+def _value(doc: dict, key: ConfigKey):
+    """``key``'s value in ``doc``, or its default when absent; a value of
+    another JSON type, choice or entry type is a config error.  Numbers are
+    read as floats."""
+    section, name = _section(doc, key.path)
+    if name not in section:
+        if key.default is REQUIRED:
+            raise _config_error(f"{key.path} is required")
+        return key.default
+    value = json_value(section[name], key.types, key.path, _config_error)
+    if isinstance(value, str) and key.choices and value not in key.choices:
+        expected = (f"a list or {key.choices[0]!r}" if list in key.types
+                    else f"one of {', '.join(key.choices)}")
+        raise _config_error(f"{key.path} is {value!r}, not {expected}")
+    if isinstance(value, list):
+        entry = f"a {key.path} entry" if key.entry is int else f"an entry of {key.path}"
+        return [json_value(v, (key.entry,), entry, _config_error) for v in value]
+    return float(value) if float in key.types else value
 
 
 def load_config(source: str | Path | dict, env: dict[str, str] | None = None) -> PipelineConfig:
     """Build a PipelineConfig from a JSON file or dict plus env overrides.
-    Values must have their JSON types (``"false"`` is no bool)."""
+    ``RLT_<PATH>`` sets the key of :data:`CONFIG_KEYS` at the dotted path in
+    upper case, dots as underscores (``RLT_RUN_<KEY>`` a top-level key), to
+    its value parsed as JSON with a plain-string fallback; an ``RLT_``
+    variable that names no key is a config error.  Values must have their
+    JSON types (``"false"`` is no bool)."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -152,70 +193,46 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
     else:
         doc = json.loads(json.dumps(source))  # private copy
         base_dir = Path(".")
-    doc = _apply_env_overrides(doc, dict(env if env is not None else os.environ))
+    doc = json_value(doc, (dict,), "the config document", _config_error)
+    paths = {ENV_PREFIX + ("" if "." in key.path else "RUN_")
+             + key.path.upper().replace(".", "_"): key.path for key in CONFIG_KEYS}
+    for name, text in sorted((os.environ if env is None else env).items()):
+        if not name.startswith(ENV_PREFIX):
+            continue
+        if name not in paths:
+            raise _config_error(f"{name} names no config key")
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text
+        section, key = _section(doc, paths[name], create=True)
+        section[key] = value
 
-    paths = doc.get("paths", {})
-    for required in ("train", "test", "output_dir"):
-        if required not in paths:
-            raise PipelineError("config", f"paths.{required} is required")
-
-    if "schema" in doc:
-        schema = Schema.from_json(doc["schema"])
-    elif "schema_path" in doc:
-        schema = _read_schema(base_dir / doc["schema_path"])
+    v = {key.path: _value(doc, key) for key in CONFIG_KEYS if not key.path.startswith("gbdt.")}
+    if v["schema"] is not None:
+        schema = Schema.from_json(v["schema"])
+    elif v["schema_path"] is not None:
+        schema = _read_schema(base_dir / v["schema_path"])
     else:
         schema = None  # allowed when both inputs are binary caches
-
-    if "valid_day" not in _get(doc, "split", {}, (dict,)):
-        raise PipelineError("config", "split.valid_day is required")
-    train_days = _get(doc, "split.train_days", [], (list,))
-    plan = SplitPlan(
-        frozenset(json_value(d, (int,), "a split.train_days entry", _config_error)
-                  for d in train_days),
-        _get(doc, "split.valid_day", None, (int,)),
-    )
-
-    stages = {name: True for name in STAGE_NAMES}
-    for name in _get(doc, "stages", {}, (dict,)):
-        stages[name] = _get(doc, f"stages.{name}", True, (bool,))
-
-    seed = _get(doc, "seed", 0, (int,))
-    adv_cfg = advval.AdvConfig(
-        auc_threshold=float(_get(doc, "adversarial.auc_threshold", 0.75, (int, float))),
-        holdout_fraction=float(_get(doc, "adversarial.holdout_fraction", 0.2, (int, float))),
-        seed=_get(doc, "adversarial.seed", seed, (int,)),
-        subsample_per_side=_get(doc, "adversarial.subsample_per_side", 200_000, (int, type(None))),
-    )
-    window = _get(doc, "encoders.frequency.window", "prev_week", (str,))
-    windows = [w.value for w in enc_mod.FreqWindow]
-    if window not in windows:
-        raise _config_error(
-            f"encoders.frequency.window is {window!r}, not one of {', '.join(windows)}"
-        )
+    if v["adversarial.seed"] is None:
+        v["adversarial.seed"] = v["seed"]
     try:
-        params = params_from_json(doc.get("gbdt", {}), seed)
+        params = params_from_json(doc.get("gbdt", {}), v["seed"])
     except GbdtError as exc:
         raise PipelineError("config", f"bad gbdt params: {exc}") from exc
 
     return PipelineConfig(
-        train_path=str(paths["train"]),
-        test_path=str(paths["test"]),
-        output_dir=str(paths["output_dir"]),
+        **{key.attr: v[key.path] for key in CONFIG_KEYS if key.attr},
         schema=schema,
-        split_plan=plan,
-        stages=stages,
-        adversarial=adv_cfg,
-        re_audit_encoded=_get(doc, "adversarial.re_audit_encoded", False, (bool,)),
-        denoise_tol_rel=float(_get(doc, "denoise.tol_rel", DEFAULT_TOL_REL, (int, float))),
-        denoise_as_categorical=_get(doc, "denoise.as_categorical", True, (bool,)),
-        freq_features=_names(doc, "encoders.frequency.features", ALL_CATEGORICAL, ALL_CATEGORICAL),
-        freq_window=enc_mod.FreqWindow(window),
-        te_features=_names(doc, "encoders.target.features", ALL_CATEGORICAL, ALL_CATEGORICAL),
-        te_targets=_names(doc, "encoders.target.targets", ["click", "install"]),
-        te_smoothing=float(_get(doc, "encoders.target.smoothing", 1.0, (int, float))),
-        keep_originals=_get(doc, "encoders.keep_originals", True, (bool,)),
+        split_plan=SplitPlan(frozenset(v["split.train_days"]), v["split.valid_day"]),
+        stages={name: v[f"stages.{name}"] for name in STAGE_NAMES},
+        adversarial=advval.AdvConfig(
+            **{f.name: v[f"adversarial.{f.name}"] for f in fields(advval.AdvConfig)}
+        ),
+        freq_window=enc_mod.FreqWindow(v["encoders.frequency.window"]),
+        te_targets=list(v["encoders.target.targets"]),
         gbdt=params,
-        seed=seed,
         raw=doc,
     )
 
@@ -252,14 +269,6 @@ def load_tables(paths: list[str], schema: Schema | str | Path | None) -> list[Ta
     if not isinstance(schema, Schema):
         schema = _read_schema(schema)
     return ingest_csv_group(paths, schema)
-
-
-def _resolve_cat_features(spec: list[str] | str, table: Table) -> list[str]:
-    cats = list(table.schema.names_of(ColumnRole.CATEGORICAL))
-    if spec == ALL_CATEGORICAL:
-        return cats
-    present = set(cats)
-    return [name for name in spec if name in present]
 
 
 def _timed(report: RunReport, stage: str, fn):
@@ -335,21 +344,32 @@ def denoise_stage(
     return estimates, groups, quantized
 
 
-def encoder_specs(config: PipelineConfig, table: Table) -> list[dict]:
-    """The config's encoders as the spec list that ``resplite encode --spec``
-    reads: frequency encoders first, then target encoders per feature and
-    target (click only when the table has a click label)."""
+def _resolve_cat_features(spec: list[str] | str, table: Table, ingested: Schema) -> list[str]:
+    """The categorical columns of ``table`` that ``spec`` names.  A name that
+    an earlier stage dropped, or that is not categorical, is skipped; one that
+    is no column of the ``ingested`` schema is kept, so that its fit fails."""
+    cats = table.schema.names_of(ColumnRole.CATEGORICAL)
+    if spec == ALL_CATEGORICAL:
+        return list(cats)
+    return [name for name in spec if name in cats or name not in ingested.names]
+
+
+def encoder_specs(config: PipelineConfig, table: Table, ingested: Schema) -> list[dict]:
+    """The config's encoders of ``table``, whose input had the ``ingested``
+    schema, as the spec list that ``resplite encode --spec`` reads: frequency
+    encoders first, then target encoders per feature and target (click only
+    when the table has a click label)."""
     specs: list[dict] = []
     if config.stages.get("frequency", True):
         specs += [
             {"feature": name, "kind": "frequency", "window": config.freq_window.value}
-            for name in _resolve_cat_features(config.freq_features, table)
+            for name in _resolve_cat_features(config.freq_features, table, ingested)
         ]
     if config.stages.get("target_encoding", True):
         specs += [
             {"feature": name, "kind": "target", "target": target,
              "smoothing": config.te_smoothing}
-            for name in _resolve_cat_features(config.te_features, table)
+            for name in _resolve_cat_features(config.te_features, table, ingested)
             for target in config.te_targets
             if target != "click" or table.schema.click_column is not None
         ]
@@ -409,12 +429,14 @@ def train_stage(
     table: Table, plan: SplitPlan, params: GbdtParams, out_dir: Path
 ) -> tuple[np.ndarray, Table, GbdtModel]:
     """Fit the GBDT on the plan's train rows of ``table`` (see :func:`split_rows`),
-    early-stopping on the valid day, and write ``model.json``.  Returns the
-    train row indices, the valid day's table and the model."""
+    early-stopping on the valid day, and write ``model.json`` and, from the
+    fit's ``valid_probs``, ``valid_predictions.csv``.  Returns the train row
+    indices, the valid day's table and the model."""
     train_rows, valid_rows = split_rows(table, plan)
     valid = table.take(valid_rows)
     model = gbdt_fit(params, table, valid, rows=train_rows)
     save_model(model, out_dir / "model.json")
+    write_predictions_csv(_row_ids(valid), model.valid_probs, out_dir / "valid_predictions.csv")
     return train_rows, valid, model
 
 
@@ -449,6 +471,7 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
         tables = _timed(report, "ingest", ingest)
     else:
         report.timings["ingest"] = 0.0
+    ingested = tables[0].schema
     report.sections["ingest"] = {
         "train_rows": tables[0].n_rows,
         "test_rows": tables[1].n_rows,
@@ -491,7 +514,7 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
 
     if config.stages.get("frequency", True) or config.stages.get("target_encoding", True):
         def encode():
-            specs = encoder_specs(config, tables[0])
+            specs = encoder_specs(config, tables[0], ingested)
             columns, encoded = encode_stage(tables, specs, out_dir)
             if not config.keep_originals:
                 originals = {spec["feature"] for spec in specs}
@@ -527,9 +550,8 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
         }
 
         def evaluate():
-            valid_probs = predict_stage(model, valid, out_dir / "valid_predictions.csv")
             install = valid.schema.require_install()
-            section = {"valid": _metrics_dict(valid.col(install), valid_probs)}
+            section = {"valid": _metrics_dict(valid.col(install), model.valid_probs)}
             test = tables[1]
             if test.n_rows:
                 test_probs = predict_stage(model, test, out_dir / "test_predictions.csv")
@@ -550,9 +572,7 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
 
 
 def _variant_config(config: PipelineConfig, enabled: list[str], out_dir: Path) -> PipelineConfig:
-    stages = dict(config.stages)
-    for stage in ("adversarial", "denoise", "frequency", "target_encoding"):
-        stages[stage] = stage in enabled
+    stages = {name: name in enabled or name == "train" for name in STAGE_NAMES}
     return replace(config, stages=stages, output_dir=str(out_dir))
 
 
@@ -582,9 +602,7 @@ def ablate(config: PipelineConfig, stages: list[str] | None = None) -> list[dict
     ]
     for name, enabled in variants:
         vdir = out_dir / "ablation" / name.lstrip("+")
-        vcfg = _variant_config(config, enabled, vdir)
-        vcfg.stages["train"] = True
-        rep = run(vcfg, tables)
+        rep = run(_variant_config(config, enabled, vdir), tables)
         m = rep.sections["metrics"]
         row = {
             "variant": name,

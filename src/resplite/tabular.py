@@ -207,7 +207,7 @@ _ROLE_DTYPES = {
 class Table:
     """Immutable column-major dataset with typed columns.
 
-    Construct through :meth:`from_columns`, :func:`ingest_csv`, or
+    Construct through :meth:`from_columns`, :func:`ingest_csv_group`, or
     :func:`load_binary`; all column arrays are frozen (non-writeable) and may
     be shared between derived tables.
     """
@@ -376,12 +376,6 @@ class SplitPlan:
         return SplitPlan(frozenset(int(d) for d in before), self.valid_day)
 
 
-@dataclass
-class SplitResult:
-    train: Table
-    valid: Table
-
-
 def split_rows(table: Table, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
     """Ascending indices of the train rows and of the valid rows per the
     resolved plan (see :meth:`SplitPlan.resolve`).  Rows whose day is not
@@ -390,12 +384,6 @@ def split_rows(table: Table, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
     plan = plan.resolve(days)
     train = np.flatnonzero(np.isin(days, sorted(plan.train_days)))
     return train, np.flatnonzero(days == plan.valid_day)
-
-
-def split(table: Table, plan: SplitPlan) -> SplitResult:
-    """The rows of :func:`split_rows` as tables, in row order."""
-    train, valid = split_rows(table, plan)
-    return SplitResult(train=table.take(train), valid=table.take(valid))
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +490,6 @@ def _read_columns(path: Path, schema: Schema) -> list[np.ndarray]:
             line_no += len(lines)
     # a file with no rows yields bytes columns; from_columns casts them
     return [np.concatenate(p or [np.empty(0, np.bytes_)]) for p in parts]
-
-
-def ingest_csv(path: str | Path, schema: Schema) -> Table:
-    """Parse one delimited file into a Table (see :func:`ingest_csv_group`)."""
-    return ingest_csv_group([path], schema)[0]
 
 
 def ingest_csv_group(paths: list[str | Path], schema: Schema) -> list[Table]:

@@ -1,10 +1,11 @@
 import json
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from resplite.tabular import ColumnRole, Schema, Table
+from resplite.tabular import ColumnRole, Schema, SplitPlan, Table, ingest_csv_group, split_rows
 
 
 #: schema documents that are not schemas, and the error each one raises
@@ -71,3 +72,20 @@ def with_header(blob: bytes, edit) -> bytes:
     (hlen,) = struct.unpack_from("<Q", blob, 8)
     header = json.dumps(edit(json.loads(blob[16 : 16 + hlen]))).encode()
     return blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + hlen :]
+
+
+@dataclass
+class SplitResult:
+    train: Table
+    valid: Table
+
+
+def split(table: Table, plan: SplitPlan) -> SplitResult:
+    """The rows of :func:`split_rows` as tables, in row order."""
+    train, valid = split_rows(table, plan)
+    return SplitResult(train=table.take(train), valid=table.take(valid))
+
+
+def ingest_csv(path, schema: Schema) -> Table:
+    """Parse one delimited file into a Table (see :func:`ingest_csv_group`)."""
+    return ingest_csv_group([path], schema)[0]

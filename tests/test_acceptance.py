@@ -22,9 +22,9 @@ from resplite.synth import (
     generate,
     split_train_test,
 )
-from resplite.tabular import MISSING_TOKEN, SplitPlan, split
+from resplite.tabular import MISSING_TOKEN, SplitPlan
 
-from conftest import make_cat_table
+from conftest import make_cat_table, split
 
 
 class _Criterion:

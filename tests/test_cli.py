@@ -215,6 +215,30 @@ class TestEncodeCommand:
         assert "c0__te_install" in test_encoded.schema.names
 
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda s: s.pop("counts"), "lacks the key 'counts'"),
+        (lambda s: s.update(counts=[row[:-1] for row in s["counts"]]),
+         "counts is not an array of counts of shape"),
+        (lambda s: s.update(kind="target"), "lacks the key 'smoothing'"),
+        (lambda s: s.update(feature="c9"), "feature 'c9' is not a categorical column"),
+    ])
+    def test_reapply_of_a_malformed_state_exits_1(self, caches, tmp_path, capsys, edit, match):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps([{"feature": "c0", "kind": "frequency"}]))
+        fit_dir = tmp_path / "fit"
+        assert main(["encode", "--table", str(caches / "train.rlt"),
+                     "--spec", str(spec_path), "--out-dir", str(fit_dir)]) == 0
+        doc = json.loads((fit_dir / "encoders.json").read_text())
+        edit(doc["encoders"][0])
+        (fit_dir / "encoders.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["encode", "--table", str(caches / "test.rlt"),
+                     "--state", str(fit_dir / "encoders.json"),
+                     "--out-dir", str(tmp_path / "re")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: encoder state 0: ") and match in err
+        assert not (tmp_path / "re" / "encoded.rlt").exists()
+
     def test_reapply_to_a_delimited_table_fails(self, data, caches, tmp_path, capsys):
         # a fresh ingest of test.csv codes c2 on its own, so states fitted on
         # train.rlt's codes would encode other categories' statistics

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -257,6 +258,50 @@ class TestApplyAndPersist:
         for s1, s2 in zip(states, again):
             assert np.array_equal(transform(s1, table), transform(s2, table))
             assert s2.column_name == s1.column_name
+
+    @pytest.mark.parametrize("index, edit, match", [
+        (0, lambda s: s.pop("kind"), "lacks the key 'kind'"),
+        (0, lambda s: s.update(kind="count"), "kind is 'count', not one of frequency, target"),
+        (0, lambda s: s.update(window="prev_month"), "window is 'prev_month', not one of"),
+        (0, lambda s: s.update(n_categories=4.0), "n_categories is 4.0, not int"),
+        (0, lambda s: s.update(max_day=0), "n_categories 4 or days 1..0 hold no counts"),
+        (0, lambda s: s.update(counts=[[0, 1, 0, 0]] * 2),
+         r"counts is not an array of counts of shape \(3, 4\)"),
+        (0, lambda s: s.update(counts=[[0, 1, 0], [0], [1, 1, 1, 1]]), "counts is not an array"),
+        (0, lambda s: s.update(counts=[[0, 1.5, 0, 0]] * 3), "counts is not an array"),
+        (0, lambda s: s.update(counts=[[0, -1, 0, 0]] * 3), "counts is not an array"),
+        (1, lambda s: s.update(target="view"), "target is 'view', not one of click, install"),
+        (1, lambda s: s.update(smoothing=0), "smoothing is 0.0, not positive"),
+        (1, lambda s: s.update(smoothing="2"), "smoothing is '2', not int or float"),
+        (1, lambda s: s.pop("day_rows"), "lacks the key 'day_rows'"),
+        (1, lambda s: s.update(day_positives=[0, 1]),
+         r"day_positives is not an array of counts of shape \(3,\)"),
+        (1, lambda s: s.update(target_sums=[[True] * 4] * 3), "target_sums is not an array"),
+        (1, lambda s: s.clear() or s.update(kind="frequency"), "lacks the key 'n_categories'"),
+    ])
+    def test_malformed_state_fails_naming_its_index_and_field(self, tmp_path, index, edit, match):
+        table = ab_table([(1, "A", 1), (1, "B", 0), (2, "A", 1), (3, "C", 0)])
+        save_states([fit_frequency(table, "cat", FreqWindow.PREV_DAY),
+                     fit_target(table, "cat", "install")], tmp_path / "enc.json")
+        doc = json.loads((tmp_path / "enc.json").read_text())
+        edit(doc["encoders"][index])
+        (tmp_path / "enc.json").write_text(json.dumps(doc))
+        with pytest.raises(EncoderError, match=f"encoder state {index}: {match}"):
+            load_states(tmp_path / "enc.json")
+
+    @pytest.mark.parametrize("doc", [[], {"encoders": {}}, {"states": []}])
+    def test_document_without_an_encoders_list_fails(self, tmp_path, doc):
+        (tmp_path / "enc.json").write_text(json.dumps(doc))
+        with pytest.raises(EncoderError, match="not an object holding an encoders list"):
+            load_states(tmp_path / "enc.json")
+
+    @pytest.mark.parametrize("feature", ["c9", "day", "y"])
+    def test_state_of_no_categorical_column_of_the_table_fails(self, feature):
+        table = ab_table([(1, "A", 1), (2, "B", 0)])
+        state = fit_frequency(table, "cat", FreqWindow.PREV_WEEK)
+        other = dataclasses.replace(state, feature=feature)
+        with pytest.raises(EncoderError, match=f"encoder state 1: feature '{feature}' is not"):
+            apply_encoders([state, other], table)
 
     @pytest.mark.parametrize("n_states", [0, 1, 3])
     def test_state_file_is_the_whole_document_dump(self, tmp_path, n_states):

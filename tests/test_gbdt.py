@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from resplite import metrics
+from resplite import metrics, pipeline
 from resplite.gbdt import (
     CategoricalSplitNode,
     GbdtError,
@@ -38,9 +38,10 @@ from resplite.gbdt.binning import (
 from resplite.gbdt.boosting import _grad_hess
 from resplite.gbdt.tree import _SCORE_BLOCK, Node, _build_hist, _left_mask, node_from_json
 from resplite.pipeline import train_stage
-from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, SplitPlan, Table, split
+from resplite.report import write_predictions_csv
+from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, SplitPlan, Table, split_rows
 
-from conftest import make_cat_table, make_table
+from conftest import make_cat_table, make_table, split
 
 
 def separable_tables(n_train=2000, n_valid=400, seed=1):
@@ -251,6 +252,15 @@ class TestEarlyStopping:
 
 
 class TestPredict:
+    def test_zero_tree_fit_keeps_the_valid_predictions_of_the_prior(self):
+        n = 300
+        rng = np.random.Generator(np.random.PCG64(12))
+        table = make_table(np.full(n, 45), np.zeros(n), (rng.random(n) < 0.3).astype(np.uint8))
+        valid = make_table(np.full(50, 46), np.zeros(50), rng.integers(0, 2, 50).astype(np.uint8))
+        model = fit(GbdtParams(num_leaves=4), table, valid, ["x0"])
+        assert model.n_trees == 0
+        assert model.valid_probs.tobytes() == predict(model, valid).tobytes()
+
     def test_zero_tree_model_predicts_prior(self):
         n = 300
         rng = np.random.Generator(np.random.PCG64(12))
@@ -800,6 +810,22 @@ class TestFitOnRowIndices:
         assert (out / "model.json").read_bytes() == (out / "copies.json").read_bytes()
         assert valid.equals(parts.valid)
         assert table.take(train_rows).equals(parts.train)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=day_plan_cases())
+    def test_valid_predictions_are_the_fits_own_and_equal_predict(self, tmp_path_factory, case):
+        table, plan, params = case
+        train_rows, valid_rows = split_rows(table, plan)
+        labels = table.col("y")[train_rows]
+        assume(0 < labels.sum() < len(labels))
+        out = tmp_path_factory.mktemp("valid")
+        _, valid, model = train_stage(table, plan, params, out)
+        probs = predict(model, valid)
+        assert model.valid_probs.tobytes() == probs.tobytes()
+        write_predictions_csv(pipeline._row_ids(valid), probs, out / "predict.csv")
+        assert (out / "valid_predictions.csv").read_bytes() == (out / "predict.csv").read_bytes()
+        assert load_model(out / "model.json").valid_probs is None
 
 
 def _split_nodes(tree: dict) -> list[dict]:

@@ -8,7 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from resplite import pipeline
 from resplite.encoders import EncoderError, load_states
-from resplite.pipeline import PipelineError, ablate, emit_synthetic, load_config, run
+from resplite.pipeline import (
+    CONFIG_KEYS,
+    REQUIRED,
+    STAGE_NAMES,
+    PipelineError,
+    ablate,
+    emit_synthetic,
+    load_config,
+    run,
+)
 from resplite.report import (
     _CSV_BLOCK,
     RunReport,
@@ -165,6 +174,70 @@ class TestLoadConfig:
         assert cfg.adversarial.seed == 5
 
 
+def _env_name(path: str) -> str:
+    """``RLT_`` and the dotted path in upper case, dots as underscores; a
+    top-level key is under ``RUN``."""
+    return "RLT_" + ("" if "." in path else "RUN_") + path.upper().replace(".", "_")
+
+
+def _accepted_value(key, tmp_path):
+    """A value that ``key`` accepts and that is not its default."""
+    if key.path == "schema":
+        return {"day": "day"}
+    if key.path == "schema_path":
+        path = tmp_path / "schema.json"
+        path.write_text('{"day": "day"}')
+        return str(path)
+    if key.types == (int, float):
+        return 0.625
+    if key.types[0] is bool:
+        return not key.default
+    if key.types[0] is int:
+        return 3 if key.default in (None, REQUIRED) else key.default - 1
+    if key.types[0] is list:
+        return [60] if key.entry is int else ["c9"]
+    return next((c for c in key.choices if c != key.default), "elsewhere")
+
+
+class TestConfigKeys:
+    MINIMAL = {"paths": {"train": "a", "test": "b", "output_dir": "o"},
+               "split": {"valid_day": 66}}
+
+    def test_env_overrides_reach_nested_keys(self):
+        cfg = load_config(self.MINIMAL, env={"RLT_ENCODERS_TARGET_SMOOTHING": "5",
+                                             "RLT_ENCODERS_FREQUENCY_WINDOW": "prev_day"})
+        assert cfg.te_smoothing == 5.0 and type(cfg.te_smoothing) is float
+        assert cfg.freq_window.value == "prev_day"
+        assert cfg.raw["encoders"] == {"target": {"smoothing": 5},
+                                       "frequency": {"window": "prev_day"}}
+
+    @pytest.mark.parametrize("name", ["RLT_SPLIT_VALIDDAY", "RLT_ENCODERS_SMOOTHING", "RLT_SEED"])
+    def test_env_variable_that_names_no_key_fails_the_config_stage(self, name):
+        with pytest.raises(PipelineError, match=f"stage config: {name} names no config key"):
+            load_config(self.MINIMAL, env={name: "3"})
+
+    def test_env_names_are_distinct(self):
+        names = {_env_name(key.path) for key in CONFIG_KEYS}
+        assert len(names) == len({key.path for key in CONFIG_KEYS}) == len(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS, ids=lambda key: key.path)
+    def test_env_name_sets_exactly_its_key(self, key, tmp_path):
+        name = _env_name(key.path)
+        value = _accepted_value(key, tmp_path)
+        want = json.loads(json.dumps(self.MINIMAL))
+        *sections, last = key.path.split(".")
+        section = want
+        for part in sections:
+            section = section.setdefault(part, {})
+        section[last] = value
+        assert load_config(self.MINIMAL, env={name: json.dumps(value)}).raw == want
+
+    def test_stages_are_exactly_the_known_ones(self):
+        doc = dict(self.MINIMAL, stages={"denoise": False, "embedding": True})
+        assert load_config(doc, env={}).stages == {
+            name: name != "denoise" for name in STAGE_NAMES}
+
+
 class TestRun:
     def test_full_run_sections_and_artifacts(self, dataset, tmp_path):
         cfg = load_config(base_config(dataset, tmp_path / "out"), env={})
@@ -288,6 +361,24 @@ class TestRun:
         with pytest.raises(PipelineError, match="stage split"):
             run(load_config(doc, env={}))
         assert (tmp_path / "out" / "cache" / "train.rlt").exists()
+
+    def test_encoder_feature_not_in_the_input_fails_the_encode_stage(self, dataset, tmp_path):
+        doc = base_config(dataset, tmp_path / "out")
+        doc["encoders"] = {"frequency": {"features": ["c0", "typo"]}}
+        with pytest.raises(PipelineError, match=(
+            "stage encode: encoder spec 1 has feature 'typo', not a table column"
+        )):
+            run(load_config(doc, env={}))
+        assert (tmp_path / "out" / "delta_estimates.json").exists()
+
+    def test_encoder_features_the_audit_dropped_are_skipped(self, dataset, tmp_path):
+        doc = base_config(dataset, tmp_path / "out")
+        doc["adversarial"]["auc_threshold"] = 0.55
+        doc["stages"] = {"train": False, "target_encoding": False}
+        doc["encoders"] = {"frequency": {"features": ["c0", "c2", "x1"]}}
+        report = run(load_config(doc, env={}))
+        assert {"c2", "x1"} <= set(report.sections["adversarial"]["dropped"])
+        assert report.sections["encoding"]["columns"] == ["c0__freq_prev_week"]
 
     def test_bad_gbdt_params_fail_in_config_stage(self, dataset, tmp_path):
         doc = base_config(dataset, tmp_path / "out")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from resplite.pipeline import PipelineError, load_config
+from resplite.pipeline import CONFIG_KEYS, PipelineError, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,5 +44,31 @@ def test_each_documented_value_is_read_with_its_type(path):
     for key in path[:-1]:
         section = section[key]
     section[path[-1]] = "0"
+    with pytest.raises(PipelineError, match="stage config"):
+        load_config(doc, env={})
+
+
+def test_each_documented_key_is_a_config_key():
+    paths = {key.path for key in CONFIG_KEYS}
+
+    def documented(doc: dict, prefix: str):
+        for name, value in doc.items():
+            if isinstance(value, dict) and prefix + name not in paths:
+                yield from documented(value, prefix + name + ".")
+            else:
+                yield prefix + name
+
+    assert sorted(set(documented(readme_config(), "")) - paths) == []
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS, ids=lambda key: key.path)
+def test_each_config_key_is_read_with_its_type(key):
+    # the README example with a value of another JSON type at the key
+    doc = readme_config()
+    *sections, name = key.path.split(".")
+    section = doc
+    for part in sections:
+        section = section.setdefault(part, {})
+    section[name] = 0 if str in key.types else "0"
     with pytest.raises(PipelineError, match="stage config"):
         load_config(doc, env={})

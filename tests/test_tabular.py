@@ -19,15 +19,13 @@ from resplite.tabular import (
     Table,
     TabularError,
     first_occurrence_codes,
-    ingest_csv,
     ingest_csv_group,
     load_binary,
     save_binary,
-    split,
 )
 
 
-from conftest import MALFORMED_SCHEMAS, with_header
+from conftest import MALFORMED_SCHEMAS, ingest_csv, split, with_header
 
 
 class _DictBuilder:
