@@ -368,6 +368,7 @@ def _model_from_json(doc: dict) -> GbdtModel:
             raise GbdtError(f"tree {t}: a node lacks the field {exc}") from None
         except (TypeError, ValueError) as exc:  # GbdtError is a ValueError
             raise GbdtError(f"tree {t}: {exc}") from None
+        tree.clear()  # its nodes are made: drop its JSON while the rest loads
     return GbdtModel(
         params=params,
         feature_names=feature_names,

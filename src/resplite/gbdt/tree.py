@@ -45,12 +45,12 @@ import numpy as np
 from .binning import STRIDE, GbdtError, json_value
 
 
-@dataclass
+@dataclass(slots=True)
 class LeafNode:
     value: float
 
 
-@dataclass
+@dataclass(slots=True)
 class NumericSplitNode:
     feature: int
     threshold_bin: int  # left = finite bins 1..threshold_bin
@@ -59,7 +59,7 @@ class NumericSplitNode:
     right: "Node"
 
 
-@dataclass
+@dataclass(slots=True)
 class CategoricalSplitNode:
     feature: int
     left_bins: np.ndarray  # sorted bin ids routed left

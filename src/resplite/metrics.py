@@ -6,12 +6,19 @@ All logs are natural.  Labels are {0,1} externally; the ±1 label convention
 some definitions use reduces to the same per-row weights under
 ``y = 2*label - 1``, so no separate code path is needed.
 
-AUC is an exact pair count: one class's predictions are sorted, and each row
-of the other class counts the rows it beats and ties with two binary
-searches.  Beyond one copy of each class there, the metrics make no
-full-length temporary but one float buffer (and :func:`sigmoid` its output
-when it is given none).  :class:`EvalBatch` copies the predictions only
-to clamp one that lies outside ``[EPS, 1 - EPS]``.
+The metrics work on blocks of at most ``_EVAL_BLOCK`` rows, so no float
+temporary is as long as the batch.  Log loss makes its per-row terms one
+block at a time in one reused buffer, and adds the blocks in the order
+numpy's pairwise summation adds a whole array: a range longer than a block
+is split at its half rounded down to a multiple of 8, as numpy splits it.
+So the result equals ``-np.mean`` of all the terms, bit for bit.
+
+AUC is an exact pair count: the larger class's predictions are copied in
+row order and sorted, the one full-length copy the metrics make.  The other
+class is gathered a block at a time, and each of its rows counts the sorted
+rows it beats and ties with two binary searches.  :class:`EvalBatch` copies
+the predictions only to clamp one that lies outside ``[EPS, 1 - EPS]``, and
+:func:`sigmoid` makes its output when it is given none.
 """
 
 from __future__ import annotations
@@ -22,6 +29,10 @@ import numpy as np
 
 #: probability clamp applied before any log
 EPS = 1e-15
+#: rows evaluated at a time
+_EVAL_BLOCK = 1 << 15
+#: the longest range numpy's pairwise summation adds without splitting it
+_PAIRWISE_LEAF = 128
 
 
 class MetricError(ValueError):
@@ -93,19 +104,33 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def logloss(batch: EvalBatch) -> float:
-    """Mean negative log likelihood of the labels under the predictions."""
-    p = batch.predictions
-    terms = np.negative(p)
-    np.log1p(terms, out=terms)
-    np.log(p, out=terms, where=batch.labels)
-    return float(-np.mean(terms))
+    """Mean negative log likelihood of the labels under the predictions,
+    equal to ``-np.mean`` of the per-row terms (see the module docstring)."""
+    p, y = batch.predictions, batch.labels
+    leaf = max(_EVAL_BLOCK, _PAIRWISE_LEAF)
+    buf = np.empty(min(len(p), leaf))
+
+    def total(lo: int, hi: int) -> np.float64:
+        n = hi - lo
+        if n > leaf:
+            half = n // 2
+            half -= half % 8
+            return total(lo, lo + half) + total(lo + half, hi)
+        terms = buf[:n]
+        np.negative(p[lo:hi], out=terms)
+        np.log1p(terms, out=terms)
+        np.log(p[lo:hi], out=terms, where=y[lo:hi])
+        return np.add.reduce(terms)
+
+    return float(-(total(0, len(p)) / len(p)))
 
 
 def auc(batch: EvalBatch) -> float:
     """ROC AUC as the pair count: (#(pos, neg) pairs where the positive
     outranks the negative, plus half the tied pairs) / (n_pos*n_neg).
 
-    The larger class is sorted.  For each row of the other class, two
+    The larger class is copied a block at a time, in row order, and sorted.
+    The other class is gathered a block at a time; for each of its rows, two
     ``searchsorted`` calls give the sorted rows below it and at or below it;
     their sum counts the pairs it wins twice and its ties once.  When the
     positives are the sorted class this counts the negatives' wins, and the
@@ -114,15 +139,24 @@ def auc(batch: EvalBatch) -> float:
     """
     if not batch.has_both_classes():
         raise MetricError("AUC is undefined for a single-class batch")
-    is_pos = batch.labels
+    p, is_pos = batch.predictions, batch.labels
     n_pos = int(np.count_nonzero(is_pos))
     n_neg = batch.n - n_pos
     sort_pos = n_pos > n_neg
-    ref = batch.predictions[is_pos if sort_pos else ~is_pos]
+    blocks = [slice(lo, lo + _EVAL_BLOCK) for lo in range(0, batch.n, _EVAL_BLOCK)]
+    ref = np.empty(max(n_pos, n_neg))
+    start = 0
+    for rows in blocks:
+        in_ref = is_pos[rows] == sort_pos
+        end = start + int(np.count_nonzero(in_ref))
+        ref[start:end] = p[rows][in_ref]
+        start = end
     ref.sort()
-    query = batch.predictions[~is_pos if sort_pos else is_pos]
-    twice = int(np.searchsorted(ref, query, side="left").sum())
-    twice += int(np.searchsorted(ref, query, side="right").sum())
+    twice = 0
+    for rows in blocks:
+        query = p[rows][is_pos[rows] != sort_pos]
+        twice += int(np.searchsorted(ref, query, side="left").sum())
+        twice += int(np.searchsorted(ref, query, side="right").sum())
     if sort_pos:
         twice = 2 * n_pos * n_neg - twice
     return twice / 2 / (n_pos * n_neg)

@@ -179,6 +179,15 @@ def _value(doc: dict, key: ConfigKey):
     return float(value) if float in key.types else value
 
 
+def _built(tag: str, make):
+    """``make()``; a range check of the object it builds that fails is a
+    config error, its message led by ``tag``, which names the key."""
+    try:
+        return make()
+    except (advval.AdvValError, TabularError) as exc:
+        raise _config_error(f"{tag}{exc}") from exc
+
+
 def load_config(source: str | Path | dict, env: dict[str, str] | None = None) -> PipelineConfig:
     """Build a PipelineConfig from a JSON file or dict plus env overrides.
     ``RLT_<PATH>`` sets the key of :data:`CONFIG_KEYS` at the dotted path in
@@ -210,9 +219,9 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
 
     v = {key.path: _value(doc, key) for key in CONFIG_KEYS if not key.path.startswith("gbdt.")}
     if v["schema"] is not None:
-        schema = Schema.from_json(v["schema"])
+        schema = _built("schema: ", lambda: Schema.from_json(v["schema"]))
     elif v["schema_path"] is not None:
-        schema = _read_schema(base_dir / v["schema_path"])
+        schema = _built("schema_path: ", lambda: _read_schema(base_dir / v["schema_path"]))
     else:
         schema = None  # allowed when both inputs are binary caches
     if v["adversarial.seed"] is None:
@@ -225,11 +234,13 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
     return PipelineConfig(
         **{key.attr: v[key.path] for key in CONFIG_KEYS if key.attr},
         schema=schema,
-        split_plan=SplitPlan(frozenset(v["split.train_days"]), v["split.valid_day"]),
+        split_plan=_built("split.train_days: ", lambda: SplitPlan(
+            frozenset(v["split.train_days"]), v["split.valid_day"])),
         stages={name: v[f"stages.{name}"] for name in STAGE_NAMES},
-        adversarial=advval.AdvConfig(
+        # AdvConfig's messages lead with the field's name
+        adversarial=_built("adversarial.", lambda: advval.AdvConfig(
             **{f.name: v[f"adversarial.{f.name}"] for f in fields(advval.AdvConfig)}
-        ),
+        )),
         freq_window=enc_mod.FreqWindow(v["encoders.frequency.window"]),
         te_targets=list(v["encoders.target.targets"]),
         gbdt=params,

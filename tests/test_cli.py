@@ -91,6 +91,27 @@ def test_run_config_value_of_the_wrong_type_exits_1(data, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("section, value, match", [
+    ("adversarial", {"auc_threshold": 0.3},
+     "adversarial.auc_threshold must be in [0.5, 1.0]"),
+    ("split", {"valid_day": 66, "train_days": [70]},
+     "split.train_days: all train days must precede valid_day"),
+    ("schema", {"columns": 5}, "schema: schema columns must be a JSON object"),
+])
+def test_run_config_value_out_of_range_fails_the_config_stage(data, tmp_path, capsys, section,
+                                                              value, match):
+    doc = {"paths": {"train": str(data / "train.csv"), "test": str(data / "test.csv"),
+                     "output_dir": str(tmp_path / "out")},
+           "schema_path": str(data / "schema.json"), "split": {"valid_day": 66}}
+    doc[section] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stage config: " + match)
+    assert "Traceback" not in err
+
+
 def test_encode_spec_smoothing_of_the_wrong_type_exits_1(caches, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from resplite import metrics
 from resplite.metrics import EPS, EvalBatch, MetricError, auc, logloss, nce, sigmoid
 
 
@@ -311,3 +313,72 @@ class TestClampOnlyWhenNeeded:
         buf = np.full_like(z, 7.0)
         assert sigmoid(z, out=buf) is buf
         assert np.array_equal(_bits(buf), _bits(sigmoid(z)))
+
+
+def _batch_rows(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` labels (both classes, at a positive rate drawn per batch) and
+    predictions that mix a coarse grid (ties), clamped values and uniforms."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.uint8)
+    labels[:2] = [0, 1]
+    preds = rng.random(n)
+    grid = rng.random(n) < 0.3
+    preds[grid] = rng.integers(0, 5, size=int(grid.sum())) / 4.0
+    return labels, preds
+
+
+def _metric_bits(labels, preds) -> list[int]:
+    batch = EvalBatch(labels, preds)
+    r = nce(batch)
+    return _bits((logloss(batch), r.nce, r.background_rate, auc(batch))).tolist()
+
+
+class TestBlocksKeepTheBits:
+    """The metrics go over blocks of rows; each block size must give the
+    one-pass results bit for bit.  Log loss sums its blocks in numpy's
+    pairwise order, so if numpy changes that order these tests fail."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 700), block=st.integers(8, 64), seed=st.integers(0, 2**32 - 1))
+    @example(n=700, block=8, seed=0)
+    @example(n=129, block=64, seed=1)
+    def test_small_blocks_equal_the_one_pass_bodies(self, n, block, seed):
+        labels, preds = _batch_rows(n, seed)
+        with mock.patch.object(metrics, "_EVAL_BLOCK", block):
+            got = _metric_bits(labels, preds)
+        assert got == _bits(_reference_metrics(labels, preds)).tolist()
+
+    def test_real_blocks_at_100003_rows(self):
+        n = 100_003
+        assert n > 3 * metrics._EVAL_BLOCK
+        labels, preds = _batch_rows(n, 17)
+        assert _metric_bits(labels, preds) == _bits(_reference_metrics(labels, preds)).tolist()
+
+
+class TestEvaluationMemory:
+    N = 400_000
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        rng = np.random.Generator(np.random.PCG64(4))
+        labels = (rng.random(self.N) < 0.24).astype(np.uint8)
+        return EvalBatch(labels, rng.uniform(0.01, 0.99, self.N))
+
+    def _peak_bytes_per_row(self, fn, batch) -> float:
+        tracemalloc.start()
+        try:
+            fn(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / self.N
+
+    def test_nce_makes_no_full_length_float_temporary(self, batch):
+        # one block of terms is 2**15 * 8 bytes; the per-row terms of the
+        # whole batch would take 8 bytes a row
+        assert self._peak_bytes_per_row(nce, batch) < 1.0
+
+    def test_auc_copies_only_the_larger_class(self, batch):
+        # the sorted copy of the 76% negatives takes 6.1 bytes a row; a copy
+        # of the other class and its search results would add 3.8 more
+        assert self._peak_bytes_per_row(auc, batch) < 8.0
