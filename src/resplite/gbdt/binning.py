@@ -42,6 +42,23 @@ def json_value(value, types: tuple[type, ...], what: str, error=GbdtError):
     return value
 
 
+def json_float(value, what: str) -> float:
+    """``value`` as a float when JSON decoded it as a number that a float
+    can hold; otherwise raises :class:`GbdtError` naming ``what``."""
+    try:
+        return float(json_value(value, (int, float), what))
+    except OverflowError:
+        raise GbdtError(f"{what} is an integer too large for a float") from None
+
+
+def json_int64(value, what: str) -> int:
+    """``value`` when JSON decoded it as an int that an int64 can hold;
+    otherwise raises :class:`GbdtError` naming ``what``."""
+    if not -(2**63) <= json_value(value, (int,), what) < 2**63:
+        raise GbdtError(f"{what} is an integer too large for an int64")
+    return value
+
+
 @dataclass(frozen=True)
 class NumericBins:
     """Ascending thresholds; finite value v lands in the first bin whose
@@ -195,8 +212,7 @@ def mapper_from_json(doc: list[dict]) -> BinMapper:
             ok = fb.n_categories >= 1 and 1 <= fb.overflow_bin <= STRIDE - 2
         elif kind == "numeric":
             fb = NumericBins(np.asarray(
-                [json_value(t, (int, float), f"a threshold of {name!r}")
-                 for t in entry["thresholds"]],
+                [json_float(t, f"a threshold of {name!r}") for t in entry["thresholds"]],
                 dtype=np.float64,
             ))
             t = fb.thresholds

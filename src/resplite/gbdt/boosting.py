@@ -26,6 +26,8 @@ from .binning import (
     GbdtError,
     bin_table,
     build_bin_mapper,
+    json_float,
+    json_int64,
     json_value,
     mapper_from_json,
     mapper_to_json,
@@ -350,12 +352,14 @@ def _model_from_json(doc: dict) -> GbdtModel:
     feature_names = tuple(doc["feature_names"])
     if feature_names != mapper.feature_names:
         raise GbdtError("feature_names disagree with the bin mapper's features")
-    split_counts = np.asarray(doc["split_counts"], dtype=np.int64)
+    split_counts = np.asarray(
+        [json_int64(c, "a split_counts entry") for c in doc["split_counts"]], dtype=np.int64
+    )
     if split_counts.shape != (mapper.n_features,):
         raise GbdtError(
             f"split_counts holds {split_counts.size} counts for {mapper.n_features} features"
         )
-    base_score = float(json_value(doc["base_score"], (int, float), "base_score"))
+    base_score = json_float(doc["base_score"], "base_score")
     if not math.isfinite(base_score):
         raise GbdtError(f"base_score {base_score} is not finite")
     n_bins = mapper.n_bins()
@@ -375,8 +379,8 @@ def _model_from_json(doc: dict) -> GbdtModel:
         bin_mapper=mapper,
         base_score=base_score,
         trees=trees,
-        best_iteration=int(doc["best_iteration"]),
+        best_iteration=json_value(doc["best_iteration"], (int,), "best_iteration"),
         split_counts=split_counts,
-        train_curve=[float(x) for x in doc["train_curve"]],
-        valid_curve=[float(x) for x in doc["valid_curve"]],
+        train_curve=[json_float(x, "a train_curve entry") for x in doc["train_curve"]],
+        valid_curve=[json_float(x, "a valid_curve entry") for x in doc["valid_curve"]],
     )

@@ -31,6 +31,11 @@ on one feature fold into a 256-entry table of leaf masks, and a row's
 surviving leaves are the AND of one table entry per feature the tree uses.
 The exit leaf is the lowest surviving bit: it is never ruled out, and every
 leaf to its left lies in the left subtree of a node where the row goes right.
+A table keeps only the leaves that exist in its word, so a word starts from
+its first table.  Each word has its own leaf values after one pad entry, so
+the popcount below the lowest surviving bit indexes them directly.  Rows are
+scored in blocks of ``_SCORE_BLOCK``, so a block's uint64 words and index
+temporaries stay in cache and no temporary grows with the row count.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Union
 
 import numpy as np
 
-from .binning import STRIDE, GbdtError, json_value
+from .binning import STRIDE, GbdtError, json_float, json_value
 
 
 @dataclass(slots=True)
@@ -247,7 +252,7 @@ def _split_node(split: _Split) -> NumericSplitNode | CategoricalSplitNode:
 
 _ALL_BINS = np.arange(STRIDE)
 #: rows scored at a time, so that a block's uint64 words stay in cache
-_SCORE_BLOCK = 1 << 15
+_SCORE_BLOCK = 1 << 14
 
 
 def _left_mask(
@@ -359,13 +364,15 @@ def grow_tree(
     return GrownTree(tree_root, leaf_updates, n_leaves)
 
 
-def _compile(root: Node) -> tuple[np.ndarray, list[tuple[int, list]]]:
+def _compile(root: Node) -> list[tuple[np.ndarray, list]]:
     """The tree as leaf bitmasks (see the module docstring).
 
-    Returns the leaf values left to right and, per 64-leaf word, the mask of
-    the leaves that exist in it and a ``(feature, table)`` pair for each
-    feature that rules out some of them.  ``table[b]`` keeps the leaves that
-    no node on that feature rules out for a row in bin ``b``.
+    Returns, per 64-leaf word, the leaf values of the word after one pad
+    entry (65 entries, zero beyond the tree's last leaf) and a
+    ``(feature, table)`` pair for each feature that rules out some of its
+    leaves.  ``table[b]`` keeps the leaves of the word that no node on that
+    feature rules out for a row in bin ``b``.  A word whose leaves no node
+    rules out (one leaf, the tree's last) gets no table.
     """
     values: list[float] = []
     cuts: list[tuple[int, np.ndarray, int, int]] = []  # feature, right bins, left leaves
@@ -387,31 +394,36 @@ def _compile(root: Node) -> tuple[np.ndarray, list[tuple[int, list]]]:
     for f, right, first, end in cuts:
         keep[features.index(f), right, first:end] = False
     packed = np.packbits(keep, axis=2, bitorder="little").view("<u8").astype(np.uint64)
+    padded = np.zeros((n_words, 65), dtype=np.float64)  # a pad, then 64 leaves
+    padded[:, 1:].flat[: len(values)] = values
     words = []
     for w in range(n_words):
-        valid = int(packed[-1, 0, w])
+        valid = packed[-1, 0, w]
         masks = [(f, packed[i, :, w].copy()) for i, f in enumerate(features)
                  if (packed[i, :, w] != valid).any()]
-        words.append((valid, masks))
-    return np.asarray(values, dtype=np.float64), words
+        words.append((padded[w], masks))
+    return words
 
 
-def _leaf_values(compiled: tuple[np.ndarray, list], cols: np.ndarray) -> np.ndarray:
+def _leaf_values(compiled: list[tuple[np.ndarray, list]], cols: np.ndarray) -> np.ndarray:
     """Per-column leaf values of ``cols``, one block of a binned matrix, in
     a tree compiled by :func:`_compile`."""
-    values, words = compiled
-    leaf = None
+    out = None
     # the exit leaf is in the first word with a surviving bit
-    for w in reversed(range(len(words))):
-        valid, masks = words[w]
-        v = np.full(cols.shape[1], valid, dtype=np.uint64)
-        for f, table in masks:
-            v &= np.take(table, cols[f])
+    for values, masks in reversed(compiled):
+        if not masks:  # its one leaf survives in every row
+            out = np.full(cols.shape[1], values[1])
+            continue
+        (f, table), *rest = masks
+        # a uint8 bin cannot fall outside a 256-entry table: no bounds check
+        v = np.take(table, cols[f], mode="wrap")
+        for f, table in rest:
+            v &= np.take(table, cols[f], mode="wrap")
         # v ^ (v - 1) keeps the lowest set bit and sets every bit below
-        # it, so its popcount is that bit's index + 1
-        low = np.bitwise_count(v ^ (v - 1)).astype(np.intp) + (64 * w - 1)
-        leaf = low if leaf is None else np.where(v != 0, low, leaf)
-    return np.take(values, leaf)
+        # it, so its popcount is that bit's index + 1 (64 when v is 0)
+        leaf = np.take(values, np.bitwise_count(v ^ (v - 1)))
+        out = leaf if out is None else np.where(v != 0, leaf, out)
+    return out
 
 
 def tree_output(root: Node, binned: np.ndarray) -> np.ndarray:
@@ -454,7 +466,7 @@ def node_from_json(doc: dict, n_bins: np.ndarray, is_cat: np.ndarray) -> Node:
     model's per-feature ``n_bins`` and ``is_cat``; a value the scorer cannot
     route raises :class:`GbdtError` naming its field."""
     if "leaf" in doc:
-        value = float(json_value(doc["leaf"], (int, float), "leaf value"))
+        value = json_float(doc["leaf"], "leaf value")
         if not math.isfinite(value):
             raise GbdtError(f"leaf value {value} is not finite")
         return LeafNode(value)
@@ -477,11 +489,14 @@ def node_from_json(doc: dict, n_bins: np.ndarray, is_cat: np.ndarray) -> Node:
                 f"threshold_bin {threshold} of feature {feature} is outside [1, {bins - 2}]"
             )
         return NumericSplitNode(feature, threshold, missing_left, left, right)
-    left_bins = np.asarray(
-        [json_value(b, (int,), f"a left_bins entry of feature {feature}")
-         for b in doc["left_bins"]],
-        dtype=np.int64,
-    )
+    entries = doc["left_bins"]
+    if set(map(type, entries)) - {int}:  # name the first entry that is no int
+        for b in entries:
+            json_value(b, (int,), f"a left_bins entry of feature {feature}")
+    try:
+        left_bins = np.asarray(entries, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64 is beyond every bin too
+        left_bins = np.empty(0, dtype=np.int64)
     if not (
         len(left_bins) and 0 <= left_bins[0] and left_bins[-1] < bins
         and (left_bins[1:] > left_bins[:-1]).all()

@@ -13,12 +13,14 @@ numpy's pairwise summation adds a whole array: a range longer than a block
 is split at its half rounded down to a multiple of 8, as numpy splits it.
 So the result equals ``-np.mean`` of all the terms, bit for bit.
 
-AUC is an exact pair count: the larger class's predictions are copied in
-row order and sorted, the one full-length copy the metrics make.  The other
-class is gathered a block at a time, and each of its rows counts the sorted
-rows it beats and ties with two binary searches.  :class:`EvalBatch` copies
-the predictions only to clamp one that lies outside ``[EPS, 1 - EPS]``, and
-:func:`sigmoid` makes its output when it is given none.
+AUC is an exact pair count: the smaller class's predictions are copied in
+row order and sorted.  The other class is gathered a block at a time and
+sorted in place, and each of its rows counts the sorted rows it beats and
+ties with two binary searches.  So the metrics hold at most one block of
+float temporaries beside that copy of the smaller class.
+:class:`EvalBatch` copies the predictions only to clamp one that lies
+outside ``[EPS, 1 - EPS]``, and :func:`sigmoid` makes its output when it is
+given none.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 #: probability clamp applied before any log
 EPS = 1e-15
 #: rows evaluated at a time
-_EVAL_BLOCK = 1 << 15
+_EVAL_BLOCK = 1 << 13
 #: the longest range numpy's pairwise summation adds without splitting it
 _PAIRWISE_LEAF = 128
 
@@ -129,22 +131,23 @@ def auc(batch: EvalBatch) -> float:
     """ROC AUC as the pair count: (#(pos, neg) pairs where the positive
     outranks the negative, plus half the tied pairs) / (n_pos*n_neg).
 
-    The larger class is copied a block at a time, in row order, and sorted.
-    The other class is gathered a block at a time; for each of its rows, two
-    ``searchsorted`` calls give the sorted rows below it and at or below it;
-    their sum counts the pairs it wins twice and its ties once.  When the
-    positives are the sorted class this counts the negatives' wins, and the
-    positives' count is the rest of ``2 * n_pos * n_neg``.  The count is an
-    exact integer, equal to twice the Mann-Whitney U of the rank statistic.
+    The smaller class is copied a block at a time, in row order, and sorted
+    once.  The other class is gathered a block at a time and the block is
+    sorted; for each of its rows, two ``searchsorted`` calls give the sorted
+    rows below it and at or below it, and their sum counts the pairs it wins
+    twice and its ties once.  When the positives are the sorted class this
+    counts the negatives' wins, and the positives' count is the rest of
+    ``2 * n_pos * n_neg``.  The count is an exact integer, equal to twice
+    the Mann-Whitney U of the rank statistic, whichever class is sorted.
     """
     if not batch.has_both_classes():
         raise MetricError("AUC is undefined for a single-class batch")
     p, is_pos = batch.predictions, batch.labels
     n_pos = int(np.count_nonzero(is_pos))
     n_neg = batch.n - n_pos
-    sort_pos = n_pos > n_neg
+    sort_pos = n_pos < n_neg
     blocks = [slice(lo, lo + _EVAL_BLOCK) for lo in range(0, batch.n, _EVAL_BLOCK)]
-    ref = np.empty(max(n_pos, n_neg))
+    ref = np.empty(min(n_pos, n_neg))
     start = 0
     for rows in blocks:
         in_ref = is_pos[rows] == sort_pos
@@ -155,6 +158,7 @@ def auc(batch: EvalBatch) -> float:
     twice = 0
     for rows in blocks:
         query = p[rows][is_pos[rows] != sort_pos]
+        query.sort()  # ascending keys walk the sorted class in order
         twice += int(np.searchsorted(ref, query, side="left").sum())
         twice += int(np.searchsorted(ref, query, side="right").sum())
     if sort_pos:

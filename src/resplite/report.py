@@ -99,6 +99,8 @@ def save_correlation_csv(matrix: np.ndarray, features: list[str], path) -> None:
 _CSV_BLOCK = 8192
 #: place values of a probability's units digit and six decimals, in millionths
 _PLACES = 10 ** np.arange(6, -1, -1, dtype=np.int64)
+#: their columns after the id's comma; the decimal point is column 2
+_DIGIT_COLUMNS = (1, 3, 4, 5, 6, 7, 8)
 
 
 def write_predictions_csv(row_ids, probabilities, path: Path) -> None:
@@ -108,9 +110,11 @@ def write_predictions_csv(row_ids, probabilities, path: Path) -> None:
     encoded first, see :func:`~resplite.tabular.id_bytes`).  Each line is
     ``b"%s,%.6f\\n" % (row_id, probability)``.  A block of rows is laid out
     in a byte buffer from its ids' bytes and the digits of
-    ``rint(p * 1e6)``.  Rounding guard: the float product is within 2**-34
-    of the exact decimal ``p * 10**6`` (p is at most 1), so it rounds the
-    same way unless the exact value lies within that distance of a half.  A
+    ``rint(p * 1e6)``: each of the seven digit places of that one int64
+    array of millionths is written straight into its column.  Rounding
+    guard: the float product is within 2**-34 of the exact decimal
+    ``p * 10**6`` (p is at most 1), so it rounds the same way unless the
+    exact value lies within that distance of a half.  A
     block where any ``|frac(p * 1e6) - 0.5| <= 1e-9``, or any probability
     lies outside ``[+0, 1]`` (NaN, ``-0.0`` and infinities included), is
     formatted line by line with ``%`` instead.
@@ -126,13 +130,13 @@ def write_predictions_csv(row_ids, probabilities, path: Path) -> None:
                 ((p >= 0) & (p <= 1) & ~np.signbit(p)).all()
                 and (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-9).all()
             ):
-                digits = np.rint(scaled).astype(np.int64)[:, None] // _PLACES % 10 + ord("0")
+                millionths = np.rint(scaled).astype(np.int64)
                 line = np.empty((len(block), width + 10), dtype=np.uint8)
                 line[:, :width] = block.view(np.uint8).reshape(len(block), width)
                 line[:, width] = ord(",")
-                line[:, width + 1] = digits[:, 0]
+                for col, place in zip(_DIGIT_COLUMNS, _PLACES):
+                    line[:, width + col] = millionths // place % 10 + ord("0")
                 line[:, width + 2] = ord(".")
-                line[:, width + 3 : width + 9] = digits[:, 1:]
                 line[:, width + 9] = ord("\n")
                 keep = np.ones(line.shape, dtype=bool)
                 lengths = np.strings.str_len(block)

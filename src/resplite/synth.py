@@ -305,28 +305,38 @@ def generate(spec: SynthSpec) -> tuple[Table, GroundTruth]:
     return table, truth
 
 
+#: rows formatted and written at a time, so that no Python string list
+#: grows with the row count
+_CSV_BLOCK = 8192
+
+
 def write_csv(table: Table, path) -> None:
     """Emit the table as a delimited file matching its schema (no header
-    unless the schema declares one), one whole column at a time."""
+    unless the schema declares one), formatting and writing ``_CSV_BLOCK``
+    rows at a time.  Floats print as their shortest round-trip ``repr``;
+    NaN and categorical code 0 print as empty cells."""
     schema = table.schema
-    cols = []
-    for name, role in schema.columns:
-        values = table.col(name)
+    tokens = {
+        name: np.array(("",) + table.dictionary(name)[1:], dtype=object)
+        for name, role in schema.columns if role is ColumnRole.CATEGORICAL
+    }
+
+    def cells(name: str, role: ColumnRole, values: np.ndarray) -> list[str]:
         if role is ColumnRole.CATEGORICAL:
-            tokens = np.array(("",) + table.dictionary(name)[1:], dtype=object)
-            cols.append(tokens[values])
-        elif role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
-            text = np.array(list(map(repr, values.tolist())), dtype=object)
-            text[np.isnan(values)] = ""
-            cols.append(text)
-        elif role is ColumnRole.ROW_ID:
-            cols.append([v.decode() for v in values.tolist()])
-        else:
-            cols.append(list(map(str, values.tolist())))
+            return tokens[name][values].tolist()
+        if role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
+            return ["" if v != v else repr(v) for v in values.tolist()]
+        if role is ColumnRole.ROW_ID:
+            return [v.decode() for v in values.tolist()]
+        return list(map(str, values.tolist()))
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if schema.has_header:
             fh.write(schema.delimiter.join(schema.names) + "\n")
-        fh.writelines(f"{line}\n" for line in map(schema.delimiter.join, zip(*cols)))
+        for at in range(0, table.n_rows, _CSV_BLOCK):
+            cols = [cells(name, role, table.col(name)[at : at + _CSV_BLOCK])
+                    for name, role in schema.columns]
+            fh.writelines(f"{line}\n" for line in map(schema.delimiter.join, zip(*cols)))
 
 
 def split_train_test(table: Table) -> tuple[Table, Table]:

@@ -36,7 +36,14 @@ from resplite.gbdt.binning import (
     build_bin_mapper,
 )
 from resplite.gbdt.boosting import _grad_hess
-from resplite.gbdt.tree import _SCORE_BLOCK, Node, _build_hist, _left_mask, node_from_json
+from resplite.gbdt.tree import (
+    _SCORE_BLOCK,
+    Node,
+    _build_hist,
+    _compile,
+    _left_mask,
+    node_from_json,
+)
 from resplite.pipeline import train_stage
 from resplite.report import write_predictions_csv
 from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, SplitPlan, Table, split_rows
@@ -611,6 +618,12 @@ def _random_tree(rng, n_leaves, n_bins, is_cat) -> Node:
     return root
 
 
+def _leaf_nodes(node: Node) -> list[LeafNode]:
+    if isinstance(node, LeafNode):
+        return [node]
+    return _leaf_nodes(node.left) + _leaf_nodes(node.right)
+
+
 class TestTreeOutput:
     @settings(max_examples=200, deadline=None)
     @given(n_leaves=st.integers(1, 150), n_features=st.integers(1, 6),
@@ -625,6 +638,31 @@ class TestTreeOutput:
         want = _reference_tree_output(root, binned)
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_leaves=st.integers(1, 200), n_features=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_compiled_tables_keep_only_their_words_leaves(self, n_leaves, n_features, seed):
+        # the scorer starts a word from its first table, so no table may
+        # keep a bit beyond the word's leaves
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n_bins = rng.integers(3, 257, n_features)
+        is_cat = rng.random(n_features) < 0.5
+        root = _random_tree(rng, n_leaves, n_bins, is_cat)
+        leaf_values = [leaf.value for leaf in _leaf_nodes(root)]
+        words = _compile(root)
+        assert len(words) == -(-n_leaves // 64)
+        for w, (values, masks) in enumerate(words):
+            in_word = min(64, n_leaves - 64 * w)
+            valid = np.uint64((1 << in_word) - 1)
+            for f, table in masks:
+                assert 0 <= f < n_features
+                assert table.dtype == np.uint64 and table.shape == (256,)
+                assert not (table & ~valid).any()
+            # one pad entry, then the word's leaves left to right
+            assert values.tolist() == [0.0, *leaf_values[64 * w : 64 * w + 64],
+                                       *[0.0] * (64 - in_word)]
+            assert masks or in_word == 1
 
     def test_root_leaf_from_json(self):
         root = node_from_json({"leaf": -0.25}, np.array([3]), np.array([False]))
@@ -697,10 +735,10 @@ class TestRowBlockScoring:
 
     def test_scoring_and_evaluation_peak_per_row(self):
         # at 200k rows predict holds its output (8 bytes a row) and one
-        # block's temporaries: 17 bytes a row.  The metrics add the batch's
-        # two float64 copies and about one float buffer of temporaries: 39
-        # bytes a row.  Two more full-length float64 arrays alive at once
-        # (16 bytes a row) break either bound
+        # block's temporaries: 12.6 bytes a row.  The metrics add the bool
+        # labels, the sorted smaller class (half the rows here) and one
+        # block of temporaries: 14.6 bytes a row.  One more full-length
+        # float64 array (8 bytes a row) breaks either bound
         n = 200_000
         rng = np.random.Generator(np.random.PCG64(4))
         model = _random_model(rng, 20, 63)
@@ -715,8 +753,8 @@ class TestRowBlockScoring:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert predict_peak / n < 24, f"predict peak {predict_peak / n:.1f} bytes a row"
-        assert peak / n < 48, f"peak {peak / n:.1f} bytes a row"
+        assert predict_peak / n < 16, f"predict peak {predict_peak / n:.1f} bytes a row"
+        assert peak / n < 20, f"peak {peak / n:.1f} bytes a row"
 
 
 def _mixed_tables(seed, n=1200):
@@ -918,6 +956,29 @@ MODEL_CORRUPTIONS = {
         "a threshold of 'x0' is '"),
     "n_categories 12.0": (_edit_doc(lambda d: d["bin_mapper"][1].update(n_categories=12.0)),
                           "n_categories of 'c0' is 12.0, not int"),
+    "left_bins entry 2**70": (
+        _edit_node("left_bins", left_bins=[1, 2**70], missing_left=False),
+        "left_bins of feature 1 are not ascending bins in [0, 12)"),
+    "left_bins entry True after ints": (
+        _edit_node("left_bins", left_bins=[1, 2, True], missing_left=False),
+        "a left_bins entry of feature 1 is True, not int"),
+    "leaf 10**400": (_edit_node("leaf", leaf=10**400),
+                     "leaf value is an integer too large for a float"),
+    "threshold 10**400": (
+        _edit_doc(lambda d: d["bin_mapper"][0]["thresholds"].append(10**400)),
+        "a threshold of 'x0' is an integer too large for a float"),
+    "split_counts entry 2**70": (_edit_doc(lambda d: d["split_counts"].__setitem__(0, 2**70)),
+                                 "a split_counts entry is an integer too large for an int64"),
+    "split_counts entry 'x'": (_edit_doc(lambda d: d["split_counts"].__setitem__(0, "x")),
+                               "a split_counts entry is 'x', not int"),
+    "base_score 10**400": (_edit_doc(lambda d: d.update(base_score=10**400)),
+                           "base_score is an integer too large for a float"),
+    "train_curve entry 10**400": (_edit_doc(lambda d: d["train_curve"].append(10**400)),
+                                  "a train_curve entry is an integer too large for a float"),
+    "valid_curve entry '0.5'": (_edit_doc(lambda d: d["valid_curve"].append("0.5")),
+                                "a valid_curve entry is '0.5', not int or float"),
+    "best_iteration 'x'": (_edit_doc(lambda d: d.update(best_iteration="x")),
+                           "best_iteration is 'x', not int"),
     "descending thresholds": (
         _edit_doc(lambda d: d["bin_mapper"][0]["thresholds"].reverse()),
         "numeric bins of feature 'x0' are malformed"),

@@ -355,6 +355,40 @@ class TestBlocksKeepTheBits:
         assert _metric_bits(labels, preds) == _bits(_reference_metrics(labels, preds)).tolist()
 
 
+def _rank_sum_auc(labels, preds) -> float:
+    """AUC from the Mann-Whitney rank sum of the positives, with tied rows
+    at their mid-rank; twice each rank is an integer, so the count is
+    exact."""
+    _, inverse, counts = np.unique(preds, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # 1-based rank of each value's last row
+    twice_rank = (last - counts + 1 + last)[inverse]
+    is_pos = labels == 1
+    n_pos = int(is_pos.sum())
+    n_neg = len(labels) - n_pos
+    twice_u = int(twice_rank[is_pos].sum()) - n_pos * (n_pos + 1)
+    return twice_u / 2 / (n_pos * n_neg)
+
+
+class TestAucAgainstTheRankSum:
+    @settings(max_examples=300, deadline=None)
+    @given(n_small=st.integers(1, 150), extra=st.integers(0, 150),
+           smaller=st.sampled_from(["pos", "neg", "equal"]),
+           levels=st.integers(1, 40), block=st.integers(8, 64),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_small=1, extra=0, smaller="equal", levels=1, block=8, seed=0)
+    def test_equals_the_rank_sum(self, n_small, extra, smaller, levels, block, seed):
+        # n_pos below, above or equal to n_neg; predictions on a grid of
+        # ``levels`` values tie across and within the classes
+        n_pos = n_small + (extra if smaller == "neg" else 0)
+        n_neg = n_small + (extra if smaller == "pos" else 0)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        labels = rng.permutation(np.repeat(np.array([1, 0], dtype=np.uint8), [n_pos, n_neg]))
+        preds = rng.integers(0, levels + 1, len(labels)) / levels
+        with mock.patch.object(metrics, "_EVAL_BLOCK", block):
+            got = auc(EvalBatch(labels, preds))
+        assert got == _rank_sum_auc(labels, np.clip(preds, EPS, 1 - EPS))
+
+
 class TestEvaluationMemory:
     N = 400_000
 
@@ -382,3 +416,8 @@ class TestEvaluationMemory:
         # the sorted copy of the 76% negatives takes 6.1 bytes a row; a copy
         # of the other class and its search results would add 3.8 more
         assert self._peak_bytes_per_row(auc, batch) < 8.0
+
+    def test_auc_sorts_only_the_smaller_class(self, batch):
+        # the sorted copy of the 24% positives takes 1.9 bytes a row; a copy
+        # of the 76% negatives would take 6.1
+        assert self._peak_bytes_per_row(auc, batch) < 4.0

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from resplite import synth
 from resplite.synth import (
     ArithmeticFeature,
     CorrelatedPair,
@@ -13,7 +16,14 @@ from resplite.synth import (
     split_train_test,
     write_csv,
 )
-from resplite.tabular import ingest_csv_group, load_binary, save_binary
+from resplite.tabular import (
+    ColumnRole,
+    Schema,
+    Table,
+    ingest_csv_group,
+    load_binary,
+    save_binary,
+)
 
 
 def tiny_spec(**overrides):
@@ -147,3 +157,80 @@ class TestCsvRoundTrip:
         _, truth = generate(tiny_spec())
         blob = json.dumps(truth.to_json_dict())
         assert "install_probs" in blob
+
+
+def _whole_column_csv(table: Table, path) -> None:
+    """``write_csv`` as it was before it went by row blocks: every column is
+    formatted whole, then the lines are joined."""
+    schema = table.schema
+    cols = []
+    for name, role in schema.columns:
+        values = table.col(name)
+        if role is ColumnRole.CATEGORICAL:
+            tokens = np.array(("",) + table.dictionary(name)[1:], dtype=object)
+            cols.append(tokens[values])
+        elif role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
+            text = np.array(list(map(repr, values.tolist())), dtype=object)
+            text[np.isnan(values)] = ""
+            cols.append(text)
+        elif role is ColumnRole.ROW_ID:
+            cols.append([v.decode() for v in values.tolist()])
+        else:
+            cols.append(list(map(str, values.tolist())))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if schema.has_header:
+            fh.write(schema.delimiter.join(schema.names) + "\n")
+        fh.writelines(f"{line}\n" for line in map(schema.delimiter.join, zip(*cols)))
+
+
+def _csv_table(seed: int, n: int) -> Table:
+    """The first ``n`` rows of a generated table (8,280 rows), with NaN cells
+    in x0, missing c0 codes and an extra binary column b0 (NaN cells too).
+    Odd seeds get a comma-delimited schema with a header."""
+    table, _ = generate(default_spec(seed=seed, n_rows_per_day=360))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cols = {name: table.col(name)[:n].copy() for name in table.schema.names}
+    cols["x0"][rng.random(n) < 0.1] = np.nan
+    cols["c0"][rng.random(n) < 0.05] = 0
+    cols["b0"] = (rng.random(n) < 0.5).astype(np.float64)
+    cols["b0"][rng.random(n) < 0.1] = np.nan
+    header = seed % 2 == 1
+    schema = Schema(table.schema.columns + (("b0", ColumnRole.BINARY),),
+                    delimiter="," if header else "\t", has_header=header)
+    dicts = {name: table.dictionary(name) for name, role in table.schema.columns
+             if role is ColumnRole.CATEGORICAL}
+    return Table.from_columns(schema, cols, dicts)
+
+
+class TestBlockCsvWriter:
+    B = synth._CSV_BLOCK
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_whole_column_body(self, tmp_path, seed, n):
+        table = _csv_table(seed, n)
+        assert table.n_rows == n
+        write_csv(table, tmp_path / "blocks.csv")
+        _whole_column_csv(table, tmp_path / "whole.csv")
+        got = (tmp_path / "blocks.csv").read_bytes()
+        assert got == (tmp_path / "whole.csv").read_bytes()
+        assert got.count(b"\n") == n + table.schema.has_header
+        if n > 100:
+            assert b"\t\t" in got or b",," in got  # some NaN or missing cells
+
+    def test_peak_does_not_grow_with_the_rows(self, tmp_path):
+        # the whole-column body peaked at 82.9 MB (867 bytes a row) on the
+        # 95,656 train rows of the benchmark table
+        train, _ = split_train_test(generate(default_spec(seed=0))[0])
+        assert train.n_rows == 95_656
+        half = train.take(np.arange(train.n_rows // 2))
+        peaks = []
+        for table in (half, train):
+            tracemalloc.start()
+            try:
+                write_csv(table, tmp_path / "train.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 16e6, f"peak {peaks[1] / 1e6:.1f} MB"
+        assert peaks[1] <= 1.1 * peaks[0], f"peaks {peaks}"
