@@ -332,7 +332,8 @@ def save_model(model: GbdtModel, path) -> None:
 
 def load_model(path) -> GbdtModel:
     """Read a model written by :func:`save_model`.  The document is checked
-    before anything is scored with it: a field that does not fit the model's
+    before anything is scored with it: a field of the wrong JSON type, a
+    number too large for its field, or a field that does not fit the model's
     bin mapper raises :class:`GbdtError` naming the field (and the tree)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
