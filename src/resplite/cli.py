@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,9 @@ import numpy as np
 from . import denoise as denoise_mod, encoders as enc_mod, pipeline
 from .advval import AdvConfig
 from .gbdt import feature_importance, params_from_json
-from .report import RunReport, report_export, save_correlation_csv, write_json
+from .report import (
+    RunReport, read_predictions_csv, report_export, save_correlation_csv, write_json
+)
 from .tabular import SplitPlan, save_binary
 
 
@@ -52,12 +55,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_adversarial(args) -> int:
     tables = pipeline.load_tables([args.train, args.test], args.schema)
-    cfg = AdvConfig(
-        auc_threshold=args.threshold,
-        holdout_fraction=args.holdout_fraction,
-        seed=args.seed,
-        subsample_per_side=args.subsample_per_side,
-    )
+    cfg = AdvConfig(**{f.name: getattr(args, f.name) for f in fields(AdvConfig)})
     out_dir = _out_dir(args)
     report, _ = pipeline.audit_stage(tables, cfg, out_dir / "adversarial_report.json")
     report_export(RunReport({}, {}, adversarial=report), out_dir, "all")
@@ -149,19 +147,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     (table,) = pipeline.load_tables([args.table], args.schema)
-    # keyed by the ids' bytes, as the table holds them
-    preds: dict[bytes, float] = {}
-    with open(args.predictions, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip(b"\r\n")
-            if not line.strip():
-                continue
-            rid, comma, prob = line.rpartition(b",")
-            if not comma or not prob:
-                raise SystemExit(
-                    f"error: predictions line {line_no} is not 'row_id,probability'"
-                )
-            preds[rid] = float(prob)
+    preds = read_predictions_csv(args.predictions)
     ids = pipeline._row_ids(table).tolist()
     missing = [rid for rid in ids if rid not in preds]
     if missing:
@@ -231,10 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--schema")
-    p.add_argument("--threshold", type=float, default=0.75)
-    p.add_argument("--holdout-fraction", type=float, default=0.2)
-    p.add_argument("--subsample-per-side", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threshold", dest="auc_threshold", type=float,
+                   default=AdvConfig.auc_threshold)
+    p.add_argument("--holdout-fraction", type=float, default=AdvConfig.holdout_fraction)
+    p.add_argument("--subsample-per-side", type=int, default=AdvConfig.subsample_per_side)
+    p.add_argument("--seed", type=int, default=AdvConfig.seed)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_adversarial)
 

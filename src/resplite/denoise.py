@@ -290,13 +290,8 @@ def apply_denoise_group(
     return out
 
 
-def save_estimates(
-    estimates: list[DeltaEstimate], path, groups: list[list[str]] | None = None
-) -> None:
-    write_json(path, {
-        "estimates": [e.to_json_dict() for e in estimates],
-        "groups": groups if groups is not None else group_deltas(estimates),
-    })
+def save_estimates(estimates: list[DeltaEstimate], path, groups: list[list[str]]) -> None:
+    write_json(path, {"estimates": [e.to_json_dict() for e in estimates], "groups": groups})
 
 
 def correlation_matrix(

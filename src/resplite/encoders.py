@@ -190,7 +190,9 @@ def _resolve_target_column(table: Table, target: str) -> str:
     return name
 
 
-def fit_target(table: Table, feature: str, target: str, a: float = 1.0) -> EncoderState:
+def fit_target(
+    table: Table, feature: str, target: str, a: float = EncoderState.smoothing
+) -> EncoderState:
     """Fit the ordered target encoder for one label ("click" or "install")."""
     if a <= 0:
         raise EncoderError("smoothing a must be positive")

@@ -12,9 +12,7 @@ from .boosting import (
     loss_grad_hess,
     params_from_json,
     predict,
-    predict_raw,
     save_model,
-    total_leaves,
 )
 from .tree import (
     CategoricalSplitNode,
@@ -22,7 +20,6 @@ from .tree import (
     LeafNode,
     Node,
     NumericSplitNode,
-    count_leaves,
     grow_tree,
     tree_output,
 )
@@ -41,7 +38,6 @@ __all__ = [
     "NumericSplitNode",
     "bin_table",
     "build_bin_mapper",
-    "count_leaves",
     "feature_importance",
     "fit",
     "grow_tree",
@@ -49,8 +45,6 @@ __all__ = [
     "loss_grad_hess",
     "params_from_json",
     "predict",
-    "predict_raw",
     "save_model",
-    "total_leaves",
     "tree_output",
 ]

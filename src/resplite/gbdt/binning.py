@@ -199,7 +199,8 @@ def mapper_to_json(mapper: BinMapper) -> list[dict]:
 
 def mapper_from_json(doc: list[dict]) -> BinMapper:
     """Parse a mapper saved by :func:`mapper_to_json`; a feature whose bins
-    would not fit a uint8 bin, or whose thresholds descend, raises."""
+    would not fit a uint8 bin, or whose thresholds descend or hold a NaN,
+    raises."""
     names = []
     bins: list[NumericBins | CategoricalBins] = []
     for entry in doc:
@@ -216,7 +217,7 @@ def mapper_from_json(doc: list[dict]) -> BinMapper:
                 dtype=np.float64,
             ))
             t = fb.thresholds
-            ok = fb.n_bins <= STRIDE and bool((t[1:] >= t[:-1]).all())
+            ok = fb.n_bins <= STRIDE and not np.isnan(t).any() and bool((t[1:] >= t[:-1]).all())
         else:
             raise GbdtError(f"feature {name!r} has unknown bin kind {kind!r}")
         if not ok:

@@ -7,7 +7,7 @@ same params, data, and seed the fit is bit-reproducible.
 
 Prediction compiles every tree once, then scores the table in blocks of
 rows: a block is binned, its trees' leaf values are added in tree order, and
-its scores (or their sigmoid) are written into the one output array, so no
+the sigmoid of its scores is written into the one output array, so no
 full-length temporary is made beyond that output.
 """
 
@@ -38,7 +38,6 @@ from .tree import (
     _compile,
     _leaf_values,
     bin_counts,
-    count_leaves,
     grow_tree,
     node_from_json,
     node_to_json,
@@ -122,23 +121,22 @@ class GbdtModel:
         return len(self.trees)
 
 
-def loss_grad_hess(score: float, label: int) -> tuple[float, float]:
-    """Gradient and hessian of the logistic loss at one (score, label)."""
-    p = 1.0 / (1.0 + math.exp(-score)) if score >= 0 else (
-        math.exp(score) / (1.0 + math.exp(score))
-    )
-    return p - label, p * (1.0 - p)
-
-
 def _grad_hess(
     p: np.ndarray, labels: np.ndarray, grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`loss_grad_hess` at the probabilities ``sigmoid(scores)``,
-    written into ``grad`` and ``hess`` when they are given."""
+    """Logistic-loss gradients and hessians at the probabilities
+    ``sigmoid(scores)``, written into ``grad`` and ``hess`` when given."""
     grad = np.subtract(p, labels, out=grad)
     hess = np.subtract(1.0, p, out=hess)
     return grad, np.multiply(p, hess, out=hess)
+
+
+def loss_grad_hess(score: float, label: int) -> tuple[float, float]:
+    """Gradient and hessian of the logistic loss at one (score, label), by
+    the body that :func:`fit` runs on every row."""
+    grad, hess = _grad_hess(sigmoid(np.array([score])), np.array([label]))
+    return float(grad[0]), float(hess[0])
 
 
 def _check_features(table: Table, feature_names: list[str]) -> None:
@@ -247,9 +245,6 @@ def fit(
             break
 
     kept = trees[: best_iter + 1]
-    split_counts = np.zeros(n_features, dtype=np.int64)
-    for root in kept:
-        _accumulate_splits(root, split_counts)
     return GbdtModel(
         params=params,
         feature_names=tuple(feature_names),
@@ -257,23 +252,28 @@ def fit(
         base_score=base_score,
         trees=kept,
         best_iteration=len(kept),
-        split_counts=split_counts,
+        split_counts=_split_counts(kept, n_features),
         train_curve=train_curve,
         valid_curve=valid_curve,
         valid_probs=best_valid,
     )
 
 
-def _accumulate_splits(node: Node, counts: np.ndarray) -> None:
-    if hasattr(node, "feature"):
-        counts[node.feature] += 1
-        _accumulate_splits(node.left, counts)
-        _accumulate_splits(node.right, counts)
+def _split_counts(trees: list[Node], n_features: int) -> np.ndarray:
+    """The number of split nodes on each feature over the trees."""
+    counts = np.zeros(n_features, dtype=np.int64)
+    nodes = list(trees)
+    for node in nodes:  # the loop goes on over the children appended
+        if hasattr(node, "feature"):
+            counts[node.feature] += 1
+            nodes += (node.left, node.right)
+    return counts
 
 
-def _score(model: GbdtModel, table: Table, link=None) -> np.ndarray:
-    """``link`` of every row's raw score, computed one row block at a time;
-    the sum runs over the trees in order, as in :func:`fit`."""
+def predict(model: GbdtModel, table: Table) -> np.ndarray:
+    """Predicted installation probabilities for each row: the sigmoid of the
+    raw score, computed one row block at a time; the sum runs over the trees
+    in order, as in :func:`fit`."""
     trees = [_compile(root) for root in model.trees]
     out = np.empty(table.n_rows, dtype=np.float64)
     # at least one block, so that a table of no rows is checked too
@@ -283,18 +283,8 @@ def _score(model: GbdtModel, table: Table, link=None) -> np.ndarray:
         scores = np.full(binned.shape[1], model.base_score, dtype=np.float64)
         for tree in trees:
             scores += _leaf_values(tree, binned)
-        out[rows] = scores if link is None else link(scores)
+        out[rows] = sigmoid(scores)
     return out
-
-
-def predict_raw(model: GbdtModel, table: Table) -> np.ndarray:
-    """Raw additive scores (log-odds); monotone in predicted probability."""
-    return _score(model, table)
-
-
-def predict(model: GbdtModel, table: Table) -> np.ndarray:
-    """Predicted installation probabilities for each row."""
-    return _score(model, table, sigmoid)
 
 
 def feature_importance(model: GbdtModel) -> list[tuple[str, int]]:
@@ -305,10 +295,6 @@ def feature_importance(model: GbdtModel) -> list[tuple[str, int]]:
         key=lambda j: (-int(model.split_counts[j]), j),
     )
     return [(model.feature_names[j], int(model.split_counts[j])) for j in order]
-
-
-def total_leaves(model: GbdtModel) -> int:
-    return sum(count_leaves(root) for root in model.trees)
 
 
 def save_model(model: GbdtModel, path) -> None:
@@ -333,8 +319,9 @@ def save_model(model: GbdtModel, path) -> None:
 def load_model(path) -> GbdtModel:
     """Read a model written by :func:`save_model`.  The document is checked
     before anything is scored with it: a field of the wrong JSON type, a
-    number too large for its field, or a field that does not fit the model's
-    bin mapper raises :class:`GbdtError` naming the field (and the tree)."""
+    number too large for its field, a field that does not fit the model's
+    bin mapper, or a ``best_iteration`` or ``split_counts`` that its trees do
+    not give raises :class:`GbdtError` naming the field (and the tree)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
@@ -374,13 +361,19 @@ def _model_from_json(doc: dict) -> GbdtModel:
         except (TypeError, ValueError) as exc:  # GbdtError is a ValueError
             raise GbdtError(f"tree {t}: {exc}") from None
         tree.clear()  # its nodes are made: drop its JSON while the rest loads
+    best_iteration = json_value(doc["best_iteration"], (int,), "best_iteration")
+    if best_iteration != len(trees):
+        raise GbdtError(f"best_iteration {best_iteration} is not the tree count {len(trees)}")
+    counted = _split_counts(trees, mapper.n_features)
+    if not np.array_equal(split_counts, counted):
+        raise GbdtError(f"split_counts disagree with the splits in the trees, {counted.tolist()}")
     return GbdtModel(
         params=params,
         feature_names=feature_names,
         bin_mapper=mapper,
         base_score=base_score,
         trees=trees,
-        best_iteration=json_value(doc["best_iteration"], (int,), "best_iteration"),
+        best_iteration=best_iteration,
         split_counts=split_counts,
         train_curve=[json_float(x, "a train_curve entry") for x in doc["train_curve"]],
         valid_curve=[json_float(x, "a valid_curve entry") for x in doc["valid_curve"]],

@@ -33,9 +33,9 @@ The exit leaf is the lowest surviving bit: it is never ruled out, and every
 leaf to its left lies in the left subtree of a node where the row goes right.
 A table keeps only the leaves that exist in its word, so a word starts from
 its first table.  Each word has its own leaf values after one pad entry, so
-the popcount below the lowest surviving bit indexes them directly.  Rows are
-scored in blocks of ``_SCORE_BLOCK``, so a block's uint64 words and index
-temporaries stay in cache and no temporary grows with the row count.
+the popcount below the lowest surviving bit indexes them directly.  ``predict``
+scores rows in blocks of ``_SCORE_BLOCK``, so a block's uint64 words and
+index temporaries stay in cache and no temporary grows with the row count.
 """
 
 from __future__ import annotations
@@ -427,22 +427,9 @@ def _leaf_values(compiled: list[tuple[np.ndarray, list]], cols: np.ndarray) -> n
 
 
 def tree_output(root: Node, binned: np.ndarray) -> np.ndarray:
-    """Route every column of the binned matrix through the tree and return
-    the per-row leaf values."""
-    compiled = _compile(root)
-    n = binned.shape[1]
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _SCORE_BLOCK):
-        out[start : start + _SCORE_BLOCK] = _leaf_values(
-            compiled, binned[:, start : start + _SCORE_BLOCK]
-        )
-    return out
-
-
-def count_leaves(root: Node) -> int:
-    if isinstance(root, LeafNode):
-        return 1
-    return count_leaves(root.left) + count_leaves(root.right)
+    """The tree's leaf value for every column of the binned matrix, scored
+    in one block: ``fit`` scores the valid day with it, at most a day of rows."""
+    return _leaf_values(_compile(root), binned)
 
 
 def node_to_json(node: Node) -> dict:

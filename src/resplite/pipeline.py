@@ -128,10 +128,11 @@ CONFIG_KEYS = (
     ConfigKey("split.train_days", (list,), (), entry=int),
     *(ConfigKey(f"stages.{name}", (bool,), True) for name in STAGE_NAMES),
     ConfigKey("seed", (int,), 0, attr="seed"),
-    ConfigKey("adversarial.auc_threshold", (int, float), 0.75),
-    ConfigKey("adversarial.holdout_fraction", (int, float), 0.2),
+    ConfigKey("adversarial.auc_threshold", (int, float), advval.AdvConfig.auc_threshold),
+    ConfigKey("adversarial.holdout_fraction", (int, float), advval.AdvConfig.holdout_fraction),
     ConfigKey("adversarial.seed", (int,), None),  # None: the run's seed
-    ConfigKey("adversarial.subsample_per_side", (int, type(None)), 200_000),
+    ConfigKey("adversarial.subsample_per_side", (int, type(None)),
+              advval.AdvConfig.subsample_per_side),
     ConfigKey("adversarial.re_audit_encoded", (bool,), False, attr="re_audit_encoded"),
     ConfigKey("denoise.tol_rel", (int, float), DEFAULT_TOL_REL, attr="denoise_tol_rel"),
     ConfigKey("denoise.as_categorical", (bool,), True, attr="denoise_as_categorical"),
@@ -142,7 +143,8 @@ CONFIG_KEYS = (
     ConfigKey("encoders.target.features", (list, str), ALL_CATEGORICAL,
               (ALL_CATEGORICAL,), str, "te_features"),
     ConfigKey("encoders.target.targets", (list,), ("click", "install"), entry=str),
-    ConfigKey("encoders.target.smoothing", (int, float), 1.0, attr="te_smoothing"),
+    ConfigKey("encoders.target.smoothing", (int, float), enc_mod.EncoderState.smoothing,
+              attr="te_smoothing"),
     ConfigKey("encoders.keep_originals", (bool,), True, attr="keep_originals"),
     # the gbdt section goes whole to params_from_json, which checks these types
     *(ConfigKey(f"gbdt.{f.name}", PARAM_TYPES[f.name], f.default) for f in fields(GbdtParams)),
@@ -400,12 +402,12 @@ def _fit_spec(table: Table, i: int, spec) -> enc_mod.EncoderState:
     if feature not in table.schema.names:
         raise enc_mod.EncoderError(f"encoder spec {i} has feature {feature!r}, not a table column")
     if kind == "frequency":
-        window = enc_mod.FreqWindow(spec.get("window", "prev_week"))
+        window = enc_mod.FreqWindow(spec.get("window", enc_mod.FreqWindow.PREV_WEEK.value))
         return enc_mod.fit_frequency(table, feature, window)
     if kind == "target":
-        smoothing = float(json_value(spec.get("smoothing", 1.0), (int, float),
-                                     f"smoothing of encoder spec {i}", enc_mod.EncoderError))
-        return enc_mod.fit_target(table, feature, spec["target"], smoothing)
+        smoothing = spec.get("smoothing", enc_mod.EncoderState.smoothing)
+        json_value(smoothing, (int, float), f"smoothing of encoder spec {i}", enc_mod.EncoderError)
+        return enc_mod.fit_target(table, feature, spec["target"], float(smoothing))
     raise enc_mod.EncoderError(f"encoder spec {i} has kind {kind!r}, not frequency or target")
 
 

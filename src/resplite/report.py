@@ -147,6 +147,23 @@ def write_predictions_csv(row_ids, probabilities, path: Path) -> None:
                 fh.write(b"".join(b"%s,%.6f\n" % row for row in rows))
 
 
+def read_predictions_csv(path) -> dict[bytes, float]:
+    """The probabilities of a :func:`write_predictions_csv` file, keyed by the
+    ids' bytes; blank lines are skipped, and an id may hold commas."""
+    preds: dict[bytes, float] = {}
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip(b"\r\n")
+            if not line.strip():
+                continue
+            rid, comma, prob = line.rpartition(b",")
+            try:  # without a comma the line holds no probability
+                preds[rid] = float(prob if comma else b"")
+            except ValueError:
+                raise ReportError(f"predictions line {line_no} is not 'row_id,probability'")
+    return preds
+
+
 # ---------------------------------------------------------------------------
 # Minimal deterministic SVG bar charts
 

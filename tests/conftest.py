@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from resplite.gbdt import GbdtModel, LeafNode, Node, bin_table, tree_output
 from resplite.tabular import ColumnRole, Schema, SplitPlan, Table, ingest_csv_group, split_rows
 
 
@@ -89,3 +90,23 @@ def split(table: Table, plan: SplitPlan) -> SplitResult:
 def ingest_csv(path, schema: Schema) -> Table:
     """Parse one delimited file into a Table (see :func:`ingest_csv_group`)."""
     return ingest_csv_group([path], schema)[0]
+
+
+def predict_raw(model: GbdtModel, table: Table) -> np.ndarray:
+    """Raw additive scores (log-odds), whose sigmoid ``predict`` returns:
+    the base score plus each tree's leaf values, in tree order."""
+    binned = bin_table(model.bin_mapper, table)
+    scores = np.full(table.n_rows, model.base_score, dtype=np.float64)
+    for root in model.trees:
+        scores += tree_output(root, binned)
+    return scores
+
+
+def count_leaves(root: Node) -> int:
+    if isinstance(root, LeafNode):
+        return 1
+    return count_leaves(root.left) + count_leaves(root.right)
+
+
+def total_leaves(model: GbdtModel) -> int:
+    return sum(count_leaves(root) for root in model.trees)

@@ -15,16 +15,13 @@ from resplite.gbdt import (
     GbdtParams,
     LeafNode,
     NumericSplitNode,
-    count_leaves,
     feature_importance,
     fit,
     load_model,
     loss_grad_hess,
     params_from_json,
     predict,
-    predict_raw,
     save_model,
-    total_leaves,
     tree_output,
 )
 from resplite.gbdt.binning import (
@@ -48,7 +45,7 @@ from resplite.pipeline import train_stage
 from resplite.report import write_predictions_csv
 from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, SplitPlan, Table, split_rows
 
-from conftest import make_cat_table, make_table, split
+from conftest import count_leaves, make_cat_table, make_table, predict_raw, split, total_leaves
 
 
 def separable_tables(n_train=2000, n_valid=400, seed=1):
@@ -897,6 +894,16 @@ def _edit_doc(change):
     return edit
 
 
+def _one_nan_threshold(doc):
+    """x0's thresholds become one NaN, and its splits the one threshold bin
+    left, so that only the NaN is wrong."""
+    doc["bin_mapper"][0]["thresholds"] = [float("nan")]
+    for tree in doc["trees"]:
+        for node in _split_nodes(tree):
+            if node["feature"] == 0:
+                node["threshold_bin"] = 1
+
+
 #: one corrupted field each: (edit, what the error says after "tree N: ")
 MODEL_CORRUPTIONS = {
     "feature -1": (_edit_node("threshold_bin", feature=-1),
@@ -982,6 +989,13 @@ MODEL_CORRUPTIONS = {
     "descending thresholds": (
         _edit_doc(lambda d: d["bin_mapper"][0]["thresholds"].reverse()),
         "numeric bins of feature 'x0' are malformed"),
+    "one threshold, NaN": (_edit_doc(_one_nan_threshold),
+                           "numeric bins of feature 'x0' are malformed"),
+    "best_iteration 99": (_edit_doc(lambda d: d.update(best_iteration=99)),
+                          "best_iteration 99 is not the"),
+    "split_counts entry + 1": (
+        _edit_doc(lambda d: d["split_counts"].__setitem__(0, d["split_counts"][0] + 1)),
+        "disagree with the splits in the trees"),
 }
 
 

@@ -20,7 +20,9 @@ from resplite.pipeline import (
 )
 from resplite.report import (
     _CSV_BLOCK,
+    ReportError,
     RunReport,
+    read_predictions_csv,
     report_export,
     write_bar_chart_svg,
     write_predictions_csv,
@@ -474,6 +476,15 @@ class TestReportExport:
         assert (tmp_path / "p.csv").read_bytes() == (
             b"a,0.000000\nb,0.000002\nc,1.000000\nd,0.000000\ne,1.000000\nf,0.123456\n"
         )
+
+    @pytest.mark.parametrize("bad", [b"0.5", b"c,", b"c,0.5x", b","])
+    def test_malformed_predictions_line_names_its_number(self, tmp_path, bad):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"a,b,0.25\r\n\nd,1.000000\n" + bad + b"\n")
+        with pytest.raises(ReportError, match="predictions line 4 is not 'row_id,probability'"):
+            read_predictions_csv(path)
+        path.write_bytes(b"a,b,0.25\r\n\nd,1.000000\n")
+        assert read_predictions_csv(path) == {b"a,b": 0.25, b"d": 1.0}
 
 
 def _reference_write_predictions_csv(row_ids, probabilities, path) -> None:
