@@ -149,12 +149,14 @@ def _cmd_evaluate(args) -> int:
     (table,) = pipeline.load_tables([args.table], args.schema)
     preds = read_predictions_csv(args.predictions)
     ids = pipeline._row_ids(table).tolist()
-    missing = [rid for rid in ids if rid not in preds]
-    if missing:
-        raise SystemExit(
-            f"error: predictions missing {len(missing)} row ids "
-            f"(first: {missing[0].decode(errors='replace')})"
-        )
+    known = set(ids)
+    for what, bad in (
+        ("missing {} row ids", [rid for rid in ids if rid not in preds]),
+        ("hold {} row ids the table lacks", [rid for rid in preds if rid not in known]),
+    ):
+        if bad:
+            raise SystemExit(f"error: predictions {what.format(len(bad))} "
+                             f"(first: {bad[0].decode(errors='replace')})")
     probs = np.asarray([preds[rid] for rid in ids])
     install = table.schema.require_install()
     section = pipeline._metrics_dict(table.col(install), probs)

@@ -299,39 +299,29 @@ def correlation_matrix(
 ) -> tuple[np.ndarray, list[str]]:
     """Pairwise-complete Pearson correlations over continuous features.
 
-    Zero-variance features get NaN rows/columns with a warning; the diagonal
-    of well-behaved features is exactly 1.
+    A pair is NaN when its shared finite rows number fewer than 2 or either
+    side holds a single value there (``min == max``); a feature degenerate
+    alone also warns of zero variance. Other diagonal cells are exactly 1.
+    No BLAS is called; numpy reductions add in one order at any thread count.
     """
     if features is None:
         features = table.schema.names_of(ColumnRole.CONTINUOUS)
     if len(features) < 2:
         raise DenoiseError("correlation matrix needs at least 2 continuous features")
     cols = [table.col(name) for name in features]
-    m = len(features)
-    out = np.eye(m)
-    degenerate = set()
-    for i in range(m):
-        finite = cols[i][np.isfinite(cols[i])]
-        if len(finite) == 0 or finite.std() == 0.0:
-            degenerate.add(i)
-            warnings.warn(
-                f"feature {features[i]!r} has zero variance; correlations set to NaN",
-                stacklevel=2,
-            )
-    for i in range(m):
-        for j in range(i, m):
-            if i in degenerate or j in degenerate:
-                out[i, j] = out[j, i] = np.nan
-                continue
+    out = np.full((len(cols), len(cols)), np.nan)
+    for i, j in zip(*np.triu_indices(len(cols))):  # (0, 0), (0, 1), ..., row by row
+        both = np.isfinite(cols[i]) & np.isfinite(cols[j])
+        xi, xj = cols[i][both], cols[j][both]
+        if len(xi) < 2 or xi.min() == xi.max() or xj.min() == xj.max():
             if i == j:
-                continue
-            both = np.isfinite(cols[i]) & np.isfinite(cols[j])
-            xi, xj = cols[i][both], cols[j][both]
-            if len(xi) < 2 or xi.std() == 0.0 or xj.std() == 0.0:
-                out[i, j] = out[j, i] = np.nan
-                continue
-            xi = xi - xi.mean()
-            xj = xj - xj.mean()
-            r = float(xi @ xj / np.sqrt((xi @ xi) * (xj @ xj)))
-            out[i, j] = out[j, i] = r
+                warnings.warn(f"feature {features[i]!r} has zero variance; "
+                              "correlations set to NaN", stacklevel=2)
+        elif i == j:
+            out[i, i] = 1.0
+        else:  # scaling by a power of 2 keeps the bits; no square under- or overflows
+            xi, xj = (np.ldexp(x, -np.frexp(np.abs(x).max())[1]) for x in (xi, xj))
+            xi, xj = xi - xi.mean(), xj - xj.mean()
+            sxx, syy = np.add.reduce(xi * xi), np.add.reduce(xj * xj)
+            out[i, j] = out[j, i] = np.add.reduce(xi * xj) / np.sqrt(sxx * syy)
     return out, list(features)

@@ -149,7 +149,8 @@ def write_predictions_csv(row_ids, probabilities, path: Path) -> None:
 
 def read_predictions_csv(path) -> dict[bytes, float]:
     """The probabilities of a :func:`write_predictions_csv` file, keyed by the
-    ids' bytes; blank lines are skipped, and an id may hold commas."""
+    ids' bytes; blank lines are skipped, an id may hold commas, and an id
+    that appears twice fails at its second line."""
     preds: dict[bytes, float] = {}
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -158,9 +159,14 @@ def read_predictions_csv(path) -> dict[bytes, float]:
                 continue
             rid, comma, prob = line.rpartition(b",")
             try:  # without a comma the line holds no probability
-                preds[rid] = float(prob if comma else b"")
+                value = float(prob if comma else b"")
             except ValueError:
                 raise ReportError(f"predictions line {line_no} is not 'row_id,probability'")
+            if rid in preds:
+                raise ReportError(
+                    f"predictions line {line_no} repeats row id {rid.decode(errors='replace')!r}"
+                )
+            preds[rid] = value
     return preds
 
 

@@ -3,6 +3,9 @@ line with its runtime.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -25,6 +28,8 @@ from resplite.synth import (
 from resplite.tabular import MISSING_TOKEN, SplitPlan
 
 from conftest import make_cat_table, split
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class _Criterion:
@@ -402,3 +407,33 @@ def test_c10_determinism(tmp_path):
         assert first_sections == r4.sections or first_sections == json.loads(
             json.dumps(r4.sections)
         )
+
+
+def test_c10_run_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``resplite run`` with the c10 config, in fresh interpreters at one and
+    two BLAS threads, writes the same bytes to every file but timings.json."""
+    data = pipeline.emit_synthetic(seed=3, out_dir=tmp_path / "data", n_rows_per_day=300)
+    doc = _benchmark_config(data, tmp_path / "out", 3)
+    doc["stages"] = {"adversarial": True}
+    doc["adversarial"] = {"subsample_per_side": 20000}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    snapshots = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("RLT_")}
+        env.update(PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "resplite.cli", "run", "--config",
+             str(tmp_path / "config.json")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        snapshots.append({
+            str(path.relative_to(tmp_path / "out")): path.read_bytes()
+            for path in sorted((tmp_path / "out").rglob("*"))
+            if path.is_file() and path.name != "timings.json"
+        })
+    assert "correlation.csv" in snapshots[0]
+    assert snapshots[0].keys() == snapshots[1].keys()
+    for name in snapshots[0]:
+        assert snapshots[0][name] == snapshots[1][name], name

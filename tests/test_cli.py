@@ -346,6 +346,37 @@ class TestTrainAndEvaluate:
                 "--out", str(tmp_path / "m.json"),
             ])
 
+    @staticmethod
+    def ab_table(tmp):
+        """A two-row cache with ids ``a`` and ``b``."""
+        (tmp / "t.tsv").write_text("a\t1\nb\t0\n")
+        (tmp / "schema.json").write_text(
+            json.dumps({"columns": {"id": "row_id", "y": "label_install"}})
+        )
+        assert main(["ingest", "--schema", str(tmp / "schema.json"),
+                     "--out-dir", str(tmp), str(tmp / "t.tsv")]) == 0
+        return tmp / "t.rlt"
+
+    def test_evaluate_repeated_row_id_fails_at_its_second_line(self, tmp_path, capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("a,0.9\nb,0.1\na,0.1\nzz,0.5\n")
+        rc = main(["evaluate", "--predictions", str(preds),
+                   "--table", str(self.ab_table(tmp_path)),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: predictions line 3 repeats row id 'a'\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_evaluate_foreign_row_ids_fail_with_count_and_first(self, tmp_path):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("zz,0.5\na,0.9\nyy,0.2\nb,0.1\n")
+        with pytest.raises(SystemExit, match=r"^error: predictions hold 2 row ids "
+                                             r"the table lacks \(first: zz\)$"):
+            main(["evaluate", "--predictions", str(preds),
+                  "--table", str(self.ab_table(tmp_path)),
+                  "--out", str(tmp_path / "m.json")])
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestRunAndAblate:
     def make_config(self, data, out_dir, tmp_path):

@@ -1,5 +1,13 @@
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from resplite.denoise import (
     DenoiseError,
@@ -19,6 +27,13 @@ from resplite.synth import (
     generate,
 )
 from resplite.tabular import ColumnRole, Schema, Table
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _continuous_table(columns: dict) -> Table:
+    schema = Schema(tuple((name, ColumnRole.CONTINUOUS) for name in columns))
+    return Table.from_columns(schema, columns)
 
 
 class TestDetectDelta:
@@ -232,12 +247,60 @@ class TestCorrelationMatrix:
 
     def test_zero_variance_feature_warns_and_nans(self):
         table = self.make(n=100)
-        flat = table.replace_column("mix", ColumnRole.CONTINUOUS, np.full(100, 2.0))
-        with pytest.warns(UserWarning, match="zero variance"):
-            matrix, features = correlation_matrix(flat)
-        j = features.index("mix")
-        assert np.isnan(matrix[j]).all()
-        assert np.isnan(matrix[:, j]).all()
+        # np.std is 1.4e-17 for a column of 0.1 and 1.4e-14 for 123.456
+        for value in (2.0, 0.1, 123.456):
+            flat = table.replace_column("mix", ColumnRole.CONTINUOUS, np.full(100, value))
+            with pytest.warns(UserWarning, match="zero variance") as record:
+                matrix, features = correlation_matrix(flat)
+            assert len(record) == 1, value
+            j = features.index("mix")
+            assert np.isnan(matrix[j]).all(), value
+            assert np.isnan(matrix[:, j]).all(), value
+
+    def test_pair_constant_only_on_shared_rows_is_nan(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, np.nan, np.nan])
+        y = np.array([np.nan, np.nan, 0.1, 0.1, 0.1, 0.7, 0.2])
+        table = _continuous_table({"x": x, "y": y, "z": np.arange(7.0) ** 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # neither side is degenerate alone
+            matrix, _ = correlation_matrix(table)
+        assert np.isnan(matrix[0, 1]) and np.isnan(matrix[1, 0])
+        assert np.array_equal(np.diag(matrix), [1.0, 1.0, 1.0])
+        assert not np.isnan(matrix[[0, 1], [2, 2]]).any()
+
+    def test_tiny_and_huge_columns_keep_their_correlation(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        x = rng.standard_normal(200)
+        y = x + rng.standard_normal(200)
+        # squares of 1e-200 underflow to 0 and those of 1e200 overflow
+        scaled = {"tiny": y * 1e-200, "huge": y * 1e200, "pow2": y * 2.0**-900}
+        table = _continuous_table({"x": x, "y": y, **scaled})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix, _ = correlation_matrix(table)
+        assert matrix[0, 4] == matrix[0, 1]  # a power of 2 keeps every bit
+        assert np.allclose(matrix[0, 2:], matrix[0, 1], rtol=0.0, atol=1e-12)
+        assert np.allclose(matrix[1:, 1:], 1.0, rtol=0.0, atol=1e-12)
+
+    def test_matrix_bits_do_not_depend_on_the_blas_thread_count(self):
+        script = (
+            "import sys\n"
+            "from resplite.denoise import correlation_matrix\n"
+            "from resplite.pipeline import default_spec\n"
+            "from resplite.synth import generate\n"
+            "table, _ = generate(default_spec(seed=0, n_rows_per_day=1000))\n"
+            "assert table.n_rows >= 20_000\n"
+            "sys.stdout.write(correlation_matrix(table)[0].tobytes().hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_pairwise_complete_uses_shared_rows(self):
         table = self.make(n=200)
@@ -276,3 +339,64 @@ class TestCorrelationMatrix:
             cells = line.split(",")
             assert len(cells) == len(features) + 1
             assert float(cells[i + 1]) == 1.0
+
+
+def _reference_correlations(cols: list[np.ndarray]) -> np.ndarray:
+    """The plain two-pass loop: per pair, the shared finite rows, centred,
+    then summed one product at a time."""
+    out = np.full((len(cols), len(cols)), np.nan)
+    for i, a in enumerate(cols):
+        for j, b in enumerate(cols):
+            both = np.isfinite(a) & np.isfinite(b)
+            xa, xb = a[both], b[both]
+            if len(xa) < 2 or len(set(xa.tolist())) == 1 or len(set(xb.tolist())) == 1:
+                continue
+            if i == j:
+                out[i, j] = 1.0
+                continue
+            xa, xb = (xa - xa.mean()).tolist(), (xb - xb.mean()).tolist()
+            sab = saa = sbb = 0.0
+            for u, v in zip(xa, xb):
+                sab += u * v
+                saa += u * u
+                sbb += v * v
+            out[i, j] = sab / math.sqrt(saa * sbb)
+    return out
+
+
+@st.composite
+def _holed_columns(draw):
+    """2-5 columns of 2-60 rows on a 0.001 grid, with NaN holes and runs of
+    0.1 or 123.456 (whose ``np.std`` is not 0); no column holds a single
+    value on its own finite rows."""
+    n = draw(st.integers(2, 60))
+    cell = st.one_of(
+        st.integers(-10**6, 10**6).map(lambda k: k / 1000),
+        st.sampled_from([0.1, 123.456, np.nan]),
+    )
+    cols = []
+    for _ in range(draw(st.integers(2, 5))):
+        col = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=np.float64)
+        finite = col[np.isfinite(col)]
+        if len(finite) < 2 or finite.min() == finite.max():
+            col[:2] = [draw(st.sampled_from([0.1, -3.0, 123.456])), 7.0]
+        cols.append(col)
+    return cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(cols=_holed_columns())
+@example(cols=[  # y holds only 0.1 on the rows it shares with x
+    np.array([1.0, 2.0, 3.0, 4.0, 5.0, np.nan, np.nan]),
+    np.array([np.nan, np.nan, 0.1, 0.1, 0.1, 0.7, 0.2]),
+])
+def test_correlations_match_the_two_pass_reference(cols):
+    table = _continuous_table({f"x{k}": c for k, c in enumerate(cols)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no column is degenerate alone
+        matrix, _ = correlation_matrix(table)
+    want = _reference_correlations(cols)
+    assert np.array_equal(np.isnan(matrix), np.isnan(want))
+    assert np.array_equal(matrix, matrix.T, equal_nan=True)
+    assert np.array_equal(np.diag(matrix), np.ones(len(cols)))
+    assert np.allclose(matrix, want, rtol=0.0, atol=1e-12, equal_nan=True)
