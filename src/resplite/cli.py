@@ -68,9 +68,7 @@ def _cmd_adversarial(args) -> int:
 def _cmd_denoise(args) -> int:
     tables = pipeline.load_tables([args.table] + args.apply_to, args.schema)
     out_dir = _out_dir(args)
-    estimates, _, transformed = pipeline.denoise_stage(
-        tables, args.tol_rel, not args.as_continuous, out_dir
-    )
+    estimates, _, transformed = pipeline.denoise_stage(tables, args.tol_rel, out_dir)
     save_binary(transformed[0], out_dir / "denoised.rlt")
     for src, t in zip(args.apply_to, transformed[1:]):
         dest = out_dir / f"denoised_{Path(src).stem}.rlt"
@@ -231,11 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--schema")
     p.add_argument("--tol-rel", type=float, default=denoise_mod.DEFAULT_TOL_REL)
-    p.add_argument(
-        "--as-continuous",
-        action="store_true",
-        help="keep quantized columns continuous instead of categorical",
-    )
     p.add_argument(
         "--apply-to", nargs="*", default=[],
         help="additional tables to transform with shared code dictionaries",

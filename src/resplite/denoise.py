@@ -235,21 +235,18 @@ def group_deltas(estimates: list[DeltaEstimate]) -> list[list[str]]:
     return groups
 
 
-def apply_denoise_group(
-    tables: list[Table],
-    estimates: list[DeltaEstimate],
-    as_categorical: bool = True,
-) -> list[Table]:
-    """Replace each detected column with its quantized integers, in place
-    under the same name, typed categorical or continuous per the flag.
+def apply_denoise_group(tables: list[Table], estimates: list[DeltaEstimate]) -> list[Table]:
+    """Replace each detected column with the categorical codes of its
+    quantized integers, in place under the same name.  (Kept continuous, the
+    integers would bin exactly as the raw lattice values do: ``round(v / δ)``
+    is strictly increasing on them.)
 
     The estimates are first checked against every table by
     :func:`refine_estimates`: a step that leaves some table's values off the
     lattice is refined, or the feature is left continuous and untouched in
-    every table.  When quantized columns become categorical, one dictionary
-    is built per feature over the union of all tables' values (ascending
-    integer order), so codes agree across train and test exactly like shared
-    ingest dictionaries do.
+    every table.  One dictionary is built per feature over the union of all
+    tables' values (ascending integer order), so codes agree across train and
+    test exactly like shared ingest dictionaries do.
     """
     out = list(tables)
     for est in refine_estimates(tables, estimates):
@@ -260,12 +257,6 @@ def apply_denoise_group(
             if est.feature in t.schema.names else None
             for t in out
         ]
-        if not as_categorical:
-            out = [
-                t if q is None else t.replace_column(est.feature, ColumnRole.CONTINUOUS, q)
-                for t, q in zip(out, quantized)
-            ]
-            continue
         union = np.unique(
             np.concatenate(
                 [q[~np.isnan(q)] for q in quantized if q is not None]

@@ -191,7 +191,7 @@ def _find_best_split(leaf: _Leaf, scan: _Scan, lam, min_data) -> _Split | None:
     stack = hist[:, :, 1 : width + 1].copy()
     if len(scan.cat):
         cat_hist = hist[:, scan.cat, : width + 1]
-        if np.count_nonzero(cat_hist[2], axis=1).max() < 2 and not scan.valid[scan.num].any():
+        if not scan.valid[scan.num].any() and np.count_nonzero(cat_hist[2], axis=1).max() < 2:
             return None  # no feature has two sides: no parent score, as per feature
         with np.errstate(divide="ignore", invalid="ignore"):
             key = cat_hist[0] / cat_hist[1]

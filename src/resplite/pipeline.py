@@ -84,9 +84,7 @@ class PipelineConfig:
     split_plan: SplitPlan
     stages: dict[str, bool]
     adversarial: advval.AdvConfig
-    re_audit_encoded: bool
     denoise_tol_rel: float
-    denoise_as_categorical: bool
     freq_features: list[str] | str
     freq_window: enc_mod.FreqWindow
     te_features: list[str] | str
@@ -117,7 +115,8 @@ class ConfigKey:
     attr: str | None = None
 
 
-#: every key the reader knows; a key of the document not listed is ignored
+#: every key the reader knows; a section key not listed is a config error,
+#: a top-level one is ignored
 CONFIG_KEYS = (
     ConfigKey("paths.train", (str,), attr="train_path"),
     ConfigKey("paths.test", (str,), attr="test_path"),
@@ -133,9 +132,7 @@ CONFIG_KEYS = (
     ConfigKey("adversarial.seed", (int,), None),  # None: the run's seed
     ConfigKey("adversarial.subsample_per_side", (int, type(None)),
               advval.AdvConfig.subsample_per_side),
-    ConfigKey("adversarial.re_audit_encoded", (bool,), False, attr="re_audit_encoded"),
     ConfigKey("denoise.tol_rel", (int, float), DEFAULT_TOL_REL, attr="denoise_tol_rel"),
-    ConfigKey("denoise.as_categorical", (bool,), True, attr="denoise_as_categorical"),
     ConfigKey("encoders.frequency.features", (list, str), ALL_CATEGORICAL,
               (ALL_CATEGORICAL,), str, "freq_features"),
     ConfigKey("encoders.frequency.window", (str,), enc_mod.FreqWindow.PREV_WEEK.value,
@@ -181,6 +178,19 @@ def _value(doc: dict, key: ConfigKey):
     return float(value) if float in key.types else value
 
 
+def _reject_unknown_keys(doc: dict, prefix: str = "") -> None:
+    """A key of a section of ``doc`` that :data:`CONFIG_KEYS` does not list
+    is a config error.  Top-level keys are not checked, nor is the gbdt
+    section: ``params_from_json`` checks it."""
+    for name, value in doc.items():
+        path = prefix + name
+        if isinstance(value, dict) and path != "gbdt" and any(
+                key.path.startswith(path + ".") for key in CONFIG_KEYS):
+            _reject_unknown_keys(value, path + ".")
+        elif prefix and all(key.path != path for key in CONFIG_KEYS):
+            raise _config_error(f"{path} is no config key")
+
+
 def _built(tag: str, make):
     """``make()``; a range check of the object it builds that fails is a
     config error, its message led by ``tag``, which names the key."""
@@ -220,6 +230,7 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
         section[key] = value
 
     v = {key.path: _value(doc, key) for key in CONFIG_KEYS if not key.path.startswith("gbdt.")}
+    _reject_unknown_keys(doc)
     if v["schema"] is not None:
         schema = _built("schema: ", lambda: Schema.from_json(v["schema"]))
     elif v["schema_path"] is not None:
@@ -322,38 +333,29 @@ def _row_ids(table: Table) -> np.ndarray:
 
 
 def audit_stage(
-    tables: list[Table],
-    cfg: advval.AdvConfig,
-    path: Path,
-    columns: list[str] | None = None,
+    tables: list[Table], cfg: advval.AdvConfig, path: Path
 ) -> tuple[advval.AdvReport, list[Table]]:
-    """Audit train (``tables[0]``) against test (``tables[1]``) feature by
-    feature and write the report JSON to ``path``.  ``columns`` limits the
-    audit to those features.  Returns the report and both tables without the
-    features it drops."""
-    audited = tables
-    if columns is not None:
-        audited = [
-            t.drop_columns(set(t.schema.feature_columns()) - set(columns))
-            for t in tables
-        ]
-    rep = advval.audit(audited[0], audited[1], cfg)
+    """Audit train (``tables[0]``) against test (``tables[1]``) on every
+    feature and write the report JSON to ``path``.  Returns the report and
+    both tables without the features it drops."""
+    rep = advval.audit(tables[0], tables[1], cfg)
     advval.save_report(rep, path)
     return rep, [advval.filter_features(rep, t) for t in tables]
 
 
 def denoise_stage(
-    tables: list[Table], tol_rel: float, as_categorical: bool, out_dir: Path
+    tables: list[Table], tol_rel: float, out_dir: Path
 ) -> tuple[list[denoise_mod.DeltaEstimate], list[list[str]], list[Table]]:
     """Detect lattices on ``tables[0]``, refine them over every table, write
-    ``delta_estimates.json``, and quantize every table with shared code
-    dictionaries.  Returns the estimates, their groups and the tables."""
+    ``delta_estimates.json``, and replace each detected column of every table
+    with categorical codes from one shared dictionary.  Returns the
+    estimates, their groups and the tables."""
     estimates = denoise_mod.refine_estimates(
         tables, denoise_mod.detect_all(tables[0], tol_rel=tol_rel)
     )
     groups = denoise_mod.group_deltas(estimates)
     denoise_mod.save_estimates(estimates, out_dir / "delta_estimates.json", groups)
-    quantized = denoise_mod.apply_denoise_group(tables, estimates, as_categorical)
+    quantized = denoise_mod.apply_denoise_group(tables, estimates)
     return estimates, groups, quantized
 
 
@@ -514,9 +516,7 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
             cont = tables[0].schema.names_of(ColumnRole.CONTINUOUS)
             if len(cont) >= 2:
                 report.correlation = denoise_mod.correlation_matrix(tables[0], cont)
-            return denoise_stage(
-                tables, config.denoise_tol_rel, config.denoise_as_categorical, out_dir
-            )
+            return denoise_stage(tables, config.denoise_tol_rel, out_dir)
 
         estimates, groups, tables = _timed(report, "denoise", denoise)
         report.sections["denoise"] = {
@@ -539,11 +539,6 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
             "columns": columns,
             "keep_originals": config.keep_originals,
         }
-        if config.re_audit_encoded and config.stages.get("adversarial", True):
-            re_report, tables = _timed(report, "re_audit", lambda: audit_stage(
-                tables, config.adversarial, out_dir / "adversarial_encoded.json", columns
-            ))
-            report.sections["encoding"]["re_audit_dropped"] = re_report.dropped()
 
     if config.stages.get("train", True):
         train_rows, valid, model = _timed(report, "train", lambda: train_stage(

@@ -153,20 +153,13 @@ class TestApplyDenoise:
     def test_as_categorical_swaps_role_and_dictionary(self):
         table, k = self.make()
         estimates = detect_all(table)
-        out = apply_denoise_group([table], estimates, as_categorical=True)[0]
+        out = apply_denoise_group([table], estimates)[0]
         assert out.schema.role("a") is ColumnRole.CATEGORICAL
         assert out.schema.role("b") is ColumnRole.CONTINUOUS
         d = out.dictionary("a")
         codes = out.col("a")
         decoded = np.array([int(d[c]) for c in codes])
         assert np.array_equal(decoded, k)
-
-    def test_as_continuous_keeps_role(self):
-        table, k = self.make()
-        estimates = detect_all(table)
-        out = apply_denoise_group([table], estimates, as_categorical=False)[0]
-        assert out.schema.role("a") is ColumnRole.CONTINUOUS
-        assert np.array_equal(out.col("a"), k.astype(float))
 
     def test_group_apply_shares_one_dictionary(self):
         # the two tables see different (overlapping) multiplier sets; codes

@@ -77,13 +77,10 @@ class TestGroupApplyFallback:
         assert est.off_lattice == (0, 1)
         assert "m <= 16" in est.note and "continuous" in est.note
         assert est.to_json_dict()["delta"] is None
-        for as_categorical in (True, False):
-            t_train, t_test = apply_denoise_group(
-                [TRAIN, test], raw, as_categorical=as_categorical
-            )
-            for before, after in ((TRAIN, t_train), (test, t_test)):
-                assert after.schema.role("a") is ColumnRole.CONTINUOUS
-                assert np.array_equal(after.col("a"), before.col("a"))
+        t_train, t_test = apply_denoise_group([TRAIN, test], raw)
+        for before, after in ((TRAIN, t_train), (test, t_test)):
+            assert after.schema.role("a") is ColumnRole.CONTINUOUS
+            assert np.array_equal(after.col("a"), before.col("a"))
 
     def test_group_apply_with_refined_estimates_is_unchanged(self):
         test = make([0.25, 1.0, 2.75], 46)

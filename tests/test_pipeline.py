@@ -113,14 +113,12 @@ class TestLoadConfig:
     @pytest.mark.parametrize("section, key, value, match", [
         ("stages", "denoise", "false", "stages.denoise is 'false', not bool"),
         ("encoders", "keep_originals", "false", "encoders.keep_originals is 'false', not bool"),
-        ("adversarial", "re_audit_encoded", "no", "adversarial.re_audit_encoded is 'no', not bool"),
         ("denoise", "tol_rel", [1], r"denoise.tol_rel is \[1\], not int or float"),
         ("split", "valid_day", 66.0, "split.valid_day is 66.0, not int"),
         ("split", "train_days", [60.5], "a split.train_days entry is 60.5, not int"),
         ("adversarial", "subsample_per_side", 1.5,
          "adversarial.subsample_per_side is 1.5, not int or NoneType"),
         ("encoders", "target", {"smoothing": "1"}, "encoders.target.smoothing is '1'"),
-        ("denoise", "as_categorical", None, "denoise.as_categorical is None, not bool"),
     ])
     def test_value_of_the_wrong_json_type_rejected(self, section, key, value, match):
         doc = {"paths": {"train": "a", "test": "b", "output_dir": "o"},
@@ -163,10 +161,22 @@ class TestLoadConfig:
         with pytest.raises(PipelineError, match="stages.denoise is 'False', not bool"):
             load_config(doc, env={"RLT_STAGES_DENOISE": "False"})
 
-    def test_unknown_keys_ignored(self):
+    @pytest.mark.parametrize("path", [
+        "denoise.origin", "denoise.as_categorical", "adversarial.re_audit_encoded",
+        "stages.embedding", "encoders.frequency.widow",
+    ])
+    def test_unknown_section_keys_fail_the_config_stage(self, path):
         doc = {"paths": {"train": "a", "test": "b", "output_dir": "o"},
-               "split": {"valid_day": 66}, "n_threads": 1, "denoise": {"origin": "vmin"}}
+               "split": {"valid_day": 66}, "n_threads": 1}
+        # a top-level key the reader does not know is ignored
         assert load_config(doc, env={}).stages["denoise"] is True
+        *sections, last = path.split(".")
+        section = doc
+        for name in sections:
+            section = section.setdefault(name, {})
+        section[last] = True
+        with pytest.raises(PipelineError, match=f"stage config: {path} is no config key"):
+            load_config(doc, env={})
 
     def test_seed_propagates_to_gbdt_and_adversarial(self, dataset, tmp_path):
         doc = base_config(dataset, tmp_path)
@@ -235,7 +245,7 @@ class TestConfigKeys:
         assert load_config(self.MINIMAL, env={name: json.dumps(value)}).raw == want
 
     def test_stages_are_exactly_the_known_ones(self):
-        doc = dict(self.MINIMAL, stages={"denoise": False, "embedding": True})
+        doc = dict(self.MINIMAL, stages={"denoise": False})
         assert load_config(doc, env={}).stages == {
             name: name != "denoise" for name in STAGE_NAMES}
 
@@ -265,23 +275,17 @@ class TestRun:
         report_doc = json.loads((out / "report.json").read_text())
         assert "timings" not in report_doc
 
-    def test_re_audit_without_originals_on_listed_train_days(self, dataset, tmp_path):
+    def test_no_originals_on_listed_train_days(self, dataset, tmp_path):
         doc = base_config(dataset, tmp_path / "out")
         doc["split"]["train_days"] = [60, 61, 62, 63, 64, 65]
-        doc["adversarial"]["re_audit_encoded"] = True
         doc["encoders"] = {"keep_originals": False}
         report = run(load_config(doc, env={}))
         out = tmp_path / "out"
         features = set(json.loads((out / "model.json").read_text())["feature_names"])
-        re_audit = json.loads((out / "adversarial_encoded.json").read_text())["features"]
-        dropped = {e["name"] for e in re_audit if e["verdict"] == "drop"}
-        assert dropped and sorted(dropped) == sorted(
-            report.sections["encoding"]["re_audit_dropped"])
-        assert not dropped & features
         encoded = report.sections["encoding"]["columns"]
         originals = {name.split("__")[0] for name in encoded}
         assert originals and not originals & features
-        assert set(encoded) - dropped <= features
+        assert set(encoded) <= features
         sections = json.loads((out / "report.json").read_text())["sections"]
         assert sections["split"]["train_days"] == [60, 61, 62, 63, 64, 65]
         days = load_binary(out / "cache" / "train.rlt").day_values

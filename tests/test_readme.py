@@ -1,12 +1,15 @@
-"""The README's pipeline config example is a config the reader accepts, and
-every switch, count and threshold it documents is one the reader checks."""
+"""The README's pipeline config example is a config the reader accepts,
+every switch, count and threshold it documents is one the reader checks, and
+every ``resplite`` command it shows is one the CLI parses."""
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from resplite.cli import build_parser
 from resplite.pipeline import CONFIG_KEYS, PipelineError, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -32,7 +35,6 @@ def test_readme_config_loads():
     cfg = load_config(doc, env={})
     assert cfg.split_plan.train_days == frozenset(doc["split"]["train_days"])
     assert cfg.keep_originals is doc["encoders"]["keep_originals"]
-    assert cfg.re_audit_encoded is doc["adversarial"]["re_audit_encoded"]
     assert cfg.adversarial.holdout_fraction == doc["adversarial"]["holdout_fraction"]
 
 
@@ -72,3 +74,25 @@ def test_each_config_key_is_read_with_its_type(key):
     section[name] = 0 if str in key.types else "0"
     with pytest.raises(PipelineError, match="stage config"):
         load_config(doc, env={})
+
+
+def readme_commands() -> list[str]:
+    """The ``resplite`` commands of the README's shell blocks, continuation
+    lines joined and comments cut."""
+    text = "\n".join(re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S))
+    joined = text.replace("\\\n", " ").splitlines()
+    lines = (" ".join(line.split("#")[0].split()) for line in joined)
+    return [line for line in lines if line.startswith("resplite ")]
+
+
+def test_readme_shows_every_subcommand():
+    shown = {shlex.split(command)[1] for command in readme_commands()}
+    # the usage line lists the subcommands as {synth,ingest,...}
+    subcommands = re.search(r"\{(.*?)\}", build_parser().format_usage()).group(1)
+    assert shown == set(subcommands.split(","))
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_each_documented_command_parses(command):
+    # argparse exits on an unknown flag or a missing required one
+    build_parser().parse_args(shlex.split(command)[1:])
