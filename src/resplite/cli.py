@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -23,10 +24,8 @@ import numpy as np
 
 from . import denoise as denoise_mod, encoders as enc_mod, pipeline
 from .advval import AdvConfig
-from .gbdt import feature_importance, params_from_json
-from .report import (
-    RunReport, read_predictions_csv, report_export, save_correlation_csv, write_json
-)
+from .gbdt import params_from_json
+from .report import read_predictions_csv, save_correlation_csv, write_json
 from .tabular import SplitPlan, save_binary
 
 
@@ -57,8 +56,7 @@ def _cmd_adversarial(args) -> int:
     tables = pipeline.load_tables([args.train, args.test], args.schema)
     cfg = AdvConfig(**{f.name: getattr(args, f.name) for f in fields(AdvConfig)})
     out_dir = _out_dir(args)
-    report, _ = pipeline.audit_stage(tables, cfg, out_dir / "adversarial_report.json")
-    report_export(RunReport({}, {}, adversarial=report), out_dir, "all")
+    report, _ = pipeline.audit_stage(tables, cfg, out_dir)
     for e in report.entries:
         score = "-" if e.auc is None else f"{e.auc:.4f}"
         print(f"{e.name}\t{score}\t{e.verdict}")
@@ -111,6 +109,13 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    train_days: frozenset[int] = frozenset()
+    if args.train_days:
+        bounds = re.fullmatch(r"(\d+)-(\d+)", args.train_days)
+        if bounds is None or int(bounds[1]) > int(bounds[2]):
+            raise ValueError(f"--train-days {args.train_days!r} is not a day range "
+                             "LO-HI with LO <= HI, e.g. 45-65")
+        train_days = frozenset(range(int(bounds[1]), int(bounds[2]) + 1))
     tables = pipeline.load_tables(
         [args.table] + ([args.predict] if args.predict else []), args.schema
     )
@@ -119,19 +124,10 @@ def _cmd_train(args) -> int:
         with open(args.params, "r", encoding="utf-8") as fh:
             params_doc = json.load(fh)
     params = params_from_json(params_doc)
-    train_days: frozenset[int] = frozenset()
-    if args.train_days:
-        lo, hi = args.train_days.split("-")
-        train_days = frozenset(range(int(lo), int(hi) + 1))
     out_dir = _out_dir(args)
     _, _, model = pipeline.train_stage(
         tables[0], SplitPlan(train_days, args.valid_day), params, out_dir
     )
-    report = RunReport(
-        {}, {}, importance=feature_importance(model),
-        train_curve=model.train_curve, valid_curve=model.valid_curve,
-    )
-    report_export(report, out_dir, "csv")
     if args.predict:
         pipeline.predict_stage(model, tables[1], out_dir / "predictions.csv")
     print(

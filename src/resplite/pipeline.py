@@ -42,6 +42,7 @@ from .gbdt.boosting import PARAM_TYPES
 from .report import (
     RunReport,
     report_export,
+    save_correlation_csv,
     save_report_json,
     write_json,
     write_predictions_csv,
@@ -333,13 +334,15 @@ def _row_ids(table: Table) -> np.ndarray:
 
 
 def audit_stage(
-    tables: list[Table], cfg: advval.AdvConfig, path: Path
+    tables: list[Table], cfg: advval.AdvConfig, out_dir: Path
 ) -> tuple[advval.AdvReport, list[Table]]:
     """Audit train (``tables[0]``) against test (``tables[1]``) on every
-    feature and write the report JSON to ``path``.  Returns the report and
-    both tables without the features it drops."""
+    feature and write ``adversarial_report.json`` and the AUC table and
+    chart.  Returns the report and both tables without the features it
+    drops."""
     rep = advval.audit(tables[0], tables[1], cfg)
-    advval.save_report(rep, path)
+    advval.save_report(rep, out_dir / "adversarial_report.json")
+    report_export(out_dir, adversarial=rep)
     return rep, [advval.filter_features(rep, t) for t in tables]
 
 
@@ -375,12 +378,12 @@ def encoder_specs(config: PipelineConfig, table: Table, ingested: Schema) -> lis
     encoders first, then target encoders per feature and target (click only
     when the table has a click label)."""
     specs: list[dict] = []
-    if config.stages.get("frequency", True):
+    if config.stages["frequency"]:
         specs += [
             {"feature": name, "kind": "frequency", "window": config.freq_window.value}
             for name in _resolve_cat_features(config.freq_features, table, ingested)
         ]
-    if config.stages.get("target_encoding", True):
+    if config.stages["target_encoding"]:
         specs += [
             {"feature": name, "kind": "target", "target": target,
              "smoothing": config.te_smoothing}
@@ -444,14 +447,17 @@ def train_stage(
     table: Table, plan: SplitPlan, params: GbdtParams, out_dir: Path
 ) -> tuple[np.ndarray, Table, GbdtModel]:
     """Fit the GBDT on the plan's train rows of ``table`` (see :func:`split_rows`),
-    early-stopping on the valid day, and write ``model.json`` and, from the
-    fit's ``valid_probs``, ``valid_predictions.csv``.  Returns the train row
-    indices, the valid day's table and the model."""
+    early-stopping on the valid day, and write ``model.json``,
+    ``valid_predictions.csv`` (from the fit's ``valid_probs``), the
+    importance table and chart and the training curve.  Returns the train
+    row indices, the valid day's table and the model."""
     train_rows, valid_rows = split_rows(table, plan)
     valid = table.take(valid_rows)
     model = gbdt_fit(params, table, valid, rows=train_rows)
     save_model(model, out_dir / "model.json")
     write_predictions_csv(_row_ids(valid), model.valid_probs, out_dir / "valid_predictions.csv")
+    report_export(out_dir, importance=feature_importance(model),
+                  train_curve=model.train_curve, valid_curve=model.valid_curve)
     return train_rows, valid, model
 
 
@@ -501,21 +507,21 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
         "valid_day": plan.valid_day,
     }
 
-    if config.stages.get("adversarial", True):
+    if config.stages["adversarial"]:
         adv_report, tables = _timed(report, "adversarial", lambda: audit_stage(
-            tables, config.adversarial, out_dir / "adversarial_report.json"
+            tables, config.adversarial, out_dir
         ))
-        report.adversarial = adv_report
         report.sections["adversarial"] = {
             "dropped": adv_report.dropped(),
             "features": adv_report.to_json_dict()["features"],
         }
 
-    if config.stages.get("denoise", True):
+    if config.stages["denoise"]:
         def denoise():
             cont = tables[0].schema.names_of(ColumnRole.CONTINUOUS)
             if len(cont) >= 2:
-                report.correlation = denoise_mod.correlation_matrix(tables[0], cont)
+                save_correlation_csv(*denoise_mod.correlation_matrix(tables[0], cont),
+                                     out_dir / "correlation.csv")
             return denoise_stage(tables, config.denoise_tol_rel, out_dir)
 
         estimates, groups, tables = _timed(report, "denoise", denoise)
@@ -525,7 +531,7 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
             "detected": [e.feature for e in estimates if e.detected],
         }
 
-    if config.stages.get("frequency", True) or config.stages.get("target_encoding", True):
+    if config.stages["frequency"] or config.stages["target_encoding"]:
         def encode():
             specs = encoder_specs(config, tables[0], ingested)
             columns, encoded = encode_stage(tables, specs, out_dir)
@@ -540,21 +546,17 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
             "keep_originals": config.keep_originals,
         }
 
-    if config.stages.get("train", True):
+    if config.stages["train"]:
         train_rows, valid, model = _timed(report, "train", lambda: train_stage(
             tables[0], plan, config.gbdt, out_dir
         ))
-        importance = feature_importance(model)
-        report.importance = importance
-        report.train_curve = model.train_curve
-        report.valid_curve = model.valid_curve
         report.sections["training"] = {
             "features": list(model.feature_names),
             "best_iteration": model.best_iteration,
             "trees": model.n_trees,
             "train_rows": len(train_rows),
             "valid_rows": valid.n_rows,
-            "importance": [[name, count] for name, count in importance],
+            "importance": [[name, count] for name, count in feature_importance(model)],
         }
 
         def evaluate():
@@ -570,7 +572,6 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
 
         report.sections["metrics"] = _timed(report, "evaluate", evaluate)
 
-    _timed(report, "export", lambda: report_export(report, out_dir, "all"))
     save_report_json(report, out_dir)
     return report
 
@@ -594,7 +595,7 @@ def ablate(config: PipelineConfig, stages: list[str] | None = None) -> list[dict
     if stages is None:
         stages = ["frequency", "denoise", "target_encoding"]
     for stage in stages:
-        if stage not in ("adversarial", "denoise", "frequency", "target_encoding"):
+        if stage not in STAGE_NAMES or stage == "train":
             raise PipelineError("ablate", f"unknown ablation stage {stage!r}")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,9 @@
 """Run reports and their file exports (JSON, CSV, and self-contained SVG).
 
 Every JSON report of the program is written by :func:`write_json` and every
-CSV report by :func:`write_rows`.  Everything written here is
+CSV report by :func:`write_rows`.  A stage writes its CSV and SVG files as
+soon as it has their data, so a failed run keeps those of the stages before
+it; ``report.json`` is written last.  Everything written here is
 byte-deterministic for a given report: floats are formatted with fixed
 precision or shortest-round-trip repr, JSON keys are sorted, and the SVG
 writer emits no timestamps or generated ids.  Wall-clock timings, and the
@@ -25,11 +27,9 @@ from .tabular import id_bytes
 if TYPE_CHECKING:  # advval and denoise import the writers below
     from .advval import AdvReport
 
-EXPORT_FORMATS = ("csv", "svg", "all")
-
 
 class ReportError(ValueError):
-    """Raised for unknown export formats."""
+    """Raised for a malformed predictions file."""
 
 
 @dataclass
@@ -42,12 +42,6 @@ class RunReport:
     timings: dict[str, float] = field(default_factory=dict)
     peak_rss_mb: dict[str, float] = field(default_factory=dict)
     version: str = __version__
-    # in-memory extras used by exports
-    adversarial: AdvReport | None = None
-    correlation: tuple[np.ndarray, list[str]] | None = None
-    importance: list[tuple[str, int]] | None = None
-    train_curve: list[float] = field(default_factory=list)
-    valid_curve: list[float] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,16 +77,12 @@ def save_report_json(report: RunReport, out_dir: Path) -> None:
 # CSV exports
 
 
-def correlation_table(matrix: np.ndarray, features: list[str]) -> tuple[list, list]:
-    """Header and rows of the correlation CSV; NaN cells are empty."""
-    return ["feature", *features], [
+def save_correlation_csv(matrix: np.ndarray, features: list[str], path) -> None:
+    """The correlation matrix as a CSV; NaN cells are empty."""
+    write_rows(path, ["feature", *features], (
         [name, *("" if np.isnan(r) else f"{r:.6f}" for r in matrix[i])]
         for i, name in enumerate(features)
-    ]
-
-
-def save_correlation_csv(matrix: np.ndarray, features: list[str], path) -> None:
-    write_rows(path, *correlation_table(matrix, features))
+    ))
 
 
 #: rows written at a time, so that a block's line buffer stays small
@@ -221,48 +211,30 @@ def write_bar_chart_svg(
         fh.write("\n".join(lines) + "\n")
 
 
-def report_export(report: RunReport, out_dir: Path, fmt: str = "all") -> list[Path]:
-    """Emit the report's tabular and chart artifacts under ``out_dir``.
-
-    ``fmt`` selects "csv", "svg", or "all"; anything else raises with the
-    supported list.  The importance chart shows at most the top 20 features.
-    """
-    if fmt not in EXPORT_FORMATS:
-        raise ReportError(
-            f"unknown export format {fmt!r}; supported: {', '.join(EXPORT_FORMATS)}"
-        )
-    # file name -> (header, rows) of a CSV, or (labels, values, title, value format) of a chart
-    tables: dict[str, tuple] = {}
-    charts: dict[str, tuple] = {}
-    if report.adversarial is not None:
-        entries = report.adversarial.entries
-        tables["adversarial_auc.csv"] = (["feature", "auc", "verdict"], [
+def report_export(out_dir: Path, adversarial: AdvReport | None = None,
+                  importance: list[tuple[str, int]] | None = None,
+                  train_curve: list[float] = (), valid_curve: list[float] = ()) -> None:
+    """Write the report files of what is given under ``out_dir``: the audit's
+    AUC per feature (CSV and chart), the model's split counts (CSV, and a
+    chart of the top 20) and its train and valid logloss per iteration."""
+    if adversarial is not None:
+        entries = adversarial.entries
+        write_rows(out_dir / "adversarial_auc.csv", ["feature", "auc", "verdict"], (
             (e.name, "" if e.auc is None else f"{e.auc:.6f}", e.verdict) for e in entries
-        ])
+        ))
         scored = [e for e in entries if e.auc is not None]
-        charts["adversarial_auc.svg"] = (
-            [e.name for e in scored], [e.auc for e in scored],
-            "Adversarial validation AUC by feature", "{:.4f}",
-        )
-    if report.correlation is not None:
-        tables["correlation.csv"] = correlation_table(*report.correlation)
-    if report.importance is not None:
-        tables["feature_importance.csv"] = (["feature", "split_count"], report.importance)
-        top = report.importance[:20]
-        charts["feature_importance.svg"] = (
-            [name for name, _ in top], [float(c) for _, c in top],
-            "Feature importance (split counts, top 20)", "{:.0f}",
-        )
-    if report.train_curve:
-        tables["training_curve.csv"] = (["iteration", "train_logloss", "valid_logloss"], [
+        write_bar_chart_svg([e.name for e in scored], [e.auc for e in scored],
+                            out_dir / "adversarial_auc.svg",
+                            "Adversarial validation AUC by feature")
+    if importance is not None:
+        write_rows(out_dir / "feature_importance.csv", ["feature", "split_count"], importance)
+        top = importance[:20]
+        write_bar_chart_svg([name for name, _ in top], [float(c) for _, c in top],
+                            out_dir / "feature_importance.svg",
+                            "Feature importance (split counts, top 20)", "{:.0f}")
+    if train_curve:
+        header = ["iteration", "train_logloss", "valid_logloss"]
+        write_rows(out_dir / "training_curve.csv", header, (
             (i, f"{tr:.10f}", f"{va:.10f}")
-            for i, (tr, va) in enumerate(zip(report.train_curve, report.valid_curve), 1)
-        ])
-    out_dir = Path(out_dir)
-    tables = tables if fmt in ("csv", "all") else {}
-    charts = charts if fmt in ("svg", "all") else {}
-    for name, (header, rows) in tables.items():
-        write_rows(out_dir / name, header, rows)
-    for name, (labels, values, title, value_format) in charts.items():
-        write_bar_chart_svg(labels, values, out_dir / name, title, value_format)
-    return [out_dir / name for name in [*tables, *charts]]
+            for i, (tr, va) in enumerate(zip(train_curve, valid_curve), 1)
+        ))

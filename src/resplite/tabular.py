@@ -584,14 +584,8 @@ def _unpack_strings(buf: bytes, what: str) -> np.ndarray:
     return chars.view(f"S{width}").ravel()
 
 
-_ROLE_WIRE_DTYPES = {
-    ColumnRole.CATEGORICAL: "<i4",
-    ColumnRole.CONTINUOUS: "<f8",
-    ColumnRole.BINARY: "<f8",
-    ColumnRole.DAY: "<i4",
-    ColumnRole.LABEL_CLICK: "u1",
-    ColumnRole.LABEL_INSTALL: "u1",
-}
+#: a column's dtype in the cache file: its in-memory dtype, little-endian
+_ROLE_WIRE_DTYPES = {role: np.dtype(t).newbyteorder("<") for role, t in _ROLE_DTYPES.items()}
 
 
 def save_binary(table: Table, path: str | Path) -> None:
@@ -613,7 +607,7 @@ def save_binary(table: Table, path: str | Path) -> None:
             if role is ColumnRole.ROW_ID:
                 payload = _pack_strings(arr, f"column {name!r}")
             else:
-                payload = arr.astype(_ROLE_WIRE_DTYPES[role]).tobytes()
+                payload = arr.astype(_ROLE_WIRE_DTYPES[role], copy=False).tobytes()
                 if role is ColumnRole.CATEGORICAL:
                     payload += _pack_strings(table.dictionary(name), f"column {name!r} dictionary")
             fh.write(struct.pack("<Q", len(payload)))
@@ -658,7 +652,7 @@ def load_binary(path: str | Path) -> Table:
                 if len(columns[name]) != n_rows:
                     raise TabularError(f"{what} holds {len(columns[name])} ids, not {n_rows}")
                 continue
-            wire = np.dtype(_ROLE_WIRE_DTYPES[role])
+            wire = _ROLE_WIRE_DTYPES[role]
             arr_bytes = n_rows * wire.itemsize
             # only a categorical column has more: its dictionary block
             if plen < arr_bytes or (plen > arr_bytes and role is not ColumnRole.CATEGORICAL):

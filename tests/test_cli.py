@@ -336,6 +336,17 @@ class TestTrainAndEvaluate:
         assert "'x2'" in capsys.readouterr().err
         assert not (out_dir / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("days", ["65-45", "45"])
+    def test_train_days_that_are_no_range_fail_naming_the_value(
+        self, caches, tmp_path, capsys, days
+    ):
+        out_dir = tmp_path / "out"
+        assert main(["train", "--table", str(caches / "train.rlt"), "--valid-day", "66",
+                     "--train-days", days, "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --train-days {days!r} is not a day range LO-HI")
+        assert not (out_dir / "model.json").exists()
+
     def test_evaluate_missing_row_id_fails(self, caches, tmp_path):
         preds = tmp_path / "preds.csv"
         preds.write_text("0,0.5\n")
@@ -460,6 +471,18 @@ class TestInputLoading:
         assert not (tmp_path / "adversarial_report.json").exists()
 
 
+#: small GBDT params of the run and of the train subcommand's params file
+_STAGE_GBDT = {"num_leaves": 7, "num_iterations": 8, "early_stopping_rounds": 4,
+               "min_data_in_leaf": 10, "seed": 3}
+
+
+def _train_command(cache: Path) -> list[str]:
+    params = cache / "params.json"
+    params.write_text(json.dumps(_STAGE_GBDT))
+    return ["train", "--table", str(cache / "train.rlt"), "--valid-day", "66",
+            "--params", str(params)]
+
+
 STAGE_COMMANDS = {
     # stage: (the run's stage toggles, the subcommand given the run's cache
     #         directory, the artifacts it must write byte-identical to the run's)
@@ -476,6 +499,12 @@ STAGE_COMMANDS = {
                        "--apply-to", str(cache / "test.rlt"), "--tol-rel", "0.002"],
         ["delta_estimates.json"],
     ),
+    "train": (
+        {name: name == "train" for name in pipeline.STAGE_NAMES},
+        _train_command,
+        ["model.json", "valid_predictions.csv", "feature_importance.csv",
+         "feature_importance.svg", "training_curve.csv"],
+    ),
 }
 
 
@@ -489,9 +518,10 @@ def test_subcommand_writes_the_same_artifacts_as_run(data, tmp_path, stage):
                   "output_dir": str(run_dir)},
         "schema": json.loads((data / "schema.json").read_text()),
         "split": {"valid_day": 66},
-        "stages": dict(toggles, train=False),
+        "stages": {"train": False, **toggles},
         "adversarial": {"subsample_per_side": 2000},
         "denoise": {"tol_rel": 0.002},
+        "gbdt": _STAGE_GBDT,
         "seed": 3,
     }))
     assert main(["run", "--config", str(config)]) == 0

@@ -21,7 +21,6 @@ from resplite.pipeline import (
 from resplite.report import (
     _CSV_BLOCK,
     ReportError,
-    RunReport,
     read_predictions_csv,
     report_export,
     write_bar_chart_svg,
@@ -368,6 +367,19 @@ class TestRun:
             run(load_config(doc, env={}))
         assert (tmp_path / "out" / "cache" / "train.rlt").exists()
 
+    def test_failed_train_stage_keeps_the_report_files_of_earlier_stages(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setattr(pipeline, "gbdt_fit", fail)
+        with pytest.raises(PipelineError, match="stage train: fit failed"):
+            run(load_config(base_config(dataset, tmp_path / "out"), env={}))
+        for name in ("adversarial_report.json", "adversarial_auc.csv", "adversarial_auc.svg",
+                     "delta_estimates.json", "correlation.csv", "encoders.json"):
+            assert (tmp_path / "out" / name).exists(), name
+
     def test_encoder_feature_not_in_the_input_fails_the_encode_stage(self, dataset, tmp_path):
         doc = base_config(dataset, tmp_path / "out")
         doc["encoders"] = {"frequency": {"features": ["c0", "typo"]}}
@@ -441,16 +453,11 @@ class TestAblate:
 
 
 class TestReportExport:
-    def test_unknown_format_lists_supported(self, tmp_path):
-        report = RunReport(config_echo={}, stages={})
-        with pytest.raises(ValueError, match="csv, svg, all"):
-            report_export(report, tmp_path, "pdf")
-
     def test_adversarial_csv_row_count(self, dataset, tmp_path):
         cfg = load_config(base_config(dataset, tmp_path / "out"), env={})
         report = run(cfg)
         lines = (tmp_path / "out" / "adversarial_auc.csv").read_text().strip().split("\n")
-        assert len(lines) - 1 == len(report.adversarial.entries)
+        assert len(lines) - 1 == len(report.sections["adversarial"]["features"])
 
     def test_importance_svg_caps_at_twenty_bars(self, tmp_path):
         labels = [f"f{i}" for i in range(30)]
@@ -459,17 +466,12 @@ class TestReportExport:
         write_bar_chart_svg(labels[:20], values[:20], path, "test")
         svg = path.read_text()
         assert svg.count("<rect") == 20
-        report = RunReport(config_echo={}, stages={})
-        report.importance = list(zip(labels, [int(v) for v in values]))
-        files = report_export(report, tmp_path, "svg")
-        chart = next(p for p in files if p.name == "feature_importance.svg")
-        assert chart.read_text().count("<rect") == 20
+        report_export(tmp_path, importance=list(zip(labels, [int(v) for v in values])))
+        assert (tmp_path / "feature_importance.svg").read_text().count("<rect") == 20
 
     def test_svg_descending_order(self, tmp_path):
-        report = RunReport(config_echo={}, stages={})
-        report.importance = [("a", 9), ("b", 5), ("c", 1)]
-        files = report_export(report, tmp_path, "svg")
-        svg = files[0].read_text()
+        report_export(tmp_path, importance=[("a", 9), ("b", 5), ("c", 1)])
+        svg = (tmp_path / "feature_importance.svg").read_text()
         assert svg.index(">a<") < svg.index(">b<") < svg.index(">c<")
 
     @pytest.mark.parametrize("ids", [["a", "b", "c", "d", "e", "f"], np.array(list("abcdef"))])

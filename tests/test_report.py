@@ -8,7 +8,7 @@ from resplite import advval, denoise, pipeline
 from resplite.advval import AdvConfig, AdvEntry, AdvReport
 from resplite.cli import main
 from resplite.denoise import DeltaEstimate
-from resplite.report import RunReport, report_export, save_report_json
+from resplite.report import RunReport, report_export, save_correlation_csv, save_report_json
 from resplite.tabular import ColumnRole, Schema, Table, save_binary
 
 ADV_REPORT = AdvReport(
@@ -24,8 +24,9 @@ ADV_REPORT = AdvReport(
 
 
 def _export(tmp_path, **extras) -> dict[str, str]:
-    written = report_export(RunReport({}, {}, **extras), tmp_path, "csv")
-    return {p.name: p.read_bytes().decode("utf-8") for p in written}
+    """The CSV files that report_export writes for ``extras``, by name."""
+    report_export(tmp_path, **extras)
+    return {p.name: p.read_bytes().decode("utf-8") for p in tmp_path.glob("*.csv")}
 
 
 def test_adversarial_csv(tmp_path):
@@ -61,7 +62,8 @@ def test_curve_csv(tmp_path):
 def test_correlation_csv(tmp_path):
     matrix = np.array([[1.0, -0.25, np.nan], [-0.25, 1.0, np.nan],
                        [np.nan, np.nan, np.nan]])
-    assert _export(tmp_path, correlation=(matrix, ["x0", "x1", "x2"])) == {
+    save_correlation_csv(matrix, ["x0", "x1", "x2"], tmp_path / "correlation.csv")
+    assert {"correlation.csv": (tmp_path / "correlation.csv").read_bytes().decode()} == {
         "correlation.csv": (
             "feature,x0,x1,x2\n"
             "x0,1.000000,-0.250000,\n"
