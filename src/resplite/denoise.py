@@ -250,34 +250,21 @@ def apply_denoise_group(tables: list[Table], estimates: list[DeltaEstimate]) -> 
     """
     out = list(tables)
     for est in refine_estimates(tables, estimates):
-        if not est.detected:
+        held = [i for i, t in enumerate(out) if est.feature in t.schema.names]
+        if not est.detected or not held:
             continue
-        quantized = [
-            quantize(t.col(est.feature), est)
-            if est.feature in t.schema.names else None
-            for t in out
-        ]
-        union = np.unique(
-            np.concatenate(
-                [q[~np.isnan(q)] for q in quantized if q is not None]
-                or [np.empty(0)]
-            )
-        ).astype(np.int64)
+        quantized = [quantize(out[i].col(est.feature), est) for i in held]
+        finite = [~np.isnan(q) for q in quantized]
+        # the integers stay floats: past 2**63 an int64 cast would wrap
+        union, inverse = np.unique(
+            np.concatenate([q[f] for q, f in zip(quantized, finite)]), return_inverse=True
+        )
         dictionary = (MISSING_TOKEN,) + tuple(str(int(v)) for v in union)
-        replaced = []
-        for t, q in zip(out, quantized):
-            if q is None:
-                replaced.append(t)
-                continue
-            codes = np.zeros(len(q), dtype=np.int32)
-            finite = ~np.isnan(q)
-            codes[finite] = (
-                np.searchsorted(union, q[finite].astype(np.int64)) + 1
-            ).astype(np.int32)
-            replaced.append(
-                t.replace_column(est.feature, ColumnRole.CATEGORICAL, codes, dictionary)
-            )
-        out = replaced
+        ends = np.cumsum([np.count_nonzero(f) for f in finite])
+        for i, f, part in zip(held, finite, np.split(inverse + 1, ends[:-1])):
+            codes = np.zeros(len(f), dtype=np.int32)
+            codes[f] = part
+            out[i] = out[i].replace_column(est.feature, ColumnRole.CATEGORICAL, codes, dictionary)
     return out
 
 

@@ -10,11 +10,14 @@ windows: the previous day, the previous 7 days, or all history up to one
 day ago.  Target encoding is the ordered, smoothed kind: the category's
 historical target mean shrunk toward the day's global prior by a pseudo
 count ``a``, with 0.5 as the cold-start value when no history exists at all.
+A fitted state holds per-day category counts and, for target encoding,
+per-day label sums; the day totals behind the priors are their row sums.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +39,7 @@ class FreqWindow(Enum):
     ALL_HISTORY = "all_history"
 
 
-#: semantic target names -> schema accessor
+#: target names; the label of target ``t`` is the schema's ``t_column``
 _TARGETS = ("click", "install")
 
 
@@ -46,7 +49,8 @@ class EncoderState:
 
     ``counts[i, c]`` is the number of occurrences of category ``c`` on day
     ``min_day + i``.  ``target_sums`` (target kind only) is the matching sum
-    of the target label.  Day totals back the per-day global priors.
+    of the ``target`` label.  The day totals behind the per-day global
+    priors are the row sums of the two; they are derived, not stored.
     """
 
     kind: str                      # "frequency" | "target"
@@ -59,8 +63,6 @@ class EncoderState:
     target: str | None = None      # "click" | "install"
     smoothing: float = 1.0
     target_sums: np.ndarray | None = None
-    day_rows: np.ndarray | None = None       # rows per day
-    day_positives: np.ndarray | None = None  # positive labels per day
 
     @property
     def column_name(self) -> str:
@@ -83,15 +85,17 @@ class EncoderState:
             doc["target"] = self.target
             doc["smoothing"] = self.smoothing
             doc["target_sums"] = self.target_sums.tolist()
-            doc["day_rows"] = self.day_rows.tolist()
-            doc["day_positives"] = self.day_positives.tolist()
+            doc["day_rows"] = self.counts.sum(axis=1).tolist()
+            doc["day_positives"] = self.target_sums.sum(axis=1).tolist()
         return doc
 
     @classmethod
     def from_json_dict(cls, doc) -> "EncoderState":
         """The state that :meth:`to_json_dict` wrote.  A missing key, a value
-        of another JSON type, kind, window or target, or an array of another
-        shape raises :class:`EncoderError` naming the field."""
+        of another JSON type, kind, window or target, an array of another
+        shape, a smoothing that is not finite and positive, a target sum above
+        its count, or day totals that are not the row sums of ``counts`` and
+        ``target_sums`` raise :class:`EncoderError` naming the field."""
         if not isinstance(doc, dict):
             raise EncoderError(f"is {type(doc).__name__}, not a JSON object")
 
@@ -127,93 +131,56 @@ class EncoderState:
             return cls(**state, window=FreqWindow(
                 value("window", (str,), [w.value for w in FreqWindow])))
         smoothing = float(value("smoothing", (int, float)))
-        if not smoothing > 0:
-            raise EncoderError(f"smoothing is {smoothing}, not positive")
-        return cls(
-            **state,
-            target=value("target", (str,), _TARGETS),
-            smoothing=smoothing,
-            target_sums=counts("target_sums", shape),
-            day_rows=counts("day_rows", shape[:1]),
-            day_positives=counts("day_positives", shape[:1]),
-        )
+        if not 0 < smoothing < math.inf:
+            raise EncoderError(f"smoothing is {smoothing}, not positive and finite")
+        state.update(target=value("target", (str,), _TARGETS), smoothing=smoothing,
+                     target_sums=counts("target_sums", shape))
+        if (state["target_sums"] > state["counts"]).any():
+            raise EncoderError("target_sums exceed their counts")
+        for key, matrix in (("day_rows", "counts"), ("day_positives", "target_sums")):
+            if not np.array_equal(counts(key, shape[:1]), state[matrix].sum(axis=1)):
+                raise EncoderError(f"{key} are not the row sums of {matrix}")
+        return cls(**state)
 
 
-def _per_day_matrices(
-    table: Table, feature: str, label: np.ndarray | None
-) -> tuple[int, int, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
-    role = table.schema.role(feature)
-    if role is not ColumnRole.CATEGORICAL:
+def _fit(table: Table, feature: str, label: str | None, **fields) -> EncoderState:
+    """The state of ``feature``'s per-day category counts and, given a
+    ``label`` column, label sums; ``fields`` give the kind and the rest."""
+    if table.schema.role(feature) is not ColumnRole.CATEGORICAL:
         raise EncoderError(f"feature {feature!r} is not categorical")
     days = table.day_values
-    codes = table.col(feature)
-    n_categories = len(table.dictionary(feature))
-    min_day = int(days.min())
-    max_day = int(days.max())
-    n_days = max_day - min_day + 1
-    day_idx = (days - min_day).astype(np.int64)
-    flat = day_idx * n_categories + codes
-    size = n_days * n_categories
-    counts = np.bincount(flat, minlength=size).reshape(n_days, n_categories)
-    day_rows = np.bincount(day_idx, minlength=n_days)
-    if label is None:
-        return min_day, max_day, counts.astype(np.int64), None, day_rows, None
-    tsums = np.bincount(flat, weights=label.astype(np.float64), minlength=size)
-    tsums = tsums.reshape(n_days, n_categories).astype(np.int64)
-    day_pos = np.bincount(day_idx, weights=label.astype(np.float64), minlength=n_days)
-    return min_day, max_day, counts.astype(np.int64), tsums, day_rows, day_pos.astype(np.int64)
+    min_day, max_day = int(days.min()), int(days.max())
+    shape = (max_day - min_day + 1, len(table.dictionary(feature)))
+    flat = (days - min_day).astype(np.int64) * shape[1] + table.col(feature)
+
+    def per_day(weights=None) -> np.ndarray:
+        return np.bincount(flat, weights, shape[0] * shape[1]).reshape(shape).astype(np.int64)
+
+    return EncoderState(
+        feature=feature, n_categories=shape[1], min_day=min_day, max_day=max_day,
+        counts=per_day(),
+        target_sums=None if label is None else per_day(table.col(label).astype(np.float64)),
+        **fields,
+    )
 
 
 def fit_frequency(table: Table, feature: str, window: FreqWindow) -> EncoderState:
     """Build per-day category counts; days absent from data count zero."""
-    min_day, max_day, counts, _, _, _ = _per_day_matrices(table, feature, None)
-    return EncoderState(
-        kind="frequency",
-        feature=feature,
-        n_categories=counts.shape[1],
-        min_day=min_day,
-        max_day=max_day,
-        counts=counts,
-        window=window,
-    )
-
-
-def _resolve_target_column(table: Table, target: str) -> str:
-    if target == "click":
-        name = table.schema.click_column
-    elif target == "install":
-        name = table.schema.install_column
-    else:
-        raise EncoderError(f"unknown target {target!r}; use one of {_TARGETS}")
-    if name is None:
-        raise EncoderError(f"table has no {target} label column")
-    return name
+    return _fit(table, feature, None, kind="frequency", window=window)
 
 
 def fit_target(
     table: Table, feature: str, target: str, a: float = EncoderState.smoothing
 ) -> EncoderState:
     """Fit the ordered target encoder for one label ("click" or "install")."""
-    if a <= 0:
-        raise EncoderError("smoothing a must be positive")
-    label_col = _resolve_target_column(table, target)
-    label = table.col(label_col)
-    min_day, max_day, counts, tsums, day_rows, day_pos = _per_day_matrices(
-        table, feature, label
-    )
-    return EncoderState(
-        kind="target",
-        feature=feature,
-        n_categories=counts.shape[1],
-        min_day=min_day,
-        max_day=max_day,
-        counts=counts,
-        target=target,
-        smoothing=a,
-        target_sums=tsums,
-        day_rows=day_rows,
-        day_positives=day_pos,
-    )
+    if not 0 < a < math.inf:
+        raise EncoderError("smoothing a must be positive and finite")
+    if target not in _TARGETS:
+        raise EncoderError(f"unknown target {target!r}; use one of {_TARGETS}")
+    label = getattr(table.schema, f"{target}_column")
+    if label is None:
+        raise EncoderError(f"table has no {target} label column")
+    return _fit(table, feature, label, kind="target", target=target, smoothing=a)
 
 
 def _cum_before(matrix: np.ndarray) -> np.ndarray:
@@ -238,11 +205,10 @@ def transform(state: EncoderState, table: Table) -> np.ndarray:
     if table.n_rows == 0:
         return np.empty(0, dtype=np.float64)
     codes = table.col(state.feature)
-    n_days = state.counts.shape[0]
 
     def before(day: np.ndarray) -> np.ndarray:
         """Cumulative-sum row holding every fitted day < ``day``."""
-        return np.clip(day - state.min_day, 0, n_days)
+        return np.clip(day - state.min_day, 0, len(state.counts))
 
     end = np.minimum(table.day_values.astype(np.int64), state.max_day + 1)
     hi = before(end)
@@ -255,14 +221,13 @@ def transform(state: EncoderState, table: Table) -> np.ndarray:
         lo = 0 if span is None else before(end - span)
         counts = cum_counts[hi, safe] - cum_counts[lo, safe]
         return np.where(unseen, 0.0, counts)
-    rows = np.concatenate(([0], np.cumsum(state.day_rows)))[hi]
-    positives = np.concatenate(([0], np.cumsum(state.day_positives)))[hi]
+    cum_sums = _cum_before(state.target_sums)
+    # the day totals: row sums of whole integers, exact in float64
+    rows, positives = cum_counts.sum(axis=1)[hi], cum_sums.sum(axis=1)[hi]
     with np.errstate(divide="ignore", invalid="ignore"):
         prior = positives / rows  # NaN on cold-start rows, replaced below
     a = state.smoothing
-    encoded = (_cum_before(state.target_sums)[hi, safe] + a * prior) / (
-        cum_counts[hi, safe] + a
-    )
+    encoded = (cum_sums[hi, safe] + a * prior) / (cum_counts[hi, safe] + a)
     return np.where(rows == 0, 0.5, np.where(unseen, prior, encoded))
 
 

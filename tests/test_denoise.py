@@ -188,6 +188,15 @@ class TestApplyDenoise:
         assert back_train == [0, 2, 4, 6, 8, 10]
         assert back_test == [1, 2, 3, 10, 12]
 
+    @pytest.mark.parametrize("values", [[0, 0.5, 1, 1.5, 5e18], [0, 0.5, 1, 1.5, 5e18, 6e18]])
+    def test_integers_past_int64_keep_their_own_codes(self, values):
+        # 5e18 / 0.5 is past 2**63: an int64 cast would wrap it to -2**63
+        table = _continuous_table({"x": np.array(values)})
+        out = apply_denoise_group([table], detect_all(table))[0]
+        d = out.dictionary("x")
+        assert out.col("x").tolist() == list(range(1, len(values) + 1))
+        assert [d[c] for c in out.col("x")] == [str(int(2 * v)) for v in values]
+
 
 class TestGroupDeltas:
     def test_shared_step_features_cluster(self):

@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from resplite.encoders import (
     EncoderError,
@@ -126,8 +127,9 @@ class TestTarget:
 
     def test_positive_smoothing_required(self):
         table = ab_table([(1, "A", 0)])
-        with pytest.raises(EncoderError, match="positive"):
-            fit_target(table, "cat", "install", a=0.0)
+        for a in (0.0, math.inf, math.nan):
+            with pytest.raises(EncoderError, match="positive and finite"):
+                fit_target(table, "cat", "install", a=a)
 
     def test_encoding_stays_in_unit_interval(self):
         rng = np.random.Generator(np.random.PCG64(0))
@@ -272,11 +274,20 @@ class TestApplyAndPersist:
         (0, lambda s: s.update(counts=[[0, -1, 0, 0]] * 3), "counts is not an array"),
         (1, lambda s: s.update(target="view"), "target is 'view', not one of click, install"),
         (1, lambda s: s.update(smoothing=0), "smoothing is 0.0, not positive"),
+        (1, lambda s: s.update(smoothing=math.inf), "smoothing is inf, not positive and finite"),
+        (1, lambda s: s.update(smoothing=math.nan), "smoothing is nan, not positive and finite"),
         (1, lambda s: s.update(smoothing="2"), "smoothing is '2', not int or float"),
         (1, lambda s: s.pop("day_rows"), "lacks the key 'day_rows'"),
         (1, lambda s: s.update(day_positives=[0, 1]),
          r"day_positives is not an array of counts of shape \(3,\)"),
         (1, lambda s: s.update(target_sums=[[True] * 4] * 3), "target_sums is not an array"),
+        (1, lambda s: s.update(target_sums=[[0, 5, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]],
+                               day_positives=[5, 1, 0]), "target_sums exceed their counts"),
+        (1, lambda s: s.update(day_rows=[2, 1, 2]), "day_rows are not the row sums of counts"),
+        (1, lambda s: s.update(counts=[[0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]),
+         "day_rows are not the row sums of counts"),
+        (1, lambda s: s.update(day_positives=[1, 1, 1]),
+         "day_positives are not the row sums of target_sums"),
         (1, lambda s: s.clear() or s.update(kind="frequency"), "lacks the key 'n_categories'"),
     ])
     def test_malformed_state_fails_naming_its_index_and_field(self, tmp_path, index, edit, match):
@@ -356,8 +367,8 @@ def per_day_reference(state, table):
             lo = {FreqWindow.PREV_DAY: idx(e - 1), FreqWindow.PREV_WEEK: idx(e - 7)}
             lookup, fallback = cum[hi] - cum[lo.get(state.window, 0)], 0.0
         else:
-            rows = np.concatenate(([0], np.cumsum(state.day_rows)))[hi]
-            pos = np.concatenate(([0], np.cumsum(state.day_positives)))[hi]
+            rows = np.concatenate(([0], np.cumsum(state.counts.sum(axis=1))))[hi]
+            pos = np.concatenate(([0], np.cumsum(state.target_sums.sum(axis=1))))[hi]
             if rows == 0:
                 lookup, fallback = np.full(state.n_categories, 0.5), 0.5
             else:
@@ -399,3 +410,35 @@ class TestAgainstPerDayReference:
             got = transform(state, probe)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (state.kind, state.window)
+
+
+#: rows of a small categorical table: (day, code, install, click)
+ROWS = st.lists(st.tuples(st.integers(3, 9), st.integers(0, 5), st.integers(0, 1),
+                          st.integers(0, 1)), min_size=1, max_size=60)
+
+
+class TestStateProperties:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=ROWS, a=st.floats(1e-3, 1e3))
+    def test_states_round_trip_hold_the_day_totals_and_encode_in_range(self, tmp_path, rows, a):
+        days, codes, y, clicks = (np.array(c) for c in zip(*rows))
+        dictionary = (MISSING_TOKEN,) + tuple(f"t{i}" for i in range(1, int(codes.max()) + 2))
+        table = make_cat_table(days, codes, dictionary, y.astype(np.uint8),
+                               clicks=clicks.astype(np.uint8))
+        states = [fit_frequency(table, "cat", w) for w in FreqWindow]
+        states += [fit_target(table, "cat", t, a=a) for t in ("click", "install")]
+        save_states(states, tmp_path / "a.json")
+        loaded = load_states(tmp_path / "a.json")
+        save_states(loaded, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        for state, again in zip(states, loaded):
+            assert transform(again, table).tobytes() == transform(state, table).tobytes()
+        in_range = range(int(days.min()), int(days.max()) + 1)
+        for doc, label in zip(json.loads((tmp_path / "a.json").read_text())["encoders"][3:],
+                              (clicks, y)):
+            assert doc["day_rows"] == [int((days == d).sum()) for d in in_range]
+            assert doc["day_positives"] == [int(label[days == d].sum()) for d in in_range]
+        for state in states[3:]:
+            encoded = transform(state, table)
+            assert ((encoded >= 0) & (encoded <= 1)).all()
