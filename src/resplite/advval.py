@@ -159,7 +159,8 @@ def adversarial_auc(
     """
     if len(feature_train) == 0 or len(feature_test) == 0:
         raise AdvValError("both sides must be non-empty")
-    if feature_train.dtype != feature_test.dtype:
+    # categorical codes of any width against codes, numbers against numbers
+    if (feature_train.dtype.kind in "iu") != (feature_test.dtype.kind in "iu"):
         raise AdvValError("both sides must have the same column type")
     rng = np.random.Generator(np.random.PCG64(cfg.seed if seed is None else seed))
     tr = _subsample(feature_train, cfg.subsample_per_side, rng)

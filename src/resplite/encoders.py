@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gbdt.binning import json_value
+from .gbdt.binning import json_float, json_value
 from .tabular import ColumnRole, Table
 
 
@@ -41,6 +41,14 @@ class FreqWindow(Enum):
 
 #: target names; the label of target ``t`` is the schema's ``t_column``
 _TARGETS = ("click", "install")
+
+
+def column_name(feature: str, window: FreqWindow | None = None, target: str | None = None) -> str:
+    """The name of the column encoding ``feature`` by the frequency
+    ``window`` or, given none, by the ``target``."""
+    if window is not None:
+        return f"{feature}__freq_{window.value}"
+    return f"{feature}__te_{target}"
 
 
 @dataclass(frozen=True)
@@ -66,9 +74,7 @@ class EncoderState:
 
     @property
     def column_name(self) -> str:
-        if self.kind == "frequency":
-            return f"{self.feature}__freq_{self.window.value}"
-        return f"{self.feature}__te_{self.target}"
+        return column_name(self.feature, self.window, self.target)
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -130,7 +136,7 @@ class EncoderState:
         if kind == "frequency":
             return cls(**state, window=FreqWindow(
                 value("window", (str,), [w.value for w in FreqWindow])))
-        smoothing = float(value("smoothing", (int, float)))
+        smoothing = json_float(value("smoothing", (int, float)), "smoothing", EncoderError)
         if not 0 < smoothing < math.inf:
             raise EncoderError(f"smoothing is {smoothing}, not positive and finite")
         state.update(target=value("target", (str,), _TARGETS), smoothing=smoothing,
@@ -212,8 +218,9 @@ def transform(state: EncoderState, table: Table) -> np.ndarray:
 
     end = np.minimum(table.day_values.astype(np.int64), state.max_day + 1)
     hi = before(end)
-    # codes beyond the fitted dictionary behave as unseen categories
-    safe = np.minimum(codes, state.n_categories - 1)
+    # codes beyond the fitted dictionary behave as unseen categories; a
+    # clamp past the codes' dtype (NEP 50 rejects it) would clamp nothing
+    safe = np.minimum(codes, min(state.n_categories - 1, np.iinfo(codes.dtype).max))
     unseen = codes >= state.n_categories
     cum_counts = _cum_before(state.counts)
     if state.kind == "frequency":

@@ -42,13 +42,13 @@ def json_value(value, types: tuple[type, ...], what: str, error=GbdtError):
     return value
 
 
-def json_float(value, what: str) -> float:
+def json_float(value, what: str, error=GbdtError) -> float:
     """``value`` as a float when JSON decoded it as a number that a float
-    can hold; otherwise raises :class:`GbdtError` naming ``what``."""
+    can hold; otherwise raises ``error`` naming ``what``."""
     try:
-        return float(json_value(value, (int, float), what))
+        return float(json_value(value, (int, float), what, error))
     except OverflowError:
-        raise GbdtError(f"{what} is an integer too large for a float") from None
+        raise error(f"{what} is an integer too large for a float") from None
 
 
 def json_int64(value, what: str) -> int:
@@ -136,7 +136,7 @@ _BIN_BLOCK = 1 << 15
 def bin_column(fb: NumericBins | CategoricalBins, values: np.ndarray) -> np.ndarray:
     """The uint8 bins of one column (see "Binning" in the module docstring)."""
     if isinstance(fb, CategoricalBins):
-        return np.minimum(values, fb.overflow_bin).astype(np.uint8)
+        return np.minimum(values, fb.overflow_bin).astype(np.uint8, copy=False)
     # at most 254 thresholds: every position below fits a uint8
     size = 1 << len(fb.thresholds).bit_length()
     pad = np.full(size, np.inf)

@@ -37,7 +37,7 @@ from .gbdt import (
     predict as gbdt_predict,
     save_model,
 )
-from .gbdt.binning import json_value
+from .gbdt.binning import json_float, json_value
 from .gbdt.boosting import PARAM_TYPES
 from .report import (
     RunReport,
@@ -176,7 +176,7 @@ def _value(doc: dict, key: ConfigKey):
     if isinstance(value, list):
         entry = f"a {key.path} entry" if key.entry is int else f"an entry of {key.path}"
         return [json_value(v, (key.entry,), entry, _config_error) for v in value]
-    return float(value) if float in key.types else value
+    return json_float(value, key.path, _config_error) if float in key.types else value
 
 
 def _reject_unknown_keys(doc: dict, prefix: str = "") -> None:
@@ -394,9 +394,10 @@ def encoder_specs(config: PipelineConfig, table: Table, ingested: Schema) -> lis
     return specs
 
 
-def _fit_spec(table: Table, i: int, spec) -> enc_mod.EncoderState:
-    """Fit spec ``i`` of an encoder spec list on ``table``.  A spec that
-    names no encoder of the table raises, naming ``i`` and the bad key."""
+def _spec_fit(table: Table, i: int, spec) -> tuple[str, partial]:
+    """The column that spec ``i`` of an encoder spec list makes, and the
+    call that fits its state on ``table``.  A spec that names no encoder of
+    the table raises, naming ``i`` and the bad key."""
     if not isinstance(spec, dict):
         raise enc_mod.EncoderError(f"encoder spec {i} is not a JSON object")
     kind = spec.get("kind")
@@ -408,11 +409,13 @@ def _fit_spec(table: Table, i: int, spec) -> enc_mod.EncoderState:
         raise enc_mod.EncoderError(f"encoder spec {i} has feature {feature!r}, not a table column")
     if kind == "frequency":
         window = enc_mod.FreqWindow(spec.get("window", enc_mod.FreqWindow.PREV_WEEK.value))
-        return enc_mod.fit_frequency(table, feature, window)
+        return (enc_mod.column_name(feature, window),
+                partial(enc_mod.fit_frequency, table, feature, window))
     if kind == "target":
-        smoothing = spec.get("smoothing", enc_mod.EncoderState.smoothing)
-        json_value(smoothing, (int, float), f"smoothing of encoder spec {i}", enc_mod.EncoderError)
-        return enc_mod.fit_target(table, feature, spec["target"], float(smoothing))
+        smoothing = json_float(spec.get("smoothing", enc_mod.EncoderState.smoothing),
+                               f"smoothing of encoder spec {i}", enc_mod.EncoderError)
+        return (enc_mod.column_name(feature, target=spec["target"]),
+                partial(enc_mod.fit_target, table, feature, spec["target"], smoothing))
     raise enc_mod.EncoderError(f"encoder spec {i} has kind {kind!r}, not frequency or target")
 
 
@@ -422,8 +425,9 @@ def encode_stage(
     """Fit the encoder of each spec on ``tables[0]``, one state at a time:
     write it to ``encoders.json``, encode every table with it, and drop it.
     Returns the encoded column names and every table with those columns
-    appended.  A malformed spec list raises
-    :class:`~resplite.encoders.EncoderError`."""
+    appended.  A malformed spec list, or two specs that make the same
+    column, raise :class:`~resplite.encoders.EncoderError` before any fit;
+    a failed call leaves no ``encoders.json``."""
     if not isinstance(specs, list):
         raise enc_mod.EncoderError(
             f"encoder specs must be a JSON list, not {type(specs).__name__}"
@@ -431,8 +435,16 @@ def encode_stage(
     encoded: list[list] = [[] for _ in tables]
 
     def fitted():
-        for i, spec in enumerate(specs):
-            state = _fit_spec(tables[0], i, spec)
+        fits = [_spec_fit(tables[0], i, spec) for i, spec in enumerate(specs)]
+        maker: dict[str, int] = {}
+        for i, (column, _) in enumerate(fits):
+            if column in maker:
+                raise enc_mod.EncoderError(
+                    f"encoder specs {maker[column]} and {i} both make the column {column!r}"
+                )
+            maker[column] = i
+        for _, fit in fits:
+            state = fit()
             for new, table in zip(encoded, tables):
                 new.append((state.column_name, ColumnRole.CONTINUOUS,
                             enc_mod.transform(state, table)))

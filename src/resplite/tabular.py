@@ -2,13 +2,16 @@
 binary persistence, and day-based temporal splitting.
 
 Tables are immutable after construction. Categorical columns are stored as
-int32 codes plus a per-column dictionary (a tuple of ``str``) whose code 0 is
-always the reserved missing token ``__MISSING__``; continuous and binary
+codes plus a per-column dictionary (a tuple of ``str``) whose code 0 is
+always the reserved missing token ``__MISSING__``; the codes are held in the
+narrowest of uint8, uint16 and int32 that holds ``len(dictionary) - 1``, and
+the ``.rlt`` cache writes them as int32 at any width.  Continuous and binary
 columns are float64 with NaN for missing; labels are uint8 {0,1} with missing
-disallowed; the day column is int32.  Row ids are held as their UTF-8 bytes,
-a fixed-width ``S`` array as wide as the longest id, from ingest, from
-:meth:`Table.from_columns` and from :func:`load_binary` alike; consumers read
-those bytes as they are.  An ``S`` array cannot hold a trailing NUL byte, so
+disallowed; the day column is int32.  Integer columns take only integers
+their dtype and role can hold: anything else raises, never wraps.  Row ids
+are held as their UTF-8 bytes, a fixed-width ``S`` array as wide as the
+longest id, from ingest, from :meth:`Table.from_columns` and from
+:func:`load_binary` alike; consumers read those bytes as they are.  An ``S`` array cannot hold a trailing NUL byte, so
 ids and category tokens holding NUL are rejected wherever they enter.
 """
 
@@ -182,8 +185,18 @@ def id_bytes(values) -> np.ndarray:
 
 
 def row_numbers(n: int) -> np.ndarray:
-    """The row numbers ``0 .. n-1`` as id bytes, as wide as the longest."""
-    return np.arange(n).astype(f"S{len(str(max(n - 1, 0)))}")
+    """The row numbers ``0 .. n-1`` as id bytes, as wide as the longest,
+    written digit by digit for each run of numbers of equal length."""
+    width = len(str(max(n - 1, 0)))
+    chars = np.zeros((n, width), dtype=np.uint8)  # a NUL pads a shorter number
+    lo = 0
+    for digits in range(1, width + 1):
+        hi = min(n, 10**digits)
+        numbers = np.arange(lo, hi)
+        for j in range(digits):
+            chars[lo:hi, digits - 1 - j] = 48 + numbers // 10**j % 10
+        lo = hi
+    return chars.view(f"S{width}").ravel()
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -194,14 +207,41 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 #: the bit pattern of np.nan, the one NaN a stored column holds
 _NAN_BITS = np.float64(np.nan).view(np.uint64)
 
+#: the dtype of each role's column; categorical codes: see :func:`code_dtype`
 _ROLE_DTYPES = {
-    ColumnRole.CATEGORICAL: np.int32,
     ColumnRole.CONTINUOUS: np.float64,
     ColumnRole.BINARY: np.float64,
     ColumnRole.DAY: np.int32,
     ColumnRole.LABEL_CLICK: np.uint8,
     ColumnRole.LABEL_INSTALL: np.uint8,
 }
+_INT32 = np.iinfo(np.int32)
+
+
+def code_dtype(n_codes: int) -> np.dtype:
+    """The dtype of a categorical column whose dictionary holds ``n_codes``
+    entries: the narrowest of uint8, uint16 and int32 that holds
+    ``n_codes - 1``."""
+    for dtype in (np.uint8, np.uint16):
+        if n_codes - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int32)
+
+
+def _checked_integers(raw, lo: int, hi: int, dtype: np.dtype, what: str) -> np.ndarray:
+    """``raw`` as a ``dtype`` array, after checking in the dtype it came in
+    that every value is an integer in ``lo..hi`` (an integer array is cast
+    once, or not at all); otherwise raises naming ``what``."""
+    arr = np.asarray(raw)
+    if arr.size:
+        if arr.dtype.kind not in "biuf":
+            raise TabularError(f"{what} holds {arr.dtype} values, not integers")
+        if arr.dtype.kind == "f" and (arr != np.trunc(arr)).any():
+            raise TabularError(f"{what} holds values that are not integers")
+        # as Python numbers, which compare exactly: 2**31 - 1 is 2**31 as a float32
+        if arr.min().item() < lo or arr.max().item() > hi:
+            raise TabularError(f"{what} holds values outside {lo}..{hi}")
+    return arr.astype(dtype, copy=False)
 
 
 class Table:
@@ -236,7 +276,11 @@ class Table:
         """Validate, normalize dtypes, and freeze the given columns.
 
         Continuous/binary NaNs are rewritten to the canonical float64 NaN so
-        that binary persistence round-trips bit-exactly.
+        that binary persistence round-trips bit-exactly.  Day, label and
+        categorical values are checked before they are cast: one that is no
+        integer, or that their role or dtype cannot hold, raises.  A
+        categorical column gets the dtype :func:`code_dtype` gives its
+        dictionary.
         """
         dicts = {k: tuple(v) for k, v in (dicts or {}).items()}
         if set(columns) != set(schema.names):
@@ -247,8 +291,20 @@ class Table:
             raw = columns[name]
             if role is ColumnRole.ROW_ID:
                 arr = id_bytes(raw)
+            elif role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
+                arr = np.asarray(raw, dtype=np.float64)
+            elif role is ColumnRole.CATEGORICAL:
+                d = dicts.get(name)
+                if d is None:
+                    raise TabularError(f"categorical column {name!r} needs a dictionary")
+                if not d or d[0] != MISSING_TOKEN:
+                    raise TabularError(f"dictionary for {name!r} must start with {MISSING_TOKEN!r}")
+                arr = _checked_integers(raw, 0, len(d) - 1, code_dtype(len(d)),
+                                        f"categorical column {name!r}")
             else:
-                arr = np.asarray(raw, dtype=_ROLE_DTYPES[role])
+                hi = _INT32.max if role is ColumnRole.DAY else 1
+                arr = _checked_integers(raw, 0, hi, _ROLE_DTYPES[role],
+                                        f"{role.value} column {name!r}")
             if arr.ndim != 1:
                 raise TabularError(f"column {name!r} must be one-dimensional")
             if n_rows is None:
@@ -265,19 +321,6 @@ class Table:
                 finite = arr[~np.isnan(arr)]
                 if finite.size and not np.isin(finite, (0.0, 1.0)).all():
                     raise TabularError(f"binary column {name!r} has values outside {{0,1}}")
-            if role in (ColumnRole.LABEL_CLICK, ColumnRole.LABEL_INSTALL):
-                if arr.size and arr.max() > 1:
-                    raise TabularError(f"label column {name!r} has values outside {{0,1}}")
-            if role is ColumnRole.DAY and arr.size and arr.min() < 0:
-                raise TabularError("day values must be non-negative")
-            if role is ColumnRole.CATEGORICAL:
-                if name not in dicts:
-                    raise TabularError(f"categorical column {name!r} needs a dictionary")
-                d = dicts[name]
-                if not d or d[0] != MISSING_TOKEN:
-                    raise TabularError(f"dictionary for {name!r} must start with {MISSING_TOKEN!r}")
-                if arr.size and (arr.min() < 0 or arr.max() >= len(d)):
-                    raise TabularError(f"categorical codes for {name!r} out of dictionary range")
             out[name] = _freeze(arr)
         return cls(schema, n_rows or 0, out, dicts)
 
@@ -391,7 +434,6 @@ def split_rows(table: Table, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
 
 #: lines parsed at a time; bounds the token lists held while parsing
 _BLOCK_LINES = 2048
-_INT32 = np.iinfo(np.int32)
 
 
 def first_occurrence_codes(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -402,15 +444,28 @@ def first_occurrence_codes(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
     each named by its decimal string.  Missing values get code 0 and the
     k-th distinct other value seen gets code k.  Returns the int32 codes and
     the dictionary ``[MISSING_TOKEN, first value, second value, ...]`` of
-    ``str``.
+    ``str``.  Integers spanning no more values than there are rows are coded
+    without a sort: each value's first row is counted directly.
     """
-    uniques, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    tokens = uniques.astype(np.bytes_, copy=False)
-    present = np.flatnonzero((tokens != b"") & (tokens != MISSING_TOKEN.encode()))
-    order = present[np.argsort(first[present])]
-    rank = np.zeros(len(uniques), dtype=np.int32)
+    n = len(values)
+    low = int(values.min()) if values.dtype.kind in "iu" and n else None
+    if low is not None and int(values.max()) - low < n:
+        # exact in the unsigned type of the same width, as the span fits it
+        inverse = (values - values.dtype.type(low)).view(f"u{values.itemsize}")
+        first = np.full(int(inverse.max()) + 1, n, dtype=np.intp)
+        np.minimum.at(first, inverse, np.arange(n))
+        seen = np.flatnonzero(first < n)
+        order = seen[np.argsort(first[seen])]
+        tokens = [str(v + low) for v in order.tolist()]
+    else:
+        uniques, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+        names = uniques.astype(np.bytes_, copy=False)
+        present = np.flatnonzero((names != b"") & (names != MISSING_TOKEN.encode()))
+        order = present[np.argsort(first[present])]
+        tokens = [t.decode() for t in names[order].tolist()]
+    rank = np.zeros(len(first), dtype=np.int32)
     rank[order] = np.arange(1, len(order) + 1, dtype=np.int32)
-    return rank[inverse.ravel()], [MISSING_TOKEN] + [t.decode() for t in tokens[order].tolist()]
+    return rank[inverse.ravel()], [MISSING_TOKEN] + tokens
 
 
 def _parse_column(role: ColumnRole, tokens: list[str], text: str) -> np.ndarray | None:
@@ -584,8 +639,14 @@ def _unpack_strings(buf: bytes, what: str) -> np.ndarray:
     return chars.view(f"S{width}").ravel()
 
 
-#: a column's dtype in the cache file: its in-memory dtype, little-endian
-_ROLE_WIRE_DTYPES = {role: np.dtype(t).newbyteorder("<") for role, t in _ROLE_DTYPES.items()}
+#: a column's dtype in the cache file: its in-memory dtype, little-endian;
+#: categorical codes of every width are written as int32
+_ROLE_WIRE_DTYPES = {
+    **{role: np.dtype(t).newbyteorder("<") for role, t in _ROLE_DTYPES.items()},
+    ColumnRole.CATEGORICAL: np.dtype("<i4"),
+}
+#: int32 codes read from a cache at a time, so that no full-length copy is held
+_CODE_BLOCK = 1 << 15
 
 
 def save_binary(table: Table, path: str | Path) -> None:
@@ -614,11 +675,27 @@ def save_binary(table: Table, path: str | Path) -> None:
             fh.write(payload)
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
+def _check_left(fh, n: int, what: str) -> None:
     # checked before reading, so a corrupt length never sizes a buffer
     if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise TabularError(f"truncated table file while reading {what}")
+
+
+def _read_exact(fh, n: int, what: str) -> bytes:
+    _check_left(fh, n, what)
     return fh.read(n)
+
+
+def _read_codes(fh, n_rows: int, n_codes: int, what: str) -> np.ndarray:
+    """The next ``n_rows`` int32 codes of ``fh`` as a :func:`code_dtype`
+    array, read and range-checked ``_CODE_BLOCK`` codes at a time."""
+    codes = np.empty(n_rows, dtype=code_dtype(n_codes))
+    block = np.empty(min(n_rows, _CODE_BLOCK), dtype=_ROLE_WIRE_DTYPES[ColumnRole.CATEGORICAL])
+    for at in range(0, n_rows, _CODE_BLOCK):
+        part = block[: min(_CODE_BLOCK, n_rows - at)]
+        fh.readinto(part)
+        codes[at : at + len(part)] = _checked_integers(part, 0, n_codes - 1, codes.dtype, what)
+    return codes
 
 
 def load_binary(path: str | Path) -> Table:
@@ -646,9 +723,9 @@ def load_binary(path: str | Path) -> Table:
         for name, role in schema.columns:
             what = f"column {name!r}"
             (plen,) = struct.unpack("<Q", _read_exact(fh, 8, what))
-            payload = _read_exact(fh, plen, what)
+            _check_left(fh, plen, what)
             if role is ColumnRole.ROW_ID:
-                columns[name] = _unpack_strings(payload, what)
+                columns[name] = _unpack_strings(fh.read(plen), what)
                 if len(columns[name]) != n_rows:
                     raise TabularError(f"{what} holds {len(columns[name])} ids, not {n_rows}")
                 continue
@@ -659,10 +736,17 @@ def load_binary(path: str | Path) -> Table:
                 raise TabularError(
                     f"{what} holds {plen} bytes, the header's {n_rows} rows need {arr_bytes}"
                 )
-            if role is ColumnRole.CATEGORICAL:
-                tokens = _unpack_strings(payload[arr_bytes:], f"{what} dictionary").tolist()
-                dicts[name] = [t.decode() for t in tokens]
-            columns[name] = np.frombuffer(payload, dtype=wire, count=n_rows)
+            if role is not ColumnRole.CATEGORICAL:
+                columns[name] = np.frombuffer(fh.read(plen), dtype=wire, count=n_rows)
+                continue
+            # the dictionary, which follows the codes, sizes and checks them
+            codes_at = fh.tell()
+            fh.seek(arr_bytes, os.SEEK_CUR)
+            tokens = _unpack_strings(fh.read(plen - arr_bytes), f"{what} dictionary").tolist()
+            dicts[name] = [t.decode() for t in tokens]
+            fh.seek(codes_at)
+            columns[name] = _read_codes(fh, n_rows, len(tokens), f"categorical {what}")
+            fh.seek(codes_at + plen)
         if fh.read(1):
             raise TabularError("trailing bytes after the last column of the table file")
     return Table.from_columns(schema, columns, dicts)

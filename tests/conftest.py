@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from resplite.gbdt import GbdtModel, LeafNode, Node, bin_table, tree_output
-from resplite.tabular import ColumnRole, Schema, SplitPlan, Table, ingest_csv_group, split_rows
+from resplite.tabular import (
+    MISSING_TOKEN, ColumnRole, Schema, SplitPlan, Table, ingest_csv_group, split_rows,
+)
 
 
 #: schema documents that are not schemas, and the error each one raises
@@ -48,6 +50,13 @@ def make_table(days, x, y, clicks=None, extra_cont=None):
         columns["clk"] = np.asarray(clicks)
     schema_cols.append(("y", ColumnRole.LABEL_INSTALL))
     return Table.from_columns(Schema(tuple(schema_cols)), columns)
+
+
+def dictionary_of(n: int) -> tuple[str, ...]:
+    """A categorical dictionary of ``n`` entries: the missing token, then
+    ``t1``, ``t2``, ...; 256 and 65,536 entries are the largest that uint8
+    and uint16 codes hold."""
+    return (MISSING_TOKEN,) + tuple(f"t{i}" for i in range(1, n))
 
 
 def make_cat_table(days, codes, dictionary, y, clicks=None):

@@ -23,6 +23,8 @@ from resplite.synth import (
 )
 from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, Table
 
+from conftest import dictionary_of
+
 
 def fast_cfg(**overrides):
     kwargs = dict(seed=0, subsample_per_side=8000)
@@ -213,6 +215,41 @@ class TestCategoricalAudit:
         assert report.entry("mix").auc >= 0.8
         assert report.entry("wide").auc == 0.5
         assert 0.45 <= report.entry("same").auc <= 0.55
+
+
+class TestCodeWidths:
+    @staticmethod
+    def sides(top: int):
+        """Train and test codes with different shares of 1, 2 and ``top``."""
+        rng = np.random.Generator(np.random.PCG64(top))
+        return (rng.choice([1, 2, top], 4000, p=[0.8, 0.15, 0.05]),
+                rng.choice([1, 2, top], 4000, p=[0.05, 0.15, 0.8]))
+
+    @pytest.mark.parametrize("n_codes", [256, 65536, 65537])
+    def test_top_codes_of_every_width_audit_as_their_int32_values(self, n_codes):
+        train, test = self.sides(n_codes - 1)
+        schema = Schema((("c", ColumnRole.CATEGORICAL), ("y", ColumnRole.LABEL_INSTALL)))
+        tables = [Table.from_columns(schema, {"c": codes, "y": np.zeros(len(codes))},
+                                     {"c": dictionary_of(n_codes)}) for codes in (train, test)]
+        seed = int(np.random.SeedSequence([0, 0]).generate_state(1)[0])
+        want = adversarial_auc(train.astype(np.int32), test.astype(np.int32), fast_cfg(),
+                               categorical=True, seed=seed)
+        entry = audit(*tables, fast_cfg()).entry("c")
+        assert entry.verdict == VERDICT_DROP and entry.auc == want
+
+    def test_sides_of_different_widths_are_audited(self):
+        # two caches whose dictionaries differ in size hold codes of two widths
+        train, test = self.sides(255)
+        got = adversarial_auc(train.astype(np.uint8), test.astype(np.uint16), fast_cfg(),
+                              categorical=True)
+        assert got == adversarial_auc(train.astype(np.int32), test.astype(np.int32),
+                                      fast_cfg(), categorical=True)
+        schema = Schema((("c", ColumnRole.CATEGORICAL), ("y", ColumnRole.LABEL_INSTALL)))
+        tables = [Table.from_columns(schema, {"c": codes, "y": np.zeros(len(codes))},
+                                     {"c": dictionary_of(n_codes)})
+                  for codes, n_codes in ((train, 256), (test, 300))]
+        assert [t.col("c").dtype for t in tables] == [np.uint8, np.uint16]
+        assert audit(*tables, fast_cfg()).entry("c").verdict == VERDICT_DROP
 
 
 class TestFilterFeatures:

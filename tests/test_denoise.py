@@ -161,6 +161,18 @@ class TestApplyDenoise:
         decoded = np.array([int(d[c]) for c in codes])
         assert np.array_equal(decoded, k)
 
+    def test_three_hundred_multipliers_code_as_uint16(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        k = rng.permutation(np.repeat(np.arange(300), 4))
+        schema = Schema((("day", ColumnRole.DAY), ("a", ColumnRole.CONTINUOUS),
+                         ("y", ColumnRole.LABEL_INSTALL)))
+        table = Table.from_columns(schema, {"day": np.full(len(k), 45), "a": k * 0.25,
+                                            "y": np.zeros(len(k), dtype=np.uint8)})
+        out = apply_denoise_group([table], detect_all(table))[0]
+        d, codes = out.dictionary("a"), out.col("a")
+        assert len(d) == 301 and codes.dtype == np.uint16
+        assert [int(d[c]) for c in codes] == k.tolist()
+
     def test_group_apply_shares_one_dictionary(self):
         # the two tables see different (overlapping) multiplier sets; codes
         # must still mean the same integer in both

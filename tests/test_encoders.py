@@ -19,7 +19,7 @@ from resplite.encoders import (
 )
 from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, Table
 
-from conftest import make_cat_table
+from conftest import dictionary_of, make_cat_table
 
 DICT = (MISSING_TOKEN, "A", "B", "C")
 
@@ -231,6 +231,30 @@ class TestLeakage:
             assert (b <= c).all()
 
 
+class TestCodeWidths:
+    @pytest.mark.parametrize("n_codes", [256, 65536])
+    def test_top_codes_of_a_narrow_table_encode_as_in_a_wide_one(self, n_codes):
+        rng = np.random.Generator(np.random.PCG64(n_codes))
+        n = 600
+        days = rng.integers(45, 52, n)
+        codes = rng.choice([1, 2, n_codes - 1], n)
+        y, clicks = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        narrow = make_cat_table(days, codes, dictionary_of(n_codes), y, clicks)
+        wide = make_cat_table(days, codes, dictionary_of(65537), y, clicks)
+        assert narrow.col("cat").dtype == (np.uint8 if n_codes == 256 else np.uint16)
+        assert wide.col("cat").dtype == np.int32
+        fits = [lambda t, w=w: fit_frequency(t, "cat", w) for w in FreqWindow]
+        fits += [lambda t, target=target: fit_target(t, "cat", target, 2.0)
+                 for target in ("click", "install")]
+        for fit in fits:
+            small, large = fit(narrow), fit(wide)
+            assert np.array_equal(small.counts, large.counts[:, :n_codes])
+            want = transform(large, wide)
+            assert transform(small, narrow).tobytes() == want.tobytes()
+            # a state of a larger dictionary encodes narrow codes (no NEP 50 overflow)
+            assert transform(large, narrow).tobytes() == want.tobytes()
+
+
 class TestApplyAndPersist:
     def test_apply_appends_named_continuous_columns(self):
         table = ab_table([(1, "A", 1), (2, "B", 0)])
@@ -277,6 +301,7 @@ class TestApplyAndPersist:
         (1, lambda s: s.update(smoothing=math.inf), "smoothing is inf, not positive and finite"),
         (1, lambda s: s.update(smoothing=math.nan), "smoothing is nan, not positive and finite"),
         (1, lambda s: s.update(smoothing="2"), "smoothing is '2', not int or float"),
+        (1, lambda s: s.update(smoothing=10**400), "smoothing is an integer too large for a float"),
         (1, lambda s: s.pop("day_rows"), "lacks the key 'day_rows'"),
         (1, lambda s: s.update(day_positives=[0, 1]),
          r"day_positives is not an array of counts of shape \(3,\)"),

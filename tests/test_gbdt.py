@@ -45,7 +45,9 @@ from resplite.pipeline import train_stage
 from resplite.report import write_predictions_csv
 from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, SplitPlan, Table, split_rows
 
-from conftest import count_leaves, make_cat_table, make_table, predict_raw, split, total_leaves
+from conftest import (
+    count_leaves, dictionary_of, make_cat_table, make_table, predict_raw, split, total_leaves,
+)
 
 
 def separable_tables(n_train=2000, n_valid=400, seed=1):
@@ -455,6 +457,18 @@ class TestBinColumn:
         values = rng.standard_normal(2 * _BIN_BLOCK + 7)
         values[rng.random(len(values)) < 0.1] = np.nan
         assert np.array_equal(bin_column(fb, values), _reference_bin_column(fb, values))
+
+    @pytest.mark.parametrize("max_bins", [2, 200, 255])
+    @pytest.mark.parametrize("n_codes", [256, 65536, 65537])
+    def test_codes_of_every_width_bin_up_to_the_overflow_bin(self, n_codes, max_bins):
+        # uint8, uint16 and int32 codes, each up to its dictionary's last
+        codes = np.array([0, 1, max_bins - 2, max_bins - 1, 254, 255, 256, n_codes - 1])
+        codes = np.minimum(codes, n_codes - 1)
+        table = Table.from_columns(Schema((("c", ColumnRole.CATEGORICAL),)), {"c": codes},
+                                   {"c": dictionary_of(n_codes)})
+        binned = bin_table(build_bin_mapper(table, ["c"], max_bins), table)
+        assert binned.dtype == np.uint8
+        assert binned[0].tolist() == np.minimum(codes, max_bins - 1).tolist()
 
 
 class TestHistograms:

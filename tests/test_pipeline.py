@@ -118,6 +118,11 @@ class TestLoadConfig:
         ("adversarial", "subsample_per_side", 1.5,
          "adversarial.subsample_per_side is 1.5, not int or NoneType"),
         ("encoders", "target", {"smoothing": "1"}, "encoders.target.smoothing is '1'"),
+        ("denoise", "tol_rel", 10**400, "denoise.tol_rel is an integer too large for a float"),
+        ("encoders", "target", {"smoothing": -(10**400)},
+         "encoders.target.smoothing is an integer too large for a float"),
+        ("adversarial", "auc_threshold", 10**400,
+         "adversarial.auc_threshold is an integer too large for a float"),
     ])
     def test_value_of_the_wrong_json_type_rejected(self, section, key, value, match):
         doc = {"paths": {"train": "a", "test": "b", "output_dir": "o"},
@@ -540,6 +545,24 @@ def test_row_ids_are_passed_as_the_column_itself():
     assert pipeline._row_ids(with_ids) is with_ids.col("id")
     without = Table.from_columns(Schema((("y", ColumnRole.LABEL_INSTALL),)), labels)
     assert pipeline._row_ids(without).tolist() == [b"0", b"1", b"2"]
+
+
+@pytest.mark.parametrize("specs, match", [
+    ([{"feature": "cat", "kind": "frequency"}, {"feature": "cat", "kind": "target",
+      "target": "install"}, {"feature": "cat", "kind": "frequency", "window": "prev_week"}],
+     "encoder specs 0 and 2 both make the column 'cat__freq_prev_week'"),
+    ([{"feature": "cat", "kind": "target", "target": "install", "smoothing": s}
+      for s in (0.3, 7)], "encoder specs 0 and 1 both make the column 'cat__te_install'"),
+    ([{"feature": "cat", "kind": "target", "target": "install", "smoothing": 10**400}],
+     "smoothing of encoder spec 0 is an integer too large for a float"),
+])
+def test_encode_stage_rejects_specs_before_fitting_and_writes_no_file(tmp_path, monkeypatch,
+                                                                      specs, match):
+    table = make_cat_table([45, 45, 46, 46], [1, 2, 1, 0], [MISSING_TOKEN, "a", "b"], [0, 1, 0, 1])
+    monkeypatch.setattr(pipeline.enc_mod, "_fit", lambda *a, **k: pytest.fail("fitted"))
+    with pytest.raises(EncoderError, match=match):
+        pipeline.encode_stage([table], specs, tmp_path)
+    assert not (tmp_path / "encoders.json").exists()
 
 
 def test_encode_stage_streams_states_and_keeps_no_partial_file(tmp_path):

@@ -1,12 +1,15 @@
 import hashlib
+import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays, floating_dtypes, integer_dtypes
 
 from resplite import tabular
 from resplite.tabular import (
@@ -18,6 +21,7 @@ from resplite.tabular import (
     SplitPlan,
     Table,
     TabularError,
+    code_dtype,
     first_occurrence_codes,
     ingest_csv_group,
     load_binary,
@@ -25,7 +29,7 @@ from resplite.tabular import (
 )
 
 
-from conftest import MALFORMED_SCHEMAS, ingest_csv, split, with_header
+from conftest import MALFORMED_SCHEMAS, dictionary_of, ingest_csv, split, with_header
 
 
 class _DictBuilder:
@@ -766,3 +770,116 @@ class TestColumnOps:
                                    {"x": [0.5, np.nan, 1.5]})
         with pytest.raises(TabularError, match=match):
             table.append_columns([("new", role, np.asarray(values))])
+
+
+@pytest.mark.parametrize("role, values, match", [
+    (ColumnRole.DAY, [45, 2**32 + 45], "day column 'v' holds values outside 0..2147483647"),
+    (ColumnRole.DAY, [-1], "day column 'v' holds values outside"),
+    (ColumnRole.DAY, np.array([2**31], dtype=np.float32), "day column 'v' holds values outside"),
+    (ColumnRole.DAY, [45.5], "day column 'v' holds values that are not integers"),
+    (ColumnRole.LABEL_INSTALL, [256], "label_install column 'v' holds values outside 0..1"),
+    (ColumnRole.LABEL_CLICK, [0.6], "label_click column 'v' holds values that are not integers"),
+    (ColumnRole.LABEL_CLICK, [np.nan], "label_click column 'v' holds values that are not integers"),
+    (ColumnRole.CATEGORICAL, [2**32 + 1], "categorical column 'v' holds values outside 0..2"),
+    (ColumnRole.CATEGORICAL, [1.7], "categorical column 'v' holds values that are not integers"),
+    (ColumnRole.CATEGORICAL, ["1"], "categorical column 'v' holds <U1 values, not integers"),
+    (ColumnRole.CATEGORICAL, [2**70], "categorical column 'v' holds object values, not integers"),
+])
+def test_integer_column_values_it_cannot_hold_error(role, values, match):
+    # each of these once became another integer: 2**32 + 45 -> 45, 0.6 -> 0
+    dicts = {"v": (MISSING_TOKEN, "a", "b")} if role is ColumnRole.CATEGORICAL else None
+    with pytest.raises(TabularError, match=match):
+        Table.from_columns(Schema((("v", role),)), {"v": values}, dicts)
+
+
+#: a dictionary of each code width's largest size, and one entry past it
+_DICTIONARIES = {n: dictionary_of(n) for n in (3, 256, 257, 65536, 65537)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(role=st.sampled_from([ColumnRole.DAY, ColumnRole.LABEL_INSTALL, ColumnRole.CATEGORICAL]),
+       n_codes=st.sampled_from(sorted(_DICTIONARIES)),
+       values=st.one_of(
+           arrays(st.one_of(integer_dtypes(), floating_dtypes()), st.integers(0, 8)),
+           st.lists(st.one_of(st.integers(-(2**66), 2**66), st.floats()), max_size=8)))
+def test_integer_columns_hold_exactly_the_integers_given(role, n_codes, values):
+    top = {ColumnRole.DAY: 2**31 - 1, ColumnRole.LABEL_INSTALL: 1}.get(role, n_codes - 1)
+    dicts = {"v": _DICTIONARIES[n_codes]} if role is ColumnRole.CATEGORICAL else None
+    given = np.asarray(values).tolist()
+    fits = all((isinstance(v, int) or isinstance(v, float) and v.is_integer()) and 0 <= v <= top
+               for v in given)
+    try:
+        table = Table.from_columns(Schema((("v", role),)), {"v": values}, dicts)
+    except TabularError:
+        assert not fits  # rejected only when some value is no integer in 0..top
+        return
+    assert fits and table.col("v").tolist() == [int(v) for v in given]
+
+
+class TestNarrowCodes:
+    @pytest.mark.parametrize("n_codes, dtype", [
+        (3, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.int32),
+    ])
+    def test_dictionary_size_sets_the_code_dtype(self, n_codes, dtype):
+        assert code_dtype(n_codes) == dtype
+        codes = np.array([0, 1, n_codes - 1, 1], dtype=np.int64)
+        table = Table.from_columns(Schema((("c", ColumnRole.CATEGORICAL),)), {"c": codes},
+                                   {"c": _DICTIONARIES[n_codes]})
+        assert table.col("c").dtype == dtype
+        assert table.col("c").tolist() == codes.tolist()
+        assert table.take(np.array([2, 0])).col("c").dtype == dtype
+
+    def test_narrow_codes_pass_through_uncopied(self):
+        codes = np.array([0, 2, 1], dtype=np.uint8)
+        table = Table.from_columns(Schema((("c", ColumnRole.CATEGORICAL),)), {"c": codes},
+                                   {"c": _DICTIONARIES[3]})
+        assert np.shares_memory(table.col("c"), codes)
+
+    @pytest.mark.parametrize("n_codes", [3, 256, 257, 65536, 65537])
+    def test_cache_holds_int32_codes_at_every_width(self, tmp_path, n_codes):
+        schema = Schema((("c", ColumnRole.CATEGORICAL), ("y", ColumnRole.LABEL_INSTALL)))
+        codes = np.array([n_codes - 1, 0, 1, n_codes - 1], dtype=np.int64)
+        table = Table.from_columns(schema, {"c": codes, "y": [0, 1, 1, 0]},
+                                   {"c": _DICTIONARIES[n_codes]})
+        dest = tmp_path / "t.rlt"
+        save_binary(table, dest)
+        header = json.dumps({"version": 1, "schema": schema.to_json(), "n_rows": 4}).encode()
+        codes_block = codes.astype("<i4").tobytes() + _pack_strings(
+            list(_DICTIONARIES[n_codes]), "the dictionary")
+        want = (b"RLT1" + struct.pack("<IQ", 1, len(header)) + header
+                + struct.pack("<Q", len(codes_block)) + codes_block
+                + struct.pack("<Q", 4) + bytes([0, 1, 1, 0]))
+        assert dest.read_bytes() == want
+        again = load_binary(dest)
+        assert again.equals(table) and again.col("c").dtype == code_dtype(n_codes)
+
+    @pytest.mark.parametrize("code", [-1, 256, 2**31 - 1])
+    def test_cache_code_past_a_narrow_dictionary_errors(self, tmp_path, code):
+        # a uint8 column would hold 256 as 0 and -1 as 255
+        schema = Schema((("c", ColumnRole.CATEGORICAL),))
+        table = Table.from_columns(schema, {"c": [1, 255]}, {"c": _DICTIONARIES[256]})
+        dest = tmp_path / "t.rlt"
+        save_binary(table, dest)
+        blob = dest.read_bytes()
+        at = blob.index(np.array([1, 255], dtype="<i4").tobytes())
+        dest.write_bytes(blob[:at + 4] + np.int32(code).astype("<i4").tobytes() + blob[at + 8:])
+        with pytest.raises(TabularError, match="categorical column 'c' holds values outside 0..255"):
+            load_binary(dest)
+
+    def test_load_makes_no_full_length_int32_codes(self, tmp_path):
+        n = 200_000
+        rng = np.random.Generator(np.random.PCG64(7))
+        schema = Schema((("c", ColumnRole.CATEGORICAL),))
+        table = Table.from_columns(schema, {"c": rng.integers(0, 300, n)},
+                                   {"c": _DICTIONARIES[65536][:300]})
+        dest = tmp_path / "t.rlt"
+        save_binary(table, dest)
+        tracemalloc.start()
+        try:
+            again = load_binary(dest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again.equals(table) and again.col("c").dtype == np.uint16
+        # the uint16 column is n*2 bytes; an int32 copy of the codes alone is n*4
+        assert peak < n * 2 + n * 4 / 2
