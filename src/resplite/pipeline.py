@@ -425,9 +425,10 @@ def encode_stage(
     """Fit the encoder of each spec on ``tables[0]``, one state at a time:
     write it to ``encoders.json``, encode every table with it, and drop it.
     Returns the encoded column names and every table with those columns
-    appended.  A malformed spec list, or two specs that make the same
-    column, raise :class:`~resplite.encoders.EncoderError` before any fit;
-    a failed call leaves no ``encoders.json``."""
+    appended.  A malformed spec list, or a spec whose column the table or
+    an earlier spec already has, raises
+    :class:`~resplite.encoders.EncoderError` before any fit; a failed call
+    leaves no ``encoders.json``."""
     if not isinstance(specs, list):
         raise enc_mod.EncoderError(
             f"encoder specs must be a JSON list, not {type(specs).__name__}"
@@ -438,6 +439,10 @@ def encode_stage(
         fits = [_spec_fit(tables[0], i, spec) for i, spec in enumerate(specs)]
         maker: dict[str, int] = {}
         for i, (column, _) in enumerate(fits):
+            if column in tables[0].schema.names:
+                raise enc_mod.EncoderError(
+                    f"encoder spec {i} makes the column {column!r}, which the table already has"
+                )
             if column in maker:
                 raise enc_mod.EncoderError(
                     f"encoder specs {maker[column]} and {i} both make the column {column!r}"

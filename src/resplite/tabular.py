@@ -11,8 +11,9 @@ disallowed; the day column is int32.  Integer columns take only integers
 their dtype and role can hold: anything else raises, never wraps.  Row ids
 are held as their UTF-8 bytes, a fixed-width ``S`` array as wide as the
 longest id, from ingest, from :meth:`Table.from_columns` and from
-:func:`load_binary` alike; consumers read those bytes as they are.  An ``S`` array cannot hold a trailing NUL byte, so
-ids and category tokens holding NUL are rejected wherever they enter.
+:func:`load_binary` alike; consumers read those bytes as they are.  An
+``S`` array cannot hold a trailing NUL byte, so ids and category tokens
+holding NUL are rejected wherever they enter.
 """
 
 from __future__ import annotations

@@ -555,10 +555,14 @@ def test_row_ids_are_passed_as_the_column_itself():
       for s in (0.3, 7)], "encoder specs 0 and 1 both make the column 'cat__te_install'"),
     ([{"feature": "cat", "kind": "target", "target": "install", "smoothing": 10**400}],
      "smoothing of encoder spec 0 is an integer too large for a float"),
+    ([{"feature": "cat", "kind": "target", "target": "install"},
+      {"feature": "cat", "kind": "frequency", "window": "prev_day"}],
+     "encoder spec 1 makes the column 'cat__freq_prev_day', which the table already has"),
 ])
 def test_encode_stage_rejects_specs_before_fitting_and_writes_no_file(tmp_path, monkeypatch,
                                                                       specs, match):
     table = make_cat_table([45, 45, 46, 46], [1, 2, 1, 0], [MISSING_TOKEN, "a", "b"], [0, 1, 0, 1])
+    table = table.append_columns([("cat__freq_prev_day", ColumnRole.CONTINUOUS, np.zeros(4))])
     monkeypatch.setattr(pipeline.enc_mod, "_fit", lambda *a, **k: pytest.fail("fitted"))
     with pytest.raises(EncoderError, match=match):
         pipeline.encode_stage([table], specs, tmp_path)

@@ -863,7 +863,8 @@ class TestNarrowCodes:
         blob = dest.read_bytes()
         at = blob.index(np.array([1, 255], dtype="<i4").tobytes())
         dest.write_bytes(blob[:at + 4] + np.int32(code).astype("<i4").tobytes() + blob[at + 8:])
-        with pytest.raises(TabularError, match="categorical column 'c' holds values outside 0..255"):
+        match = "categorical column 'c' holds values outside 0..255"
+        with pytest.raises(TabularError, match=match):
             load_binary(dest)
 
     def test_load_makes_no_full_length_int32_codes(self, tmp_path):
