@@ -26,7 +26,7 @@ import numpy as np
 
 from ..tabular import ColumnRole, Table
 
-#: uniform histogram row width; per-feature n_bins is always <= this
+#: the most bins a feature has: every bin fits a uint8
 STRIDE = 256
 
 

@@ -11,14 +11,29 @@ categorical bins sorted by G/H (Fisher's sorted partition, as in LightGBM).
 A numeric feature's missing bin is tried on both sides only where it holds
 rows or leftover G/H in the leaf; elsewhere both sides score alike.
 
+A leaf's histogram is exact and compact: one float64 ``(2, B + 1)`` block
+of gradient and hessian sums and one ``B + 1`` integer vector of row counts,
+where B is the sum of ``n_bins`` over the tree's features.  Each feature owns
+a segment as wide as its own bins, and the last slot is a zero pad.  Counts
+are held in the narrowest of uint8, uint16 and int32 that holds the fit's
+row count (:func:`~resplite.tabular.code_dtype`), so they stay exact
+integers, and the scan takes their prefix sums in int64.  The scan gathers its padded
+``(features, width)`` stack through a per-tree index whose positions past a
+feature's bins point at the pad; there it reads +0.0 and 0, exactly what the
+empty bins of a fixed 256-bin row would hold.  G/H sums are accumulated and
+subtracted in the same order as in such rows, so every split is the same.
+
 Determinism rules: the split is the first maximum of gain over features in
 ascending index order and then over bins, so ties keep the lowest feature
 index and lowest bin; equal-gain leaves split in creation order; missing
 values go left on exact gain ties.  Sibling histograms are derived by
-subtraction from the parent (smaller child built directly).  With b splits
-left in the leaf budget, only the b smallest heap keys can still be popped,
-so the other frontier leaves drop their histograms and stay leaves; this
-cannot change the tree.  The rows live in one index array that every split
+subtraction from the parent (smaller child built directly).  A histogram
+lives only while some scan will read it: with b splits left in the leaf
+budget, only the b smallest heap keys can still be popped, so the other
+frontier leaves drop their histograms and stay leaves; a leaf whose split
+leaves no child that can be scanned (too few rows, or at ``max_depth``)
+drops its histogram after its own scan, and its split builds none.  Neither
+can change the tree.  The rows live in one index array that every split
 partitions in place, left rows first, each side in row order: a leaf's rows
 are a contiguous view of it, so a tree allocates no row array that outlives
 a split (per-split arrays of changing sizes fragment the heap).
@@ -47,6 +62,7 @@ from typing import Union
 
 import numpy as np
 
+from ..tabular import code_dtype
 from .binning import STRIDE, GbdtError, json_float, json_value
 
 
@@ -105,62 +121,82 @@ class _Leaf:
         self.grad = grad
         self.hess = hess
         self.count = count
-        self.hist: np.ndarray | None = None
+        self.hist: tuple[np.ndarray, np.ndarray] | None = None  # (G/H sums, counts)
         self.split: _Split | None = None
         self.node_box: list = [None, None, None]  # split node, left, right
 
 
 def bin_counts(binned: np.ndarray) -> np.ndarray:
-    """Row counts per bin of every feature over all rows: the root's count
+    """Row counts per bin of every feature over all rows, ``(features,
+    STRIDE)`` in the count dtype of ``binned``'s row count: the root's count
     plane, the same in every round of a fit."""
-    return np.stack([np.bincount(b, minlength=STRIDE) for b in binned]).astype(np.float64)
-
-
-def _build_hist(
-    binned: np.ndarray,
-    subset: np.ndarray,
-    rows: np.ndarray | slice,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    counts: np.ndarray | None = None,
-) -> np.ndarray:
-    """Histogram planes of shape (3, k, STRIDE): per-feature gradient sums,
-    hessian sums, and counts.  Each bin accumulates its rows in row order.
-    At the root, ``rows`` is ``slice(None)`` (no gather) and ``counts`` is
-    :func:`bin_counts` of ``binned``."""
-    g_rows = grad[rows]
-    h_rows = hess[rows]
-    hist = np.empty((3, len(subset), STRIDE), dtype=np.float64)
-    for fpos, f in enumerate(subset):
-        bins_rows = binned[f][rows]
-        hist[0, fpos] = np.bincount(bins_rows, weights=g_rows, minlength=STRIDE)
-        hist[1, fpos] = np.bincount(bins_rows, weights=h_rows, minlength=STRIDE)
-        hist[2, fpos] = np.bincount(bins_rows, minlength=STRIDE) if counts is None else counts[f]
-    return hist
+    dtype = code_dtype(binned.shape[1] + 1)
+    return np.stack([np.bincount(b, minlength=STRIDE) for b in binned]).astype(dtype)
 
 
 @dataclass(frozen=True)
 class _Scan:
-    """Per-tree constants of the split scan; they depend only on the subset.
+    """Per-tree constants of the histogram layout and the split scan; they
+    depend only on the subset.
 
-    ``num``/``cat`` are positions within the subset.  Scan position b is
-    threshold bin b + 1 of a numeric feature (b < n_bins - 2), or the b + 1
-    lowest-key bins of a categorical one (b < n_bins - 1); ``valid`` marks
-    those positions.
+    ``num``/``cat`` are positions within the subset.  Feature position i
+    owns histogram slots ``offsets[i]:offsets[i + 1]``; slot ``offsets[-1]``
+    is the zero pad.  ``index[i, j]`` is the slot of bin j of feature i, or
+    the pad where i has no bin j.  Scan position b is threshold bin b + 1 of
+    a numeric feature (b < n_bins - 2), or the b + 1 lowest-key bins of a
+    categorical one (b < n_bins - 1); ``valid`` marks those positions.
     """
 
     subset: np.ndarray
     num: np.ndarray
     cat: np.ndarray
+    offsets: list[int]
+    index: np.ndarray   # (len(subset), width + 1) int64
     valid: np.ndarray   # (len(subset), width) bool
 
 
 def _scan_plan(subset: np.ndarray, n_bins_all: np.ndarray, is_cat: np.ndarray) -> _Scan:
     cat_mask = is_cat[subset]
-    limit = n_bins_all[subset] - 2 + cat_mask
+    n_bins = n_bins_all[subset]
+    offsets = np.zeros(len(subset) + 1, dtype=np.int64)
+    np.cumsum(n_bins, out=offsets[1:])
+    limit = n_bins - 2 + cat_mask
     width = max(int(limit.max()), 0)
-    valid = np.arange(width)[None, :] < limit[:, None]
-    return _Scan(subset, np.flatnonzero(~cat_mask), np.flatnonzero(cat_mask), valid)
+    bins = np.arange(width + 1)[None, :]
+    index = np.where(bins < n_bins[:, None], offsets[:-1, None] + bins, offsets[-1])
+    return _Scan(subset, np.flatnonzero(~cat_mask), np.flatnonzero(cat_mask),
+                 offsets.tolist(), index, bins[:, 1:] <= limit[:, None])
+
+
+def _build_hist(
+    binned: np.ndarray,
+    scan: _Scan,
+    rows: np.ndarray | slice,
+    grad: np.ndarray,
+    hess: np.ndarray,
+    counts: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The histogram of ``rows`` in the layout of ``scan``: the (2, B + 1)
+    gradient and hessian sums and the B + 1 row counts.  Each bin
+    accumulates its rows in row order.  At the root, ``rows`` is
+    ``slice(None)`` (no gather) and ``counts`` is :func:`bin_counts` of
+    ``binned``."""
+    g_rows = grad[rows]
+    h_rows = hess[rows]
+    pad = scan.offsets[-1]
+    gh = np.empty((2, pad + 1), dtype=np.float64)
+    hc = np.empty(pad + 1, dtype=code_dtype(binned.shape[1] + 1))
+    gh[:, pad] = 0.0
+    hc[pad] = 0
+    for f, lo, hi in zip(scan.subset.tolist(), scan.offsets, scan.offsets[1:]):
+        bins_rows = binned[f][rows]
+        gh[0, lo:hi] = np.bincount(bins_rows, weights=g_rows, minlength=hi - lo)
+        gh[1, lo:hi] = np.bincount(bins_rows, weights=h_rows, minlength=hi - lo)
+        if counts is None:
+            hc[lo:hi] = np.bincount(bins_rows, minlength=hi - lo)
+        else:
+            hc[lo:hi] = counts[f, : hi - lo]
+    return gh, hc
 
 
 def _gain(gl, hl, cl, total_g, total_h, total_c, lam, min_data, valid):
@@ -186,27 +222,31 @@ def _find_best_split(leaf: _Leaf, scan: _Scan, lam, min_data) -> _Split | None:
     width = scan.valid.shape[1]
     if leaf.count < 2 * min_data or not width:
         return None
-    hist = leaf.hist
+    gh, hc = leaf.hist
     totals = (leaf.grad, leaf.hess, leaf.count, lam, min_data)
-    stack = hist[:, :, 1 : width + 1].copy()
+    padded, padded_c = gh.take(scan.index, axis=1), hc.take(scan.index)  # bins 0..width
     if len(scan.cat):
-        cat_hist = hist[:, scan.cat, : width + 1]
-        if not scan.valid[scan.num].any() and np.count_nonzero(cat_hist[2], axis=1).max() < 2:
+        cat_hist, cat_counts = padded[:, scan.cat], padded_c[scan.cat]
+        if not scan.valid[scan.num].any() and np.count_nonzero(cat_counts, axis=1).max() < 2:
             return None  # no feature has two sides: no parent score, as per feature
         with np.errstate(divide="ignore", invalid="ignore"):
             key = cat_hist[0] / cat_hist[1]
-        order = np.lexsort((key, cat_hist[2] == 0), axis=-1)[:, :width]
-        flat = order + (scan.cat * STRIDE)[:, None]
-        stack[:, scan.cat] = hist.reshape(3, -1).take(flat, axis=1)
+        order = np.lexsort((key, cat_counts == 0), axis=-1)[:, :width]
+        flat = order + np.arange(0, cat_counts.size, width + 1)[:, None]
+        padded[:, scan.cat, 1:] = cat_hist.reshape(2, -1).take(flat, axis=1)
+        padded_c[scan.cat, 1:] = cat_counts.take(flat)
+    stack = padded[:, :, 1:]
     np.cumsum(stack, axis=2, out=stack)
-    gain = _gain(*stack, *totals, scan.valid)
+    counts = np.cumsum(padded_c[:, 1:], axis=1, dtype=np.int64)
+    gain = _gain(*stack, counts, *totals, scan.valid)
 
-    missing = hist[:, scan.num, :1]
-    held = np.flatnonzero((missing != 0).any(axis=(0, 2)))
+    missing, missing_c = padded[:, scan.num, 0], padded_c[scan.num, 0]
+    held = np.flatnonzero((missing != 0).any(axis=0) | (missing_c != 0))
     joined = scan.num[held]  # subset positions whose missing bin holds anything
     if len(joined):
-        left = stack[:, joined] + missing[:, held]
-        gain_left = _gain(*left, *totals, scan.valid[joined])
+        left = stack[:, joined] + missing[:, held, None]
+        left_c = counts[joined] + missing_c[held, None]
+        gain_left = _gain(*left, left_c, *totals, scan.valid[joined])
         use_right = gain[joined] > gain_left
         gain[joined] = np.where(use_right, gain[joined], gain_left)
 
@@ -217,7 +257,8 @@ def _find_best_split(leaf: _Leaf, scan: _Scan, lam, min_data) -> _Split | None:
         return None
     b = int(np.argmax(gain[fpos]))
     feature = int(scan.subset[fpos])
-    pg, ph, pc = stack[:, fpos, b]
+    pg, ph = stack[:, fpos, b]
+    pc = counts[fpos, b]
     if fpos in scan.cat:
         left_bins = np.sort(order[np.searchsorted(scan.cat, fpos), : b + 1]).astype(np.int64)
         return _Split(
@@ -229,13 +270,13 @@ def _find_best_split(leaf: _Leaf, scan: _Scan, lam, min_data) -> _Split | None:
     missing_left = True
     if fpos in joined:
         missing_left = not bool(use_right[np.searchsorted(joined, fpos), b])
-    mg, mh, mc = hist[:, fpos, 0]
+    mg, mh = padded[:, fpos, 0]
     return _Split(
         gain=float(gain[fpos, b]), feature=feature, kind="numeric",
         threshold_bin=b + 1, missing_left=missing_left, left_bins=None,
         grad_left=float(pg + (mg if missing_left else 0.0)),
         hess_left=float(ph + (mh if missing_left else 0.0)),
-        count_left=int(pc + (mc if missing_left else 0)),
+        count_left=int(pc + (padded_c[fpos, 0] if missing_left else 0)),
     )
 
 
@@ -293,14 +334,25 @@ def grow_tree(
     n = binned.shape[1]
     scan = _scan_plan(subset, n_bins_all, is_cat)
 
+    def drop_unread(leaf: _Leaf) -> None:
+        """Drop the scanned leaf's histogram unless its split's larger child,
+        derived from it, can be scanned (the smaller can only if it can)."""
+        split = leaf.split
+        if split is None or not (
+            max(split.count_left, leaf.count - split.count_left) >= 2 * min_data
+            and (max_depth < 0 or leaf.depth + 1 < max_depth)
+        ):
+            leaf.hist = None
+
     if order is None:
         order = np.empty(n, dtype=np.int64)
     order[:] = np.arange(n)
     root = _Leaf(order, 0, float(grad.sum()), float(hess.sum()), n)
-    root.hist = _build_hist(binned, subset, slice(None), grad, hess, root_counts)
+    root.hist = _build_hist(binned, scan, slice(None), grad, hess, root_counts)
     root.split = _find_best_split(root, scan, lam, min_data)
     if root.split is None:
         return None
+    drop_unread(root)
 
     heap: list[tuple[float, int, _Leaf]] = []
     seq = 0
@@ -329,20 +381,20 @@ def grow_tree(
         if n_leaves == num_leaves:
             break  # the children stay leaves: no histogram, no scan
 
-        # build the smaller child's histogram directly, derive the sibling's in place
-        small, big = (left, right) if left.count <= right.count else (right, left)
-        small.hist = _build_hist(binned, subset, small.rows, grad, hess)
-        big.hist = np.subtract(leaf.hist, small.hist, out=leaf.hist)
-        leaf.hist = None
-
-        for child in (left, right):
-            if max_depth < 0 or child.depth < max_depth:
-                child.split = _find_best_split(child, scan, lam, min_data)
-            if child.split is None:  # terminal: its histogram is never read again
-                child.hist = None
-                continue
-            seq += 1
-            heap.append((-child.split.gain, seq, child))
+        if leaf.hist is not None:  # else neither child can be scanned: both stay leaves
+            # build the smaller child's histogram directly, derive the sibling's in place
+            small, big = (left, right) if left.count <= right.count else (right, left)
+            small.hist = _build_hist(binned, scan, small.rows, grad, hess)
+            for plane, part in zip(leaf.hist, small.hist):
+                np.subtract(plane, part, out=plane)
+            big.hist, leaf.hist = leaf.hist, None
+            for child in (left, right):
+                if max_depth < 0 or child.depth < max_depth:
+                    child.split = _find_best_split(child, scan, lam, min_data)
+                drop_unread(child)
+                if child.split is not None:
+                    seq += 1
+                    heap.append((-child.split.gain, seq, child))
         heap.sort()  # keys are unique, and a sorted list is a heap
         for _, _, rest in heap[num_leaves - n_leaves :]:  # never to be popped
             rest.hist = None

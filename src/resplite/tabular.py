@@ -482,7 +482,10 @@ def _parse_column(role: ColumnRole, tokens: list[str], text: str) -> np.ndarray 
             utf8 = tokens if text.isascii() else list(map(str.encode, tokens))
             return np.array(utf8, dtype=np.bytes_)
         if role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
-            return np.array([float(t) if t else math.nan for t in tokens], dtype=np.float64)
+            try:  # numpy converts each str by float()'s own rules
+                return np.array(tokens, dtype=np.float64)
+            except ValueError:  # an empty token (missing), or a bad one
+                return np.array([float(t) if t else math.nan for t in tokens], dtype=np.float64)
         if role is ColumnRole.DAY:
             days = np.fromiter(map(int, tokens), np.int64, len(tokens))
             valid = ((days >= _INT32.min) & (days <= _INT32.max)).all()
@@ -646,7 +649,8 @@ _ROLE_WIRE_DTYPES = {
     **{role: np.dtype(t).newbyteorder("<") for role, t in _ROLE_DTYPES.items()},
     ColumnRole.CATEGORICAL: np.dtype("<i4"),
 }
-#: int32 codes read from a cache at a time, so that no full-length copy is held
+#: values written to, and int32 codes read from, a cache at a time, so that
+#: no full-length copy is held
 _CODE_BLOCK = 1 << 15
 
 
@@ -668,12 +672,18 @@ def save_binary(table: Table, path: str | Path) -> None:
             arr = table.col(name)
             if role is ColumnRole.ROW_ID:
                 payload = _pack_strings(arr, f"column {name!r}")
-            else:
-                payload = arr.astype(_ROLE_WIRE_DTYPES[role], copy=False).tobytes()
-                if role is ColumnRole.CATEGORICAL:
-                    payload += _pack_strings(table.dictionary(name), f"column {name!r} dictionary")
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
+                fh.write(struct.pack("<Q", len(payload)))
+                fh.write(payload)
+                continue
+            wire = _ROLE_WIRE_DTYPES[role]
+            tail = b""
+            if role is ColumnRole.CATEGORICAL:
+                tail = _pack_strings(table.dictionary(name), f"column {name!r} dictionary")
+            fh.write(struct.pack("<Q", len(arr) * wire.itemsize + len(tail)))
+            # a block at a time, so that no full-length int32 copy of codes is held
+            for at in range(0, len(arr), _CODE_BLOCK):
+                fh.write(np.ascontiguousarray(arr[at : at + _CODE_BLOCK], dtype=wire))
+            fh.write(tail)
 
 
 def _check_left(fh, n: int, what: str) -> None:

@@ -39,6 +39,7 @@ from resplite.gbdt.tree import (
     _build_hist,
     _compile,
     _left_mask,
+    _scan_plan,
     node_from_json,
 )
 from resplite.pipeline import train_stage
@@ -493,16 +494,15 @@ class TestHistograms:
         binned = bin_table(mapper, table)
         grad = rng.standard_normal(n)
         hess = rng.uniform(0.01, 0.25, n)
-        subset = np.array([0, 1])
+        scan = _scan_plan(np.array([0, 1]), mapper.n_bins(), np.zeros(2, dtype=bool))
         rows = np.arange(n, dtype=np.int64)
-        parent = _build_hist(binned, subset, rows, grad, hess)
+        parent_gh, parent_c = _build_hist(binned, scan, rows, grad, hess)
         mask = rng.random(n) < 0.4
-        left = _build_hist(binned, subset, rows[mask], grad, hess)
-        right = _build_hist(binned, subset, rows[~mask], grad, hess)
+        left_gh, left_c = _build_hist(binned, scan, rows[mask], grad, hess)
+        right_gh, right_c = _build_hist(binned, scan, rows[~mask], grad, hess)
         # integer counts are exact; gradient sums within float tolerance
-        assert np.array_equal(parent[2], left[2] + right[2])
-        assert np.allclose(parent[0] - left[0], right[0], atol=1e-9)
-        assert np.allclose(parent[1] - left[1], right[1], atol=1e-9)
+        assert np.array_equal(parent_c, left_c + right_c)
+        assert np.allclose(parent_gh - left_gh, right_gh, atol=1e-9)
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ import tracemalloc
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from resplite.gbdt import tree
@@ -85,17 +86,28 @@ def _scan_categorical(hg, hh, hc, n_bins, total_g, total_h, total_c, lam, min_da
     return float(gain[k]), left_bins, float(cg[k]), float(ch[k]), int(cc[k])
 
 
+def _feature_rows(hist, n_bins):
+    """The (G, H, count) rows of each feature of a compact histogram, whose
+    features own consecutive slots, ``n_bins`` each, before one zero pad;
+    counts as float64, as the per-feature scans take them."""
+    gh, hc = hist
+    ends = np.cumsum(n_bins)
+    assert gh.shape == (2, ends[-1] + 1) and hc.shape == (ends[-1] + 1,)
+    assert not gh[:, -1].any() and hc[-1] == 0
+    return [(gh[0, lo:hi], gh[1, lo:hi], hc[lo:hi].astype(np.float64))
+            for lo, hi in zip(ends - n_bins, ends)]
+
+
 def _reference_split(leaf, subset, n_bins_all, is_cat, lam, min_data):
     """One feature at a time; a candidate replaces the incumbent only on
     strictly greater gain."""
     if leaf.count < 2 * min_data:
         return None
-    hg, hh, hc = leaf.hist
+    rows = _feature_rows(leaf.hist, n_bins_all[subset])
     best = None
     for fpos, f in enumerate(subset):
         nb = int(n_bins_all[f])
-        args = (hg[fpos], hh[fpos], hc[fpos], nb,
-                leaf.grad, leaf.hess, leaf.count, lam, min_data)
+        args = (*rows[fpos], nb, leaf.grad, leaf.hess, leaf.count, lam, min_data)
         if is_cat[f]:
             res = _scan_categorical(*args)
             if res is not None and (best is None or res[0] > best.gain):
@@ -190,14 +202,15 @@ def scan_cases(draw):
     return binned, n_bins_all, is_cat, grad, hess, subset, rows, siblings, lam, min_data
 
 
-def _case_leaf(binned, grad, hess, subset, rows, siblings):
+def _case_leaf(binned, grad, hess, scan, rows, siblings):
     """The leaf over ``rows``; with siblings, its histogram is the
     ancestor's over every row minus each sibling's, outermost first."""
     leaf = _Leaf(rows, 0, float(grad[rows].sum()), float(hess[rows].sum()), len(rows))
     all_rows = np.sort(np.concatenate([rows, *siblings]))
-    leaf.hist = _build_hist(binned, subset, all_rows, grad, hess)
+    leaf.hist = _build_hist(binned, scan, all_rows, grad, hess)
     for sibling in siblings:
-        leaf.hist = leaf.hist - _build_hist(binned, subset, sibling, grad, hess)
+        part = _build_hist(binned, scan, sibling, grad, hess)
+        leaf.hist = tuple(plane - p for plane, p in zip(leaf.hist, part))
     return leaf
 
 
@@ -205,8 +218,8 @@ def _case_leaf(binned, grad, hess, subset, rows, siblings):
 @given(scan_cases())
 def test_vectorized_scan_matches_per_feature_reference(case):
     binned, n_bins_all, is_cat, grad, hess, subset, rows, siblings, lam, min_data = case
-    leaf = _case_leaf(binned, grad, hess, subset, rows, siblings)
     scan = _scan_plan(subset, n_bins_all, is_cat)
+    leaf = _case_leaf(binned, grad, hess, scan, rows, siblings)
     want = _outcome(_reference_split, leaf, subset, n_bins_all, is_cat, lam, min_data)
     got = _outcome(_find_best_split, leaf, scan, lam, min_data)
     assert got == want
@@ -224,8 +237,9 @@ def test_ties_keep_lowest_feature_then_lowest_bin_then_missing_left():
     subset = np.array([0, 1])
     rows = np.arange(4)
     leaf = _Leaf(rows, 0, 0.0, 4.0, 4)
-    leaf.hist = _build_hist(binned, subset, rows, grad, hess)
-    split = _find_best_split(leaf, _scan_plan(subset, n_bins_all, is_cat), 1.0, 1)
+    scan = _scan_plan(subset, n_bins_all, is_cat)
+    leaf.hist = _build_hist(binned, scan, rows, grad, hess)
+    split = _find_best_split(leaf, scan, 1.0, 1)
     assert (split.feature, split.threshold_bin, split.missing_left) == (0, 2, True)
     assert (split.grad_left, split.hess_left, split.count_left) == (2.0, 2.0, 2)
 
@@ -240,8 +254,8 @@ def test_feature_with_a_nan_gain_offers_no_split():
     subset = np.array([0, 1])
     rows = np.arange(4)
     leaf = _Leaf(rows, 0, -1.0, 3.0, 4)
-    leaf.hist = _build_hist(binned, subset, rows, grad, hess)
     scan = _scan_plan(subset, np.array([5, 4]), np.array([False, False]))
+    leaf.hist = _build_hist(binned, scan, rows, grad, hess)
     split = _find_best_split(leaf, scan, 0.0, 1)
     assert (split.feature, split.threshold_bin) == (1, 1)
     assert split == _reference_split(leaf, subset, np.array([5, 4]),
@@ -257,8 +271,8 @@ def test_no_threshold_past_a_features_last_bin():
     subset = np.array([0, 1])
     rows = np.arange(6)
     leaf = _Leaf(rows, 0, 2.0, 6.0, 6)
-    leaf.hist = _build_hist(binned, subset, rows, grad, hess)
     scan = _scan_plan(subset, np.array([2, 8]), np.array([False, False]))
+    leaf.hist = _build_hist(binned, scan, rows, grad, hess)
     assert _find_best_split(leaf, scan, 1.0, 1) is None
 
 
@@ -271,9 +285,11 @@ def test_missing_bin_with_leftover_sums_but_no_rows_is_scanned_on_both_sides():
     hess = np.ones(8)
     rows, siblings = np.arange(3), [np.array([6, 7]), np.array([3, 4, 5])]
     subset, n_bins_all, is_cat = np.array([0]), np.array([4]), np.array([False])
-    leaf = _case_leaf(binned, grad, hess, subset, rows, siblings)
-    assert leaf.hist[2, 0, 0] == 0 and leaf.hist[0, 0, 0] != 0
-    split = _find_best_split(leaf, _scan_plan(subset, n_bins_all, is_cat), 1.0, 1)
+    scan = _scan_plan(subset, n_bins_all, is_cat)
+    leaf = _case_leaf(binned, grad, hess, scan, rows, siblings)
+    gh, hc = leaf.hist
+    assert hc[0] == 0 and gh[0, 0] != 0
+    split = _find_best_split(leaf, scan, 1.0, 1)
     assert (split.threshold_bin, split.missing_left) == (1, False)
     assert split == _reference_split(leaf, subset, n_bins_all, is_cat, 1.0, 1)
 
@@ -286,10 +302,11 @@ def test_empty_categories_sort_after_occupied_ones_with_infinite_keys():
     grad = np.array([0.0, 0.5, 0.0, 0.5, 1.0])
     hess = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
     subset, n_bins_all, is_cat = np.array([0]), np.array([6]), np.array([True])
-    leaf = _case_leaf(binned, grad, hess, subset, np.arange(5), [])
+    scan = _scan_plan(subset, n_bins_all, is_cat)
+    leaf = _case_leaf(binned, grad, hess, scan, np.arange(5), [])
     with np.errstate(divide="ignore", invalid="ignore"):
         want = _reference_split(leaf, subset, n_bins_all, is_cat, 1.0, 2)
-    split = _find_best_split(leaf, _scan_plan(subset, n_bins_all, is_cat), 1.0, 2)
+    split = _find_best_split(leaf, scan, 1.0, 2)
     assert split.left_bins.tolist() == [0, 3]
     assert _fields(split) == _fields(want)
 
@@ -301,10 +318,10 @@ def test_root_histogram_reads_every_row_in_place():
     binned = rng.integers(0, 40, size=(5, 3000), dtype=np.uint8)
     grad = rng.standard_normal(3000)
     hess = rng.uniform(0.01, 0.25, 3000)
-    subset = np.array([1, 3, 4])
-    root = _build_hist(binned, subset, slice(None), grad, hess, bin_counts(binned))
-    gathered = _build_hist(binned, subset, np.arange(3000), grad, hess)
-    assert root.tobytes() == gathered.tobytes()
+    scan = _scan_plan(np.array([1, 3, 4]), np.full(5, 40), np.zeros(5, dtype=bool))
+    root = _build_hist(binned, scan, slice(None), grad, hess, bin_counts(binned))
+    gathered = _build_hist(binned, scan, np.arange(3000), grad, hess)
+    assert [p.tobytes() for p in root] == [p.tobytes() for p in gathered]
 
 
 def test_leaf_without_two_categories_computes_no_gain():
@@ -312,9 +329,8 @@ def test_leaf_without_two_categories_computes_no_gain():
     # with one occupied bin never computes the parent score, which would
     # divide by zero, and neither may the stacked scan
     binned = np.array([[1, 1]], dtype=np.uint8)
-    subset = np.array([0])
-    leaf = _case_leaf(binned, np.array([0.0, -0.5]), np.zeros(2), subset, np.arange(2), [])
-    scan = _scan_plan(subset, np.array([2]), np.array([True]))
+    scan = _scan_plan(np.array([0]), np.array([2]), np.array([True]))
+    leaf = _case_leaf(binned, np.array([0.0, -0.5]), np.zeros(2), scan, np.arange(2), [])
     assert _find_best_split(leaf, scan, 0.0, 1) is None
 
 
@@ -325,15 +341,15 @@ def test_build_hist_needs_no_rows_by_features_temporary():
     grad = rng.standard_normal(m)
     hess = rng.uniform(0.01, 0.25, m)
     rows = np.arange(m, dtype=np.int64)
-    subset = np.arange(k)
+    scan = _scan_plan(np.arange(k), np.full(k, STRIDE), np.zeros(k, dtype=bool))
     tracemalloc.start()
     try:
-        hist = _build_hist(binned, subset, rows, grad, hess)
+        gh, hc = _build_hist(binned, scan, rows, grad, hess)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert hist.shape == (3, k, STRIDE)
-    assert np.array_equal(hist[2].sum(axis=1), np.full(k, m))
+    assert gh.shape == (2, k * STRIDE + 1) and hc.shape == (k * STRIDE + 1,)
+    assert np.array_equal(hc[:-1].reshape(k, STRIDE).sum(axis=1), np.full(k, m))
     # a (k, m) int64 gather alone is k*m*8 bytes
     assert peak < k * m * 8 / 2
 
@@ -357,7 +373,46 @@ def test_the_split_that_fills_the_tree_builds_and_scans_nothing(monkeypatch):
     )
     assert grown.n_leaves == 8
     # the root, then one histogram and two scans for each split but the last
-    assert calls == {"_build_hist": 1 + 6, "_find_best_split": 1 + 2 * 6}
+    # and the split of a 45-row leaf, whose children of 22 and 23 rows both
+    # hold fewer than 2 * min_data rows
+    assert calls == {"_build_hist": 1 + 5, "_find_best_split": 1 + 2 * 5}
+
+
+@pytest.mark.parametrize("max_depth, min_data, n_leaves", [(2, 20, 4), (-1, 1000, 3)])
+def test_a_split_no_child_of_which_can_be_scanned_builds_nothing(
+        monkeypatch, max_depth, min_data, n_leaves):
+    # the root's split builds one histogram for its two children; each child
+    # splits, but its own children sit at max_depth or hold fewer than
+    # 2 * min_data rows, so its histogram goes right after its scan and its
+    # split builds none
+    rng = np.random.Generator(np.random.PCG64(4))
+    n, k = 4000, 3
+    binned = rng.integers(0, 64, size=(k, n), dtype=np.uint8)
+    grad = rng.standard_normal(n)
+    hess = rng.uniform(0.1, 0.25, n)
+    calls = Counter()
+    scanned = []
+
+    def scan(leaf, *args, _real=tree._find_best_split):
+        # every earlier histogram was dropped, or handed to a child
+        assert all(done.hist is None for done in scanned)
+        calls["_find_best_split"] += 1
+        scanned.append(leaf)
+        return _real(leaf, *args)
+
+    def build(*args, _real=tree._build_hist):
+        calls["_build_hist"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(tree, "_find_best_split", scan)
+    monkeypatch.setattr(tree, "_build_hist", build)
+    case = (binned, np.full(k, 64), np.zeros(k, dtype=bool), grad, hess, np.arange(k),
+            bin_counts(binned), 8, max_depth, min_data, 1.0, 0.1)
+    grown = tree.grow_tree(*case)
+    assert grown.n_leaves == n_leaves
+    assert all(done.hist is None for done in scanned)
+    assert calls == {"_build_hist": 2, "_find_best_split": 3}
+    assert _grown_fields(grown) == _grown_fields(_reference_grow_tree(*case))
 
 
 def _reference_grow_tree(binned, n_bins_all, is_cat, grad, hess, subset, root_counts,
@@ -368,7 +423,7 @@ def _reference_grow_tree(binned, n_bins_all, is_cat, grad, hess, subset, root_co
     n = binned.shape[1]
     scan = _scan_plan(subset, n_bins_all, is_cat)
     root = _Leaf(np.arange(n, dtype=np.int64), 0, float(grad.sum()), float(hess.sum()), n)
-    root.hist = _build_hist(binned, subset, slice(None), grad, hess, root_counts)
+    root.hist = _build_hist(binned, scan, slice(None), grad, hess, root_counts)
     root.split = _find_best_split(root, scan, lam, min_data)
     if root.split is None:
         return None
@@ -390,8 +445,8 @@ def _reference_grow_tree(binned, n_bins_all, is_cat, grad, hess, subset, root_co
         if n_leaves == num_leaves:
             break
         small, big = (left, right) if left.count <= right.count else (right, left)
-        small.hist = _build_hist(binned, subset, small.rows, grad, hess)
-        big.hist = leaf.hist - small.hist
+        small.hist = _build_hist(binned, scan, small.rows, grad, hess)
+        big.hist = tuple(plane - part for plane, part in zip(leaf.hist, small.hist))
         leaf.hist = None
         for child in (left, right):
             if max_depth < 0 or child.depth < max_depth:
@@ -464,14 +519,20 @@ def test_grow_tree_equals_the_reference_loop(case):
 
 def test_grow_tree_holds_at_most_32_histograms_for_63_leaves(monkeypatch):
     # at a split scan the frontier is at its widest; sampled there, the
-    # live histograms (numpy blocks of exactly one histogram's size) are at
+    # live histograms (numpy blocks of exactly one G/H block's size) are at
     # most the 31 leaves that can still split plus the new child
     k, n = 27, 6000
     rng = np.random.Generator(np.random.PCG64(11))
     binned = rng.integers(0, 64, size=(k, n), dtype=np.uint8)
     grad = rng.standard_normal(n) + (binned[0] > 32) - 0.5 * (binned[1] < 20)
     hess = rng.uniform(0.1, 0.25, n)
-    hist_bytes = 3 * k * STRIDE * 8
+    # one histogram: G/H sums over each feature's 64 bins and a zero pad,
+    # and uint16 counts of as many slots
+    slots = k * 64 + 1
+    gh, hc = _build_hist(binned, _scan_plan(np.arange(k), np.full(k, 64), np.zeros(k, bool)),
+                         np.arange(n), grad, hess)
+    assert hc.dtype == np.uint16 and gh.nbytes + hc.nbytes == 16 * slots + 2 * slots
+    hist_bytes = gh.nbytes
     live = []
 
     def sampled(*args, _real=tree._find_best_split):
@@ -489,4 +550,35 @@ def test_grow_tree_holds_at_most_32_histograms_for_63_leaves(monkeypatch):
         tracemalloc.stop()
     assert grown.n_leaves == 63
     assert max(live) <= 32, f"{max(live)} live histograms"
+    assert max(live) > 1  # the sampling sees the histograms at all
     assert _grown_fields(grown) == _grown_fields(_reference_grow_tree(*case))
+
+
+@pytest.mark.parametrize("n, count_dtype", [
+    (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.int32),
+])
+def test_count_planes_hold_every_row_at_the_dtype_edges(n, count_dtype):
+    # feature 2 holds every row in bin 1: its count is n itself, the most
+    # the count dtype must hold
+    rng = np.random.Generator(np.random.PCG64(n))
+    k = 3
+    binned = np.ones((k, n), dtype=np.uint8)
+    binned[:2] = rng.integers(0, 16, size=(2, n))
+    n_bins_all, is_cat = np.array([16, 16, 3]), np.array([False, True, False])
+    grad = rng.standard_normal(n) + (binned[0] > 8) - 0.5 * (binned[1] < 4)
+    hess = rng.uniform(0.1, 0.25, n)
+    subset = np.arange(k)
+    root_counts = bin_counts(binned)
+    scan = _scan_plan(subset, n_bins_all, is_cat)
+    root = _Leaf(np.arange(n), 0, float(grad.sum()), float(hess.sum()), n)
+    root.hist = _build_hist(binned, scan, slice(None), grad, hess, root_counts)
+    gathered = _build_hist(binned, scan, np.arange(n), grad, hess)
+    for hc in (root_counts, root.hist[1], gathered[1]):
+        assert hc.dtype == count_dtype
+    want = np.concatenate([np.bincount(b, minlength=nb) for b, nb in zip(binned, n_bins_all)])
+    assert np.array_equal(gathered[1][:-1], want) and gathered[1][-1] == 0
+    assert [p.tobytes() for p in root.hist] == [p.tobytes() for p in gathered]
+    assert _fields(_find_best_split(root, scan, 1.0, 5)) == _fields(
+        _reference_split(root, subset, n_bins_all, is_cat, 1.0, 5))
+    case = (binned, n_bins_all, is_cat, grad, hess, subset, root_counts, 15, -1, 5, 1.0, 0.1)
+    assert _grown_fields(tree.grow_tree(*case)) == _grown_fields(_reference_grow_tree(*case))

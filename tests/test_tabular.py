@@ -367,6 +367,33 @@ def test_block_parser_matches_the_row_loop_reference(case, block_lines):
         assert g.equals(w)
 
 
+#: tokens where numpy's str conversion and float() might part: underscores,
+#: padding, overflow, signed zero and NaN, a non-ASCII digit, a subnormal
+_FLOAT_EDGES = ["1_0", " 1.5 ", "1e500", "-0", "\u0661", "-nan", "NaN", "-Infinity", "5e-324"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.one_of(st.floats().map(repr), st.sampled_from(_FLOAT_EDGES)),
+                       max_size=40),
+       extra=st.sampled_from([None, "", "0x10"]))
+def test_numeric_block_parses_every_token_as_float_does(tokens, extra):
+    # an empty token is missing (NaN) and a bad one fails the block, in
+    # whichever position
+    at = len(tokens) // 2
+    if extra is not None:
+        tokens.insert(at, extra)
+    for role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
+        got = tabular._parse_column(role, tokens, ",".join(tokens))
+        if extra == "0x10":
+            assert got is None
+            continue
+        want = np.array([float(t) if t else np.nan for t in tokens], dtype=np.float64)
+        assert got.dtype == np.float64
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        if extra == "":
+            assert np.isnan(got[at])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-5, 40), max_size=60))
 def test_integer_categories_code_like_their_strings(values):
@@ -884,3 +911,21 @@ class TestNarrowCodes:
         assert again.equals(table) and again.col("c").dtype == np.uint16
         # the uint16 column is n*2 bytes; an int32 copy of the codes alone is n*4
         assert peak < n * 2 + n * 4 / 2
+
+    def test_save_makes_no_full_length_int32_codes(self, tmp_path):
+        n = 400_000
+        rng = np.random.Generator(np.random.PCG64(7))
+        schema = Schema((("c", ColumnRole.CATEGORICAL),))
+        table = Table.from_columns(schema, {"c": rng.integers(0, 300, n)},
+                                   {"c": _DICTIONARIES[65536][:300]})
+        assert table.col("c").dtype == np.uint16
+        dest = tmp_path / "t.rlt"
+        tracemalloc.start()
+        try:
+            save_binary(table, dest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert load_binary(dest).equals(table)
+        # an int32 copy of the codes alone is n*4 bytes
+        assert peak < n * 4 / 2
