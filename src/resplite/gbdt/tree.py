@@ -17,11 +17,12 @@ where B is the sum of ``n_bins`` over the tree's features.  Each feature owns
 a segment as wide as its own bins, and the last slot is a zero pad.  Counts
 are held in the narrowest of uint8, uint16 and int32 that holds the fit's
 row count (:func:`~resplite.tabular.code_dtype`), so they stay exact
-integers, and the scan takes their prefix sums in int64.  The scan gathers its padded
-``(features, width)`` stack through a per-tree index whose positions past a
-feature's bins point at the pad; there it reads +0.0 and 0, exactly what the
-empty bins of a fixed 256-bin row would hold.  G/H sums are accumulated and
-subtracted in the same order as in such rows, so every split is the same.
+integers, and the scan takes their prefix sums in int64.  The scan gathers
+its padded ``(features, width)`` stack through a per-tree index whose
+positions past a feature's bins point at the pad; there it reads +0.0 and 0,
+exactly what the empty bins of a fixed 256-bin row would hold.  G/H sums
+are accumulated and subtracted in the same order as in such rows, so every
+split is the same.
 
 Determinism rules: the split is the first maximum of gain over features in
 ascending index order and then over bins, so ties keep the lowest feature
@@ -141,8 +142,10 @@ class _Scan:
 
     ``num``/``cat`` are positions within the subset.  Feature position i
     owns histogram slots ``offsets[i]:offsets[i + 1]``; slot ``offsets[-1]``
-    is the zero pad.  ``index[i, j]`` is the slot of bin j of feature i, or
-    the pad where i has no bin j.  Scan position b is threshold bin b + 1 of
+    is the zero pad.  ``index[i, b]`` is the slot of bin b + 1 of feature i,
+    or the pad where i has no such bin; ``cat_index`` holds the slots of
+    bins 0..width of each categorical feature, and ``missing`` the slot of
+    each numeric feature's bin 0.  Scan position b is threshold bin b + 1 of
     a numeric feature (b < n_bins - 2), or the b + 1 lowest-key bins of a
     categorical one (b < n_bins - 1); ``valid`` marks those positions.
     """
@@ -151,8 +154,10 @@ class _Scan:
     num: np.ndarray
     cat: np.ndarray
     offsets: list[int]
-    index: np.ndarray   # (len(subset), width + 1) int64
-    valid: np.ndarray   # (len(subset), width) bool
+    index: np.ndarray      # (len(subset), width) int64
+    cat_index: np.ndarray  # (len(cat), width + 1) int64
+    missing: np.ndarray    # (len(num),) int64
+    valid: np.ndarray      # (len(subset), width) bool
 
 
 def _scan_plan(subset: np.ndarray, n_bins_all: np.ndarray, is_cat: np.ndarray) -> _Scan:
@@ -164,8 +169,9 @@ def _scan_plan(subset: np.ndarray, n_bins_all: np.ndarray, is_cat: np.ndarray) -
     width = max(int(limit.max()), 0)
     bins = np.arange(width + 1)[None, :]
     index = np.where(bins < n_bins[:, None], offsets[:-1, None] + bins, offsets[-1])
-    return _Scan(subset, np.flatnonzero(~cat_mask), np.flatnonzero(cat_mask),
-                 offsets.tolist(), index, bins[:, 1:] <= limit[:, None])
+    num, cat = np.flatnonzero(~cat_mask), np.flatnonzero(cat_mask)
+    return _Scan(subset, num, cat, offsets.tolist(), np.ascontiguousarray(index[:, 1:]),
+                 index[cat], offsets[num], bins[:, 1:] <= limit[:, None])
 
 
 def _build_hist(
@@ -224,23 +230,22 @@ def _find_best_split(leaf: _Leaf, scan: _Scan, lam, min_data) -> _Split | None:
         return None
     gh, hc = leaf.hist
     totals = (leaf.grad, leaf.hess, leaf.count, lam, min_data)
-    padded, padded_c = gh.take(scan.index, axis=1), hc.take(scan.index)  # bins 0..width
+    stack, stack_c = gh.take(scan.index, axis=1), hc.take(scan.index)  # bins 1..width
     if len(scan.cat):
-        cat_hist, cat_counts = padded[:, scan.cat], padded_c[scan.cat]
+        cat_hist, cat_counts = gh.take(scan.cat_index, axis=1), hc.take(scan.cat_index)
         if not scan.valid[scan.num].any() and np.count_nonzero(cat_counts, axis=1).max() < 2:
             return None  # no feature has two sides: no parent score, as per feature
         with np.errstate(divide="ignore", invalid="ignore"):
             key = cat_hist[0] / cat_hist[1]
         order = np.lexsort((key, cat_counts == 0), axis=-1)[:, :width]
         flat = order + np.arange(0, cat_counts.size, width + 1)[:, None]
-        padded[:, scan.cat, 1:] = cat_hist.reshape(2, -1).take(flat, axis=1)
-        padded_c[scan.cat, 1:] = cat_counts.take(flat)
-    stack = padded[:, :, 1:]
+        stack[:, scan.cat] = cat_hist.reshape(2, -1).take(flat, axis=1)
+        stack_c[scan.cat] = cat_counts.take(flat)
     np.cumsum(stack, axis=2, out=stack)
-    counts = np.cumsum(padded_c[:, 1:], axis=1, dtype=np.int64)
+    counts = np.cumsum(stack_c, axis=1, dtype=np.int64)
     gain = _gain(*stack, counts, *totals, scan.valid)
 
-    missing, missing_c = padded[:, scan.num, 0], padded_c[scan.num, 0]
+    missing, missing_c = gh.take(scan.missing, axis=1), hc.take(scan.missing)
     held = np.flatnonzero((missing != 0).any(axis=0) | (missing_c != 0))
     joined = scan.num[held]  # subset positions whose missing bin holds anything
     if len(joined):
@@ -270,13 +275,14 @@ def _find_best_split(leaf: _Leaf, scan: _Scan, lam, min_data) -> _Split | None:
     missing_left = True
     if fpos in joined:
         missing_left = not bool(use_right[np.searchsorted(joined, fpos), b])
-    mg, mh = padded[:, fpos, 0]
+    slot = scan.offsets[fpos]  # the feature's missing bin
+    mg, mh = gh[:, slot]
     return _Split(
         gain=float(gain[fpos, b]), feature=feature, kind="numeric",
         threshold_bin=b + 1, missing_left=missing_left, left_bins=None,
         grad_left=float(pg + (mg if missing_left else 0.0)),
         hess_left=float(ph + (mh if missing_left else 0.0)),
-        count_left=int(pc + (padded_c[fpos, 0] if missing_left else 0)),
+        count_left=int(pc + (hc[slot] if missing_left else 0)),
     )
 
 
@@ -334,13 +340,16 @@ def grow_tree(
     n = binned.shape[1]
     scan = _scan_plan(subset, n_bins_all, is_cat)
 
+    def scannable(count: int, depth: int) -> bool:
+        """Whether a leaf of ``count`` rows at ``depth`` gets a split scan."""
+        return count >= 2 * min_data and (max_depth < 0 or depth < max_depth)
+
     def drop_unread(leaf: _Leaf) -> None:
         """Drop the scanned leaf's histogram unless its split's larger child,
         derived from it, can be scanned (the smaller can only if it can)."""
         split = leaf.split
-        if split is None or not (
-            max(split.count_left, leaf.count - split.count_left) >= 2 * min_data
-            and (max_depth < 0 or leaf.depth + 1 < max_depth)
+        if split is None or not scannable(
+            max(split.count_left, leaf.count - split.count_left), leaf.depth + 1
         ):
             leaf.hist = None
 
@@ -389,7 +398,7 @@ def grow_tree(
                 np.subtract(plane, part, out=plane)
             big.hist, leaf.hist = leaf.hist, None
             for child in (left, right):
-                if max_depth < 0 or child.depth < max_depth:
+                if scannable(child.count, child.depth):
                     child.split = _find_best_split(child, scan, lam, min_data)
                 drop_unread(child)
                 if child.split is not None:

@@ -482,10 +482,8 @@ def _parse_column(role: ColumnRole, tokens: list[str], text: str) -> np.ndarray 
             utf8 = tokens if text.isascii() else list(map(str.encode, tokens))
             return np.array(utf8, dtype=np.bytes_)
         if role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
-            try:  # numpy converts each str by float()'s own rules
-                return np.array(tokens, dtype=np.float64)
-            except ValueError:  # an empty token (missing), or a bad one
-                return np.array([float(t) if t else math.nan for t in tokens], dtype=np.float64)
+            # numpy converts each str by float()'s own rules; empty is missing
+            return np.array([t or "nan" for t in tokens], dtype=np.float64)
         if role is ColumnRole.DAY:
             days = np.fromiter(map(int, tokens), np.int64, len(tokens))
             valid = ((days >= _INT32.min) & (days <= _INT32.max)).all()

@@ -374,17 +374,19 @@ def test_the_split_that_fills_the_tree_builds_and_scans_nothing(monkeypatch):
     assert grown.n_leaves == 8
     # the root, then one histogram and two scans for each split but the last
     # and the split of a 45-row leaf, whose children of 22 and 23 rows both
-    # hold fewer than 2 * min_data rows
-    assert calls == {"_build_hist": 1 + 5, "_find_best_split": 1 + 2 * 5}
+    # hold fewer than 2 * min_data rows; two children of 29 and 31 rows get
+    # no scan for the same reason
+    assert calls == {"_build_hist": 1 + 5, "_find_best_split": 1 + 2 * 5 - 2}
 
 
-@pytest.mark.parametrize("max_depth, min_data, n_leaves", [(2, 20, 4), (-1, 1000, 3)])
+@pytest.mark.parametrize("max_depth, min_data, n_leaves, scans",
+                         [(2, 20, 4, 3), (-1, 1000, 3, 2)])
 def test_a_split_no_child_of_which_can_be_scanned_builds_nothing(
-        monkeypatch, max_depth, min_data, n_leaves):
+        monkeypatch, max_depth, min_data, n_leaves, scans):
     # the root's split builds one histogram for its two children; each child
-    # splits, but its own children sit at max_depth or hold fewer than
-    # 2 * min_data rows, so its histogram goes right after its scan and its
-    # split builds none
+    # of at least 2 * min_data rows is scanned and splits, but its own
+    # children sit at max_depth or hold fewer than 2 * min_data rows, so its
+    # histogram goes right after its scan and its split builds none
     rng = np.random.Generator(np.random.PCG64(4))
     n, k = 4000, 3
     binned = rng.integers(0, 64, size=(k, n), dtype=np.uint8)
@@ -411,7 +413,7 @@ def test_a_split_no_child_of_which_can_be_scanned_builds_nothing(
     grown = tree.grow_tree(*case)
     assert grown.n_leaves == n_leaves
     assert all(done.hist is None for done in scanned)
-    assert calls == {"_build_hist": 2, "_find_best_split": 3}
+    assert calls == {"_build_hist": 2, "_find_best_split": scans}
     assert _grown_fields(grown) == _grown_fields(_reference_grow_tree(*case))
 
 

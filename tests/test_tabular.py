@@ -297,13 +297,16 @@ _TEXT = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\t,;\r\n\x00"),
     max_size=4,
 )
+#: tokens where numpy's str conversion and float() might part: underscores,
+#: padding, overflow, signed zero and NaN, a non-ASCII digit, a subnormal
+_FLOAT_EDGES = ["1_0", " 1.5 ", "1e500", "-0", "\u0661", "-nan", "-Infinity", "5e-324"]
 _TOKENS = {
     ColumnRole.ROW_ID: _TEXT,
     ColumnRole.DAY: st.integers(0, 2**31 - 1).map(str),
     ColumnRole.CATEGORICAL: st.one_of(
         st.sampled_from(["", "NaN", MISSING_TOKEN, "é", "日本"]), _TEXT),
     ColumnRole.CONTINUOUS: st.one_of(
-        st.sampled_from(["", "NaN", "nan", "-0.0", "inf", "1e400"]),
+        st.sampled_from(["", "NaN", "nan", "-0.0", "inf", "1e400", *_FLOAT_EDGES]),
         st.floats(allow_nan=False).map(repr)),
     ColumnRole.BINARY: st.sampled_from(["", "NaN", "0", "1", "0.0", "1.0"]),
     ColumnRole.LABEL_INSTALL: st.sampled_from(["0", "1", "0.0", "1.0", "-0.5", "1.9"]),
@@ -365,33 +368,6 @@ def test_block_parser_matches_the_row_loop_reference(case, block_lines):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.equals(w)
-
-
-#: tokens where numpy's str conversion and float() might part: underscores,
-#: padding, overflow, signed zero and NaN, a non-ASCII digit, a subnormal
-_FLOAT_EDGES = ["1_0", " 1.5 ", "1e500", "-0", "\u0661", "-nan", "NaN", "-Infinity", "5e-324"]
-
-
-@settings(max_examples=300, deadline=None)
-@given(tokens=st.lists(st.one_of(st.floats().map(repr), st.sampled_from(_FLOAT_EDGES)),
-                       max_size=40),
-       extra=st.sampled_from([None, "", "0x10"]))
-def test_numeric_block_parses_every_token_as_float_does(tokens, extra):
-    # an empty token is missing (NaN) and a bad one fails the block, in
-    # whichever position
-    at = len(tokens) // 2
-    if extra is not None:
-        tokens.insert(at, extra)
-    for role in (ColumnRole.CONTINUOUS, ColumnRole.BINARY):
-        got = tabular._parse_column(role, tokens, ",".join(tokens))
-        if extra == "0x10":
-            assert got is None
-            continue
-        want = np.array([float(t) if t else np.nan for t in tokens], dtype=np.float64)
-        assert got.dtype == np.float64
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-        if extra == "":
-            assert np.isnan(got[at])
 
 
 @settings(max_examples=100, deadline=None)
