@@ -14,28 +14,17 @@ from .boosting import (
     predict,
     save_model,
 )
-from .tree import (
-    CategoricalSplitNode,
-    GrownTree,
-    LeafNode,
-    Node,
-    NumericSplitNode,
-    grow_tree,
-    tree_output,
-)
+from .tree import GrownTree, Tree, grow_tree, tree_output
 
 __all__ = [
     "BinMapper",
     "CategoricalBins",
-    "CategoricalSplitNode",
     "GbdtError",
     "GbdtModel",
     "GbdtParams",
     "GrownTree",
-    "LeafNode",
-    "Node",
     "NumericBins",
-    "NumericSplitNode",
+    "Tree",
     "bin_table",
     "build_bin_mapper",
     "feature_importance",

@@ -93,8 +93,8 @@ class BinMapper:
     def n_bins(self) -> np.ndarray:
         return np.asarray([fb.n_bins for fb in self.feature_bins], dtype=np.int64)
 
-    def is_categorical(self, j: int) -> bool:
-        return isinstance(self.feature_bins[j], CategoricalBins)
+    def is_cat(self) -> np.ndarray:
+        return np.asarray([isinstance(fb, CategoricalBins) for fb in self.feature_bins], dtype=bool)
 
 
 def _numeric_thresholds(values: np.ndarray, max_bins: int) -> np.ndarray:
@@ -162,10 +162,11 @@ def bin_table(
     categorical under categorical bins, any other under numeric."""
     n = len(range(table.n_rows)[rows]) if isinstance(rows, slice) else len(rows)
     out = np.empty((mapper.n_features, n), dtype=np.uint8)
+    is_cat = mapper.is_cat()
     for j, name in enumerate(mapper.feature_names):
         role = table.schema.role(name)
-        if (role is ColumnRole.CATEGORICAL) != mapper.is_categorical(j):
-            binned_as = "categorical" if mapper.is_categorical(j) else "numeric"
+        if (role is ColumnRole.CATEGORICAL) != is_cat[j]:
+            binned_as = "categorical" if is_cat[j] else "numeric"
             raise GbdtError(
                 f"feature {name!r} is {role.value} in the table "
                 f"but the model bins it as {binned_as}"

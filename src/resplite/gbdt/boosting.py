@@ -34,14 +34,14 @@ from .binning import (
 )
 from .tree import (
     _SCORE_BLOCK,
-    Node,
+    Tree,
     _compile,
     _leaf_values,
     bin_counts,
     grow_tree,
-    node_from_json,
-    node_to_json,
+    tree_from_json,
     tree_output,
+    tree_to_json,
 )
 
 MODEL_FORMAT = "resplite-gbdt"
@@ -107,7 +107,7 @@ class GbdtModel:
     feature_names: tuple[str, ...]
     bin_mapper: BinMapper
     base_score: float
-    trees: list[Node]
+    trees: list[Tree]
     best_iteration: int
     split_counts: np.ndarray
     train_curve: list[float] = field(default_factory=list)
@@ -183,9 +183,7 @@ def fit(
     binned_valid = bin_table(mapper, valid)
     n_bins_all = mapper.n_bins()
     root_counts = bin_counts(binned_train)
-    is_cat = np.asarray(
-        [mapper.is_categorical(j) for j in range(mapper.n_features)], dtype=bool
-    )
+    is_cat = mapper.is_cat()
 
     base_score = math.log(pos_rate / (1.0 - pos_rate))
     scores = np.full(len(y_train), base_score, dtype=np.float64)
@@ -195,7 +193,7 @@ def fit(
     n_features = len(feature_names)
     n_sub = max(1, math.ceil(params.feature_fraction * n_features))
 
-    trees: list[Node] = []
+    trees: list[Tree] = []
     train_curve: list[float] = []
     valid_curve: list[float] = []
     best_iter = -1
@@ -232,8 +230,8 @@ def fit(
             break
         for rows, value in grown.leaf_updates:
             scores[rows] += value
-        valid_scores += tree_output(grown.root, binned_valid)
-        trees.append(grown.root)
+        valid_scores += tree_output(grown.tree, binned_valid)
+        trees.append(grown.tree)
         sigmoid(scores, out=p_train)
         train_curve.append(logloss(EvalBatch(y_train, p_train)))
         p_valid = sigmoid(valid_scores)
@@ -259,22 +257,17 @@ def fit(
     )
 
 
-def _split_counts(trees: list[Node], n_features: int) -> np.ndarray:
+def _split_counts(trees: list[Tree], n_features: int) -> np.ndarray:
     """The number of split nodes on each feature over the trees."""
-    counts = np.zeros(n_features, dtype=np.int64)
-    nodes = list(trees)
-    for node in nodes:  # the loop goes on over the children appended
-        if hasattr(node, "feature"):
-            counts[node.feature] += 1
-            nodes += (node.left, node.right)
-    return counts
+    features = np.concatenate([np.empty(0, dtype=np.int32), *(t.feature for t in trees)])
+    return np.bincount(features[features >= 0], minlength=n_features).astype(np.int64)
 
 
 def predict(model: GbdtModel, table: Table) -> np.ndarray:
     """Predicted installation probabilities for each row: the sigmoid of the
     raw score, computed one row block at a time; the sum runs over the trees
     in order, as in :func:`fit`."""
-    trees = [_compile(root) for root in model.trees]
+    trees = [_compile(tree) for tree in model.trees]
     out = np.empty(table.n_rows, dtype=np.float64)
     # at least one block, so that a table of no rows is checked too
     for start in range(0, max(table.n_rows, 1), _SCORE_BLOCK):
@@ -298,6 +291,7 @@ def feature_importance(model: GbdtModel) -> list[tuple[str, int]]:
 
 
 def save_model(model: GbdtModel, path) -> None:
+    is_cat = model.bin_mapper.is_cat()
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -307,7 +301,7 @@ def save_model(model: GbdtModel, path) -> None:
         "base_score": model.base_score,
         "best_iteration": model.best_iteration,
         "split_counts": [int(c) for c in model.split_counts],
-        "trees": [node_to_json(root) for root in model.trees],
+        "trees": [tree_to_json(tree, is_cat) for tree in model.trees],
         "train_curve": model.train_curve,
         "valid_curve": model.valid_curve,
     }
@@ -321,9 +315,13 @@ def load_model(path) -> GbdtModel:
     before anything is scored with it: a field of the wrong JSON type, a
     number too large for its field, a field that does not fit the model's
     bin mapper, or a ``best_iteration`` or ``split_counts`` that its trees do
-    not give raises :class:`GbdtError` naming the field (and the tree)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    not give raises :class:`GbdtError` naming the field (and the tree); so
+    does a file that is not UTF-8 JSON, naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise GbdtError(f"{path} is not a JSON document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise GbdtError(f"not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_VERSION:
@@ -351,16 +349,16 @@ def _model_from_json(doc: dict) -> GbdtModel:
     if not math.isfinite(base_score):
         raise GbdtError(f"base_score {base_score} is not finite")
     n_bins = mapper.n_bins()
-    is_cat = [mapper.is_categorical(j) for j in range(mapper.n_features)]
+    is_cat = mapper.is_cat()
     trees = []
     for t, tree in enumerate(doc["trees"]):
         try:
-            trees.append(node_from_json(tree, n_bins, is_cat))
+            trees.append(tree_from_json(tree, n_bins, is_cat))
         except KeyError as exc:
             raise GbdtError(f"tree {t}: a node lacks the field {exc}") from None
         except (TypeError, ValueError) as exc:  # GbdtError is a ValueError
             raise GbdtError(f"tree {t}: {exc}") from None
-        tree.clear()  # its nodes are made: drop its JSON while the rest loads
+        tree.clear()  # its arrays are made: drop its JSON while the rest loads
     best_iteration = json_value(doc["best_iteration"], (int,), "best_iteration")
     if best_iteration != len(trees):
         raise GbdtError(f"best_iteration {best_iteration} is not the tree count {len(trees)}")

@@ -39,6 +39,15 @@ partitions in place, left rows first, each side in row order: a leaf's rows
 are a contiguous view of it, so a tree allocates no row array that outlives
 a split (per-split arrays of changing sizes fragment the heap).
 
+A tree is held as preorder arrays (:class:`Tree`, after LightGBM's
+``Tree``): per node ``feature`` (-1 at a leaf) and ``right``, a split's
+right child (its left child is the next node); per split ``left``, the
+packed set of bins it sends left (:func:`_left_set`); per leaf ``value``,
+left to right.  With ``before[i]`` the number of leaves among nodes
+0..i-1 (a cumulative sum of the leaf flags), the left subtree of split i,
+nodes i + 1..right[i] - 1, holds leaves ``before[i]`` to
+``before[right[i]]``: that is how :func:`_compile` finds leaf ranges.
+
 Scoring walks no nodes (QuickScorer, Lucchese et al. 2015, over histogram
 bins).  Leaves are numbered left to right and each row carries one bit per
 leaf, in 64-leaf uint64 words.  A node that sends the row right rules out
@@ -59,7 +68,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -67,35 +75,19 @@ from ..tabular import code_dtype
 from .binning import STRIDE, GbdtError, json_float, json_value
 
 
-@dataclass(slots=True)
-class LeafNode:
-    value: float
+@dataclass(frozen=True, slots=True, eq=False)
+class Tree:
+    """One tree as preorder arrays (see the module docstring)."""
 
-
-@dataclass(slots=True)
-class NumericSplitNode:
-    feature: int
-    threshold_bin: int  # left = finite bins 1..threshold_bin
-    missing_left: bool
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(slots=True)
-class CategoricalSplitNode:
-    feature: int
-    left_bins: np.ndarray  # sorted bin ids routed left
-    missing_left: bool     # == (bin 0 in left_bins)
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[LeafNode, NumericSplitNode, CategoricalSplitNode]
+    feature: np.ndarray  # (nodes,) int32: the split feature, -1 at a leaf
+    right: np.ndarray    # (nodes,) int32: the right child, 0 at a leaf
+    left: np.ndarray     # (splits, 32) uint8: the bins each split sends left
+    value: np.ndarray    # (leaves,) float64: the leaf values, left to right
 
 
 @dataclass
 class GrownTree:
-    root: Node
+    tree: Tree
     leaf_updates: list[tuple[np.ndarray, float]]  # (train row indices, value)
     n_leaves: int
 
@@ -114,7 +106,7 @@ class _Split:
 
 
 class _Leaf:
-    __slots__ = ("rows", "depth", "grad", "hess", "count", "hist", "split", "node_box")
+    __slots__ = ("rows", "depth", "grad", "hess", "count", "hist", "split", "children")
 
     def __init__(self, rows, depth, grad, hess, count):
         self.rows = rows
@@ -124,7 +116,8 @@ class _Leaf:
         self.count = count
         self.hist: tuple[np.ndarray, np.ndarray] | None = None  # (G/H sums, counts)
         self.split: _Split | None = None
-        self.node_box: list = [None, None, None]  # split node, left, right
+        # once split: (the left set of :func:`_left_set`, left leaf, right leaf)
+        self.children: tuple[np.ndarray, _Leaf, _Leaf] | None = None
 
 
 def bin_counts(binned: np.ndarray) -> np.ndarray:
@@ -286,34 +279,31 @@ def _find_best_split(leaf: _Leaf, scan: _Scan, lam, min_data) -> _Split | None:
     )
 
 
-def _split_node(split: _Split) -> NumericSplitNode | CategoricalSplitNode:
-    """The split's node, with its children left for ``grow_tree`` to fill."""
-    if split.kind == "numeric":
-        return NumericSplitNode(
-            split.feature, split.threshold_bin, split.missing_left, None, None
-        )
-    return CategoricalSplitNode(
-        split.feature, split.left_bins, split.missing_left, None, None
-    )
-
-
 _ALL_BINS = np.arange(STRIDE)
 #: rows scored at a time, so that a block's uint64 words stay in cache
 _SCORE_BLOCK = 1 << 14
 
 
-def _left_mask(
-    node: NumericSplitNode | CategoricalSplitNode, bins_rows: np.ndarray
-) -> np.ndarray:
-    """Which rows the node sends left, given their bins of its feature."""
-    if isinstance(node, NumericSplitNode):
-        mask = bins_rows <= node.threshold_bin
-        if not node.missing_left:
-            mask &= bins_rows != 0
-        return mask
-    bitmap = np.zeros(STRIDE, dtype=bool)
-    bitmap[node.left_bins] = True
-    return bitmap[bins_rows]
+def _left_set(threshold_bin: int, missing_left: bool, left_bins: np.ndarray | None) -> np.ndarray:
+    """The 256-entry table of the bins a split sends left: finite bins
+    1..``threshold_bin`` and bin 0 if ``missing_left`` for a numeric split
+    (``left_bins`` None), else ``left_bins``."""
+    if left_bins is None:
+        table = _ALL_BINS <= threshold_bin
+        table[0] = missing_left
+        return table
+    table = np.zeros(STRIDE, dtype=bool)
+    table[left_bins] = True
+    return table
+
+
+def _tree(nodes: list[list[int]], sets: list[np.ndarray], values: list[float]) -> Tree:
+    """A :class:`Tree` from its preorder ``[feature, right]`` nodes, the
+    splits' left sets as 256-entry tables and the leaf values."""
+    sets = np.reshape(np.array(sets, dtype=bool), (-1, STRIDE))  # a lone leaf has none
+    feature, right = zip(*nodes)
+    return Tree(np.array(feature, dtype=np.int32), np.array(right, dtype=np.int32),
+                np.packbits(sets, axis=1, bitorder="little"), np.array(values, dtype=np.float64))
 
 
 def grow_tree(
@@ -371,8 +361,8 @@ def grow_tree(
     while heap and n_leaves < num_leaves:
         _, _, leaf = heapq.heappop(heap)
         split = leaf.split
-        node = _split_node(split)
-        mask = _left_mask(node, binned[split.feature][leaf.rows])
+        left_set = _left_set(split.threshold_bin, split.missing_left, split.left_bins)
+        mask = left_set[binned[split.feature][leaf.rows]]
         rows, n_left = leaf.rows, int(np.count_nonzero(mask))
         right_rows = rows[~mask]
         rows[:n_left] = rows[mask]
@@ -385,7 +375,7 @@ def grow_tree(
             leaf.grad - split.grad_left, leaf.hess - split.hess_left, len(rows_r),
         )
         leaf.rows = None
-        leaf.node_box = [node, left, right]
+        leaf.children = (left_set, left, right)
         n_leaves += 1
         if n_leaves == num_leaves:
             break  # the children stay leaves: no histogram, no scan
@@ -409,23 +399,26 @@ def grow_tree(
             rest.hist = None
         del heap[num_leaves - n_leaves :]
 
-    leaf_updates: list[tuple[np.ndarray, float]] = []
+    nodes, sets, values, leaf_updates = [], [], [], []
+    stack = [(root, None)]  # (leaf, the node whose right child it is)
+    while stack:  # preorder: a split's left subtree is popped before its right
+        leaf, parent = stack.pop()
+        if parent is not None:
+            parent[1] = len(nodes)
+        if leaf.children is None:  # never split: a terminal leaf
+            value = float(-leaf.grad / (leaf.hess + lam) * learning_rate)
+            leaf_updates.append((leaf.rows, value))
+            values.append(value)
+            nodes.append([-1, 0])
+        else:
+            left_set, left, right = leaf.children
+            nodes.append([leaf.split.feature, 0])
+            sets.append(left_set)
+            stack += [(right, nodes[-1]), (left, None)]
+    return GrownTree(_tree(nodes, sets, values), leaf_updates, n_leaves)
 
-    def finalize(leaf: _Leaf) -> Node:
-        node, left, right = leaf.node_box
-        if left is None:  # never split: a terminal leaf
-            value = -leaf.grad / (leaf.hess + lam) * learning_rate
-            leaf_updates.append((leaf.rows, float(value)))
-            return LeafNode(float(value))
-        node.left = finalize(left)
-        node.right = finalize(right)
-        return node
 
-    tree_root = finalize(root)
-    return GrownTree(tree_root, leaf_updates, n_leaves)
-
-
-def _compile(root: Node) -> list[tuple[np.ndarray, list]]:
+def _compile(tree: Tree) -> list[tuple[np.ndarray, list]]:
     """The tree as leaf bitmasks (see the module docstring).
 
     Returns, per 64-leaf word, the leaf values of the word after one pad
@@ -435,32 +428,24 @@ def _compile(root: Node) -> list[tuple[np.ndarray, list]]:
     feature rules out for a row in bin ``b``.  A word whose leaves no node
     rules out (one leaf, the tree's last) gets no table.
     """
-    values: list[float] = []
-    cuts: list[tuple[int, np.ndarray, int, int]] = []  # feature, right bins, left leaves
-
-    def number(node: Node) -> None:
-        if isinstance(node, LeafNode):
-            values.append(node.value)
-            return
-        first = len(values)
-        number(node.left)
-        cuts.append((node.feature, ~_left_mask(node, _ALL_BINS), first, len(values)))
-        number(node.right)
-
-    number(root)
-    features = sorted({f for f, *_ in cuts})
+    values = tree.value
+    splits = np.flatnonzero(tree.feature >= 0)
+    features, planes = np.unique(tree.feature[splits], return_inverse=True)
+    before = np.concatenate(([0], np.cumsum(tree.feature < 0)))
+    first, end = before[splits], before[tree.right[splits]]  # left subtrees' leaves
+    left_sets = np.unpackbits(tree.left, axis=1, bitorder="little").view(bool)
     n_words = -(-len(values) // 64)
     keep = np.zeros((len(features) + 1, STRIDE, 64 * n_words), dtype=bool)
     keep[:, :, : len(values)] = True  # the last plane is the valid-leaf mask
-    for f, right, first, end in cuts:
-        keep[features.index(f), right, first:end] = False
+    for plane, left, lo, hi in zip(planes, left_sets, first, end):
+        keep[plane, ~left, lo:hi] = False
     packed = np.packbits(keep, axis=2, bitorder="little").view("<u8").astype(np.uint64)
     padded = np.zeros((n_words, 65), dtype=np.float64)  # a pad, then 64 leaves
     padded[:, 1:].flat[: len(values)] = values
     words = []
     for w in range(n_words):
         valid = packed[-1, 0, w]
-        masks = [(f, packed[i, :, w].copy()) for i, f in enumerate(features)
+        masks = [(f, packed[i, :, w].copy()) for i, f in enumerate(features.tolist())
                  if (packed[i, :, w] != valid).any()]
         words.append((padded[w], masks))
     return words
@@ -487,71 +472,97 @@ def _leaf_values(compiled: list[tuple[np.ndarray, list]], cols: np.ndarray) -> n
     return out
 
 
-def tree_output(root: Node, binned: np.ndarray) -> np.ndarray:
+def tree_output(tree: Tree, binned: np.ndarray) -> np.ndarray:
     """The tree's leaf value for every column of the binned matrix, scored
     in one block: ``fit`` scores the valid day with it, at most a day of rows."""
-    return _leaf_values(_compile(root), binned)
+    return _leaf_values(_compile(tree), binned)
 
 
-def node_to_json(node: Node) -> dict:
-    if isinstance(node, LeafNode):
-        return {"leaf": node.value}
-    doc = {
-        "feature": node.feature,
-        "left": node_to_json(node.left),
-        "right": node_to_json(node.right),
-        "missing_left": node.missing_left,
-    }
-    if isinstance(node, NumericSplitNode):
-        doc["threshold_bin"] = node.threshold_bin
-    else:
-        doc["left_bins"] = [int(b) for b in node.left_bins]
-    return doc
+def tree_to_json(tree: Tree, is_cat) -> dict:
+    """The tree as nested node documents: ``{"leaf": value}`` for a leaf; a
+    split holds its ``feature``, ``missing_left``, ``left`` and ``right``
+    nodes, and its ``threshold_bin`` if the feature is numeric (``is_cat``
+    false) or its ascending ``left_bins`` if categorical."""
+    left_sets = iter(np.unpackbits(tree.left, axis=1, bitorder="little"))  # in preorder
+    values = iter(tree.value.tolist())  # in preorder, which is left to right
+
+    def node(i: int) -> dict:
+        f = int(tree.feature[i])
+        if f < 0:
+            return {"leaf": next(values)}
+        bins = np.flatnonzero(next(left_sets)).tolist()
+        doc = {"feature": f, "left": node(i + 1), "right": node(int(tree.right[i])),
+               "missing_left": bins[0] == 0}
+        if is_cat[f]:
+            doc["left_bins"] = bins
+        else:
+            doc["threshold_bin"] = bins[-1]
+        return doc
+
+    return node(0)
 
 
-def node_from_json(doc: dict, n_bins: np.ndarray, is_cat: np.ndarray) -> Node:
-    """Parse a node saved by :func:`node_to_json`, checking it against the
-    model's per-feature ``n_bins`` and ``is_cat``; a value the scorer cannot
-    route raises :class:`GbdtError` naming its field."""
-    if "leaf" in doc:
-        value = json_float(doc["leaf"], "leaf value")
-        if not math.isfinite(value):
-            raise GbdtError(f"leaf value {value} is not finite")
-        return LeafNode(value)
-    feature = json_value(doc["feature"], (int,), "feature")
-    if not 0 <= feature < len(n_bins):
-        raise GbdtError(f"feature {feature} is outside [0, {len(n_bins)})")
-    bins = int(n_bins[feature])
-    missing_left = json_value(doc["missing_left"], (bool,), f"missing_left of feature {feature}")
-    numeric = "threshold_bin" in doc
-    if numeric == bool(is_cat[feature]):
-        kind = "categorical" if is_cat[feature] else "numeric"
-        field = "threshold_bin" if numeric else "left_bins"
-        raise GbdtError(f"feature {feature} is {kind} but its node has {field}")
-    left = node_from_json(doc["left"], n_bins, is_cat)
-    right = node_from_json(doc["right"], n_bins, is_cat)
-    if numeric:
-        threshold = json_value(doc["threshold_bin"], (int,), f"threshold_bin of feature {feature}")
-        if not 1 <= threshold <= bins - 2:
-            raise GbdtError(
-                f"threshold_bin {threshold} of feature {feature} is outside [1, {bins - 2}]"
-            )
-        return NumericSplitNode(feature, threshold, missing_left, left, right)
-    entries = doc["left_bins"]
-    if set(map(type, entries)) - {int}:  # name the first entry that is no int
-        for b in entries:
-            json_value(b, (int,), f"a left_bins entry of feature {feature}")
-    try:
-        left_bins = np.asarray(entries, dtype=np.int64)
-    except OverflowError:  # an entry beyond int64 is beyond every bin too
-        left_bins = np.empty(0, dtype=np.int64)
-    if not (
-        len(left_bins) and 0 <= left_bins[0] and left_bins[-1] < bins
-        and (left_bins[1:] > left_bins[:-1]).all()
-    ):
-        raise GbdtError(
-            f"left_bins of feature {feature} are not ascending bins in [0, {bins})"
+def tree_from_json(doc: dict, n_bins: np.ndarray, is_cat) -> Tree:
+    """Parse a tree saved by :func:`tree_to_json`, checking each node against
+    the model's per-feature ``n_bins`` and ``is_cat``; a value the scorer
+    cannot route raises :class:`GbdtError` naming its field."""
+    nodes, sets, values = [], [], []
+
+    def parse(doc: dict) -> None:
+        """Append the node and its subtrees in preorder."""
+        if "leaf" in doc:
+            value = json_float(doc["leaf"], "leaf value")
+            if not math.isfinite(value):
+                raise GbdtError(f"leaf value {value} is not finite")
+            values.append(value)
+            nodes.append([-1, 0])
+            return
+        feature = json_value(doc["feature"], (int,), "feature")
+        if not 0 <= feature < len(n_bins):
+            raise GbdtError(f"feature {feature} is outside [0, {len(n_bins)})")
+        bins = int(n_bins[feature])
+        missing_left = json_value(
+            doc["missing_left"], (bool,), f"missing_left of feature {feature}"
         )
-    if missing_left != (left_bins[0] == 0):
-        raise GbdtError(f"missing_left of feature {feature} disagrees with its left_bins")
-    return CategoricalSplitNode(feature, left_bins, missing_left, left, right)
+        numeric = "threshold_bin" in doc
+        if numeric == bool(is_cat[feature]):
+            kind = "categorical" if is_cat[feature] else "numeric"
+            field = "threshold_bin" if numeric else "left_bins"
+            raise GbdtError(f"feature {feature} is {kind} but its node has {field}")
+        node, k = [feature, 0], len(sets)
+        nodes.append(node)
+        sets.append(None)  # set once the node is checked, after its subtrees
+        parse(doc["left"])
+        node[1] = len(nodes)
+        parse(doc["right"])
+        if numeric:
+            threshold = json_value(
+                doc["threshold_bin"], (int,), f"threshold_bin of feature {feature}"
+            )
+            if not 1 <= threshold <= bins - 2:
+                raise GbdtError(
+                    f"threshold_bin {threshold} of feature {feature} is outside [1, {bins - 2}]"
+                )
+            sets[k] = _left_set(threshold, missing_left, None)
+            return
+        entries = doc["left_bins"]
+        if set(map(type, entries)) - {int}:  # name the first entry that is no int
+            for b in entries:
+                json_value(b, (int,), f"a left_bins entry of feature {feature}")
+        try:
+            left_bins = np.asarray(entries, dtype=np.int64)
+        except OverflowError:  # an entry beyond int64 is beyond every bin too
+            left_bins = np.empty(0, dtype=np.int64)
+        if not (
+            len(left_bins) and 0 <= left_bins[0] and left_bins[-1] < bins
+            and (left_bins[1:] > left_bins[:-1]).all()
+        ):
+            raise GbdtError(
+                f"left_bins of feature {feature} are not ascending bins in [0, {bins})"
+            )
+        if missing_left != (left_bins[0] == 0):
+            raise GbdtError(f"missing_left of feature {feature} disagrees with its left_bins")
+        sets[k] = _left_set(0, missing_left, left_bins)
+
+    parse(doc)
+    return _tree(nodes, sets, values)

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from resplite.gbdt import GbdtModel, LeafNode, Node, bin_table, tree_output
+from resplite.gbdt import GbdtModel, bin_table, tree_output
+from resplite.gbdt.tree import tree_to_json
 from resplite.tabular import (
     MISSING_TOKEN, ColumnRole, Schema, SplitPlan, Table, ingest_csv_group, split_rows,
 )
@@ -106,16 +107,21 @@ def predict_raw(model: GbdtModel, table: Table) -> np.ndarray:
     the base score plus each tree's leaf values, in tree order."""
     binned = bin_table(model.bin_mapper, table)
     scores = np.full(table.n_rows, model.base_score, dtype=np.float64)
-    for root in model.trees:
-        scores += tree_output(root, binned)
+    for tree in model.trees:
+        scores += tree_output(tree, binned)
     return scores
 
 
-def count_leaves(root: Node) -> int:
-    if isinstance(root, LeafNode):
+def tree_docs(model: GbdtModel) -> list[dict]:
+    """The model's trees as the JSON node documents that ``save_model`` writes."""
+    return [tree_to_json(tree, model.bin_mapper.is_cat()) for tree in model.trees]
+
+
+def count_leaves(doc: dict) -> int:
+    if "leaf" in doc:
         return 1
-    return count_leaves(root.left) + count_leaves(root.right)
+    return count_leaves(doc["left"]) + count_leaves(doc["right"])
 
 
 def total_leaves(model: GbdtModel) -> int:
-    return sum(count_leaves(root) for root in model.trees)
+    return sum(count_leaves(doc) for doc in tree_docs(model))

@@ -9,12 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from resplite import metrics, pipeline
 from resplite.gbdt import (
-    CategoricalSplitNode,
     GbdtError,
     GbdtModel,
     GbdtParams,
-    LeafNode,
-    NumericSplitNode,
     feature_importance,
     fit,
     load_model,
@@ -33,21 +30,14 @@ from resplite.gbdt.binning import (
     build_bin_mapper,
 )
 from resplite.gbdt.boosting import _grad_hess
-from resplite.gbdt.tree import (
-    _SCORE_BLOCK,
-    Node,
-    _build_hist,
-    _compile,
-    _left_mask,
-    _scan_plan,
-    node_from_json,
-)
+from resplite.gbdt.tree import _SCORE_BLOCK, _build_hist, _compile, _scan_plan, tree_from_json
 from resplite.pipeline import train_stage
 from resplite.report import write_predictions_csv
 from resplite.tabular import ColumnRole, MISSING_TOKEN, Schema, SplitPlan, Table, split_rows
 
 from conftest import (
     count_leaves, dictionary_of, make_cat_table, make_table, predict_raw, split, total_leaves,
+    tree_docs,
 )
 
 
@@ -285,9 +275,10 @@ class TestPredict:
         base = math.log(0.4 / 0.6)
         v, lr = 0.7, 0.05
         mapper = BinMapper(("x0",), (NumericBins(np.array([0.0])),))
-        stump = NumericSplitNode(
-            feature=0, threshold_bin=1, missing_left=True,
-            left=LeafNode(-v * lr), right=LeafNode(+v * lr),
+        stump = tree_from_json(
+            {"feature": 0, "threshold_bin": 1, "missing_left": True,
+             "left": {"leaf": -v * lr}, "right": {"leaf": +v * lr}},
+            mapper.n_bins(), [False],
         )
         model = GbdtModel(
             params=GbdtParams(num_leaves=2),
@@ -390,15 +381,15 @@ class TestImportance:
                     train, valid, ["x0", "x1"])
 
         def walk(node, counter):
-            if isinstance(node, LeafNode):
+            if "leaf" in node:
                 return
-            counter[node.feature] += 1
-            walk(node.left, counter)
-            walk(node.right, counter)
+            counter[node["feature"]] += 1
+            walk(node["left"], counter)
+            walk(node["right"], counter)
 
         oracle = np.zeros(2, dtype=int)
-        for root in model.trees:
-            walk(root, oracle)
+        for doc in tree_docs(model):
+            walk(doc, oracle)
         assert model.split_counts.tolist() == oracle.tolist()
         assert model.split_counts.sum() == total_leaves(model) - model.n_trees
         ranked = feature_importance(model)
@@ -409,8 +400,8 @@ class TestImportance:
         params = GbdtParams(num_leaves=6, num_iterations=30,
                             early_stopping_rounds=30, min_data_in_leaf=5)
         model = fit(params, train, valid, ["x0"])
-        for root in model.trees:
-            assert count_leaves(root) <= 6
+        for doc in tree_docs(model):
+            assert count_leaves(doc) <= 6
 
 
 def _reference_bin_column(fb: NumericBins, values: np.ndarray) -> np.ndarray:
@@ -586,53 +577,50 @@ class TestRawScores:
         assert np.allclose(1 / (1 + np.exp(-raw)), probs)
 
 
-def _reference_tree_output(root: Node, binned: np.ndarray) -> np.ndarray:
+def _reference_tree_output(doc: dict, binned: np.ndarray) -> np.ndarray:
     """The per-node traversal that ``tree_output`` replaced: partition the
-    row indices at every node by the node's bin routing."""
+    row indices at every node of the tree's JSON document by the node's bin
+    routing."""
     n = binned.shape[1]
     out = np.empty(n, dtype=np.float64)
-    stack: list[tuple[Node, np.ndarray]] = [(root, np.arange(n, dtype=np.int64))]
+    stack: list[tuple[dict, np.ndarray]] = [(doc, np.arange(n, dtype=np.int64))]
     while stack:
         node, idx = stack.pop()
-        if isinstance(node, LeafNode):
-            out[idx] = node.value
+        if "leaf" in node:
+            out[idx] = node["leaf"]
             continue
-        mask = _left_mask(node, binned[node.feature][idx])
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
+        bins = binned[node["feature"]][idx]
+        if "threshold_bin" in node:
+            mask = (bins <= node["threshold_bin"]) & (node["missing_left"] | (bins != 0))
+        else:
+            mask = np.isin(bins, node["left_bins"])
+        stack.append((node["left"], idx[mask]))
+        stack.append((node["right"], idx[~mask]))
     return out
 
 
-def _random_tree(rng, n_leaves, n_bins, is_cat) -> Node:
-    """A tree of ``n_leaves`` leaves grown by splitting random leaves, so
-    paths reuse features; categorical ``left_bins`` may hold bin 0."""
-    root = LeafNode(0.0)
-    leaves = [(root, None, None)]  # leaf, parent, side
+def _random_tree(rng, n_leaves, n_bins, is_cat) -> dict:
+    """The JSON document of a tree of ``n_leaves`` leaves grown by splitting
+    random leaves, so paths reuse features; categorical ``left_bins`` may
+    hold bin 0."""
+    root = {"leaf": 0.0}
+    leaves = [root]
     while len(leaves) < n_leaves:
-        leaf, parent, side = leaves.pop(int(rng.integers(len(leaves))))
+        node = leaves.pop(int(rng.integers(len(leaves))))
+        del node["leaf"]  # the leaf becomes a split in place
         f = int(rng.integers(len(n_bins)))
         if is_cat[f]:
             size = int(rng.integers(1, n_bins[f]))
-            left_bins = np.sort(rng.choice(n_bins[f], size=size, replace=False))
-            node = CategoricalSplitNode(f, left_bins, bool(left_bins[0] == 0), None, None)
+            left_bins = np.sort(rng.choice(n_bins[f], size=size, replace=False)).tolist()
+            node.update(feature=f, left_bins=left_bins, missing_left=left_bins[0] == 0)
         else:
-            node = NumericSplitNode(f, int(rng.integers(1, n_bins[f] - 1)),
-                                    bool(rng.integers(2)), None, None)
-        node.left, node.right = LeafNode(0.0), LeafNode(0.0)
-        if parent is None:
-            root = node
-        else:
-            setattr(parent, side, node)
-        leaves += [(node.left, node, "left"), (node.right, node, "right")]
-    for leaf, _, _ in leaves:
-        leaf.value = float(rng.standard_normal())
+            node.update(feature=f, threshold_bin=int(rng.integers(1, n_bins[f] - 1)),
+                        missing_left=bool(rng.integers(2)))
+        node.update(left={"leaf": 0.0}, right={"leaf": 0.0})
+        leaves += [node["left"], node["right"]]
+    for leaf in leaves:
+        leaf["leaf"] = float(rng.standard_normal())
     return root
-
-
-def _leaf_nodes(node: Node) -> list[LeafNode]:
-    if isinstance(node, LeafNode):
-        return [node]
-    return _leaf_nodes(node.left) + _leaf_nodes(node.right)
 
 
 class TestTreeOutput:
@@ -643,10 +631,10 @@ class TestTreeOutput:
         rng = np.random.Generator(np.random.PCG64(seed))
         n_bins = rng.integers(3, 257, n_features)
         is_cat = rng.random(n_features) < 0.5
-        root = _random_tree(rng, n_leaves, n_bins, is_cat)
+        doc = _random_tree(rng, n_leaves, n_bins, is_cat)
         binned = np.stack([rng.integers(0, b, n_rows) for b in n_bins]).astype(np.uint8)
-        got = tree_output(root, binned)
-        want = _reference_tree_output(root, binned)
+        got = tree_output(tree_from_json(doc, n_bins, is_cat), binned)
+        want = _reference_tree_output(doc, binned)
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -659,9 +647,9 @@ class TestTreeOutput:
         rng = np.random.Generator(np.random.PCG64(seed))
         n_bins = rng.integers(3, 257, n_features)
         is_cat = rng.random(n_features) < 0.5
-        root = _random_tree(rng, n_leaves, n_bins, is_cat)
-        leaf_values = [leaf.value for leaf in _leaf_nodes(root)]
-        words = _compile(root)
+        doc = _random_tree(rng, n_leaves, n_bins, is_cat)
+        leaf_values = [leaf["leaf"] for leaf in _leaves(doc)]
+        words = _compile(tree_from_json(doc, n_bins, is_cat))
         assert len(words) == -(-n_leaves // 64)
         for w, (values, masks) in enumerate(words):
             in_word = min(64, n_leaves - 64 * w)
@@ -676,7 +664,7 @@ class TestTreeOutput:
             assert masks or in_word == 1
 
     def test_root_leaf_from_json(self):
-        root = node_from_json({"leaf": -0.25}, np.array([3]), np.array([False]))
+        root = tree_from_json({"leaf": -0.25}, np.array([3]), np.array([False]))
         binned = np.arange(256, dtype=np.uint8)[None, :]
         assert tree_output(root, binned).tolist() == [-0.25] * 256
 
@@ -685,18 +673,19 @@ class TestTreeOutput:
         # a chain of 64 nodes on one feature, each with a leaf on ``side``:
         # bin b leaves the chain at its own depth, so all 65 leaves are
         # reached, and one of them sits alone in the second 64-leaf word
-        node = LeafNode(64.0)
+        node = {"leaf": 64.0}
         for k in reversed(range(64)):
-            leaf = LeafNode(float(k))
+            leaf = {"leaf": float(k)}
             if side == "right":  # bins above k + 1 go on down the chain
-                split = NumericSplitNode(0, k + 1, bool(k % 2), leaf, node)
+                split = {"threshold_bin": k + 1, "left": leaf, "right": node}
             else:  # bins up to 254 - k go on down the chain
-                split = NumericSplitNode(0, 254 - k, bool(k % 2), node, leaf)
-            node = split
+                split = {"threshold_bin": 254 - k, "left": node, "right": leaf}
+            node = {"feature": 0, "missing_left": bool(k % 2), **split}
         binned = np.arange(256, dtype=np.uint8)[None, :]
         want = _reference_tree_output(node, binned)
         assert len(np.unique(want)) == 65
-        assert np.array_equal(tree_output(node, binned), want)
+        chain = tree_from_json(node, np.array([256]), np.array([False]))
+        assert np.array_equal(tree_output(chain, binned), want)
 
 
 def _scoring_table(rng, n):
@@ -717,8 +706,9 @@ def _random_model(rng, n_trees, n_leaves) -> GbdtModel:
     """A model of random trees over the bins of a 2,000-row scoring table."""
     mapper = build_bin_mapper(_scoring_table(rng, 2000), ["x0", "c0", "x1"], 255)
     n_bins = mapper.n_bins()
-    is_cat = np.array([mapper.is_categorical(j) for j in range(3)])
-    trees = [_random_tree(rng, n_leaves, n_bins, is_cat) for _ in range(n_trees)]
+    is_cat = mapper.is_cat()
+    trees = [tree_from_json(_random_tree(rng, n_leaves, n_bins, is_cat), n_bins, is_cat)
+             for _ in range(n_trees)]
     return GbdtModel(params=GbdtParams(), feature_names=mapper.feature_names,
                      bin_mapper=mapper, base_score=-1.3, trees=trees,
                      best_iteration=n_trees, split_counts=np.zeros(3, dtype=np.int64))
@@ -736,8 +726,8 @@ class TestRowBlockScoring:
         table = _scoring_table(rng, n_rows)
         binned = bin_table(model.bin_mapper, table)
         want = np.full(n_rows, model.base_score)
-        for root in model.trees:
-            want += tree_output(root, binned)
+        for tree in model.trees:
+            want += tree_output(tree, binned)
         raw = predict_raw(model, table)
         assert raw.dtype == np.float64 and raw.shape == (n_rows,)
         assert np.array_equal(raw.view(np.uint64), want.view(np.uint64))
@@ -808,6 +798,9 @@ class TestModelRoundTrip:
             assert np.array_equal(predict_raw(again, table).view(np.uint64),
                                   predict_raw(model, table).view(np.uint64))
         assert again.params == model.params
+        # the writer and the reader are inverses
+        save_model(again, path.with_name("again.json"))
+        assert path.with_name("again.json").read_bytes() == path.read_bytes()
 
 
 @st.composite
@@ -1031,6 +1024,21 @@ class TestModelValidation:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(mixed_model_doc))
         assert load_model(path).n_trees == len(mixed_model_doc["trees"])
+
+    def test_unreadable_file_fails_loudly(self, tmp_path):
+        # every prefix short of the closing brace, and a byte that no UTF-8
+        # text starts with
+        train, valid = separable_tables(300, 60, seed=5)
+        model = fit(GbdtParams(num_leaves=3, num_iterations=2, early_stopping_rounds=2,
+                               max_bins=4, min_data_in_leaf=5), train, valid, ["x0"])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        saved = path.read_bytes()
+        assert model.n_trees == 2
+        for data in [saved[:k] for k in range(len(saved) - 1)] + [b"\xff" + saved]:
+            path.write_bytes(data)
+            with pytest.raises(GbdtError, match=f"{path} is not a JSON document"):
+                load_model(path)
 
     @pytest.mark.parametrize("name", list(MODEL_CORRUPTIONS))
     def test_corrupted_field_fails_loudly(self, mixed_model_doc, tmp_path, name):

@@ -414,14 +414,15 @@ def test_a_split_no_child_of_which_can_be_scanned_builds_nothing(
     assert grown.n_leaves == n_leaves
     assert all(done.hist is None for done in scanned)
     assert calls == {"_build_hist": 2, "_find_best_split": scans}
-    assert _grown_fields(grown) == _grown_fields(_reference_grow_tree(*case))
+    assert _grown_fields(grown, case[2]) == _reference_grow_tree(*case)
 
 
 def _reference_grow_tree(binned, n_bins_all, is_cat, grad, hess, subset, root_counts,
                          num_leaves, max_depth, min_data, lam, learning_rate):
     """``grow_tree`` as it was before it dropped the histograms of leaves
     past the leaf budget and derived siblings in the parent's buffer: every
-    frontier leaf keeps its histogram until it is popped."""
+    frontier leaf keeps its histogram until it is popped.  Returns the
+    fields of :func:`_grown_fields`, from the tree's JSON node document."""
     n = binned.shape[1]
     scan = _scan_plan(subset, n_bins_all, is_cat)
     root = _Leaf(np.arange(n, dtype=np.int64), 0, float(grad.sum()), float(hess.sum()), n)
@@ -432,17 +433,21 @@ def _reference_grow_tree(binned, n_bins_all, is_cat, grad, hess, subset, root_co
     heap = [(-root.split.gain, 0, root)]
     seq = 0
     n_leaves = 1
+    children = {}  # split leaf -> (left leaf, right leaf)
     while heap and n_leaves < num_leaves:
         _, _, leaf = heapq.heappop(heap)
         split = leaf.split
-        node = tree._split_node(split)
-        mask = tree._left_mask(node, binned[split.feature][leaf.rows])
+        bins = binned[split.feature][leaf.rows]
+        if split.kind == "numeric":
+            mask = (bins <= split.threshold_bin) & (split.missing_left | (bins != 0))
+        else:
+            mask = np.isin(bins, split.left_bins)
         rows_l, rows_r = leaf.rows[mask], leaf.rows[~mask]
         left = _Leaf(rows_l, leaf.depth + 1, split.grad_left, split.hess_left, len(rows_l))
         right = _Leaf(rows_r, leaf.depth + 1, leaf.grad - split.grad_left,
                       leaf.hess - split.hess_left, len(rows_r))
         leaf.rows = None
-        leaf.node_box = [node, left, right]
+        children[leaf] = (left, right)
         n_leaves += 1
         if n_leaves == num_leaves:
             break
@@ -462,25 +467,35 @@ def _reference_grow_tree(binned, n_bins_all, is_cat, grad, hess, subset, root_co
     leaf_updates = []
 
     def finalize(leaf):
-        node, left, right = leaf.node_box
-        if left is None:
+        if leaf not in children:
             value = -leaf.grad / (leaf.hess + lam) * learning_rate
             leaf_updates.append((leaf.rows, float(value)))
-            return tree.LeafNode(float(value))
-        node.left = finalize(left)
-        node.right = finalize(right)
-        return node
+            return {"leaf": float(value)}
+        split = leaf.split
+        doc = {"feature": split.feature, "missing_left": split.missing_left,
+               "left": finalize(children[leaf][0]), "right": finalize(children[leaf][1])}
+        if split.kind == "numeric":
+            doc["threshold_bin"] = split.threshold_bin
+        else:
+            doc["left_bins"] = split.left_bins.tolist()
+        return doc
 
-    return tree.GrownTree(finalize(root), leaf_updates, n_leaves)
+    return _tree_fields(finalize(root), n_leaves, leaf_updates)
 
 
-def _grown_fields(grown):
-    """Everything a grown tree holds, floats as their bits."""
+def _tree_fields(doc, n_leaves, leaf_updates):
+    # repr of a float is exact, and json writes it so
+    return (json.dumps(doc, sort_keys=True), n_leaves,
+            [(rows.tolist(), value.hex()) for rows, value in leaf_updates])
+
+
+def _grown_fields(grown, is_cat):
+    """Everything a grown tree holds, floats as their bits: its JSON node
+    document, leaf count and leaf updates."""
     if grown is None:
         return None
-    # repr of a float is exact, and json writes it so
-    return (json.dumps(tree.node_to_json(grown.root)), grown.n_leaves,
-            [(rows.tolist(), value.hex()) for rows, value in grown.leaf_updates])
+    return _tree_fields(tree.tree_to_json(grown.tree, is_cat), grown.n_leaves,
+                        grown.leaf_updates)
 
 
 @st.composite
@@ -509,13 +524,13 @@ def grow_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=grow_cases())
 def test_grow_tree_equals_the_reference_loop(case):
-    want = _grown_fields(_reference_grow_tree(*case))
-    assert _grown_fields(tree.grow_tree(*case)) == want
+    want = _reference_grow_tree(*case)
+    assert _grown_fields(tree.grow_tree(*case), case[2]) == want
     # a reused row buffer, holding stale rows, grows the same tree, and the
     # leaf updates are views of it
     order = np.full(case[0].shape[1], -1, dtype=np.int64)
     grown = tree.grow_tree(*case, order=order)
-    assert _grown_fields(grown) == want
+    assert _grown_fields(grown, case[2]) == want
     assert grown is None or all(np.shares_memory(r, order) for r, _ in grown.leaf_updates)
 
 
@@ -553,7 +568,7 @@ def test_grow_tree_holds_at_most_32_histograms_for_63_leaves(monkeypatch):
     assert grown.n_leaves == 63
     assert max(live) <= 32, f"{max(live)} live histograms"
     assert max(live) > 1  # the sampling sees the histograms at all
-    assert _grown_fields(grown) == _grown_fields(_reference_grow_tree(*case))
+    assert _grown_fields(grown, case[2]) == _reference_grow_tree(*case)
 
 
 @pytest.mark.parametrize("n, count_dtype", [
@@ -583,4 +598,4 @@ def test_count_planes_hold_every_row_at_the_dtype_edges(n, count_dtype):
     assert _fields(_find_best_split(root, scan, 1.0, 5)) == _fields(
         _reference_split(root, subset, n_bins_all, is_cat, 1.0, 5))
     case = (binned, n_bins_all, is_cat, grad, hess, subset, root_counts, 15, -1, 5, 1.0, 0.1)
-    assert _grown_fields(tree.grow_tree(*case)) == _grown_fields(_reference_grow_tree(*case))
+    assert _grown_fields(tree.grow_tree(*case), is_cat) == _reference_grow_tree(*case)
