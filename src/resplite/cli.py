@@ -24,8 +24,8 @@ import numpy as np
 
 from . import denoise as denoise_mod, encoders as enc_mod, pipeline
 from .advval import AdvConfig
-from .gbdt import params_from_json
-from .report import read_predictions_csv, save_correlation_csv, write_json
+from .gbdt import GbdtError, params_from_json
+from .report import read_json, read_predictions_csv, save_correlation_csv, write_json
 from .tabular import SplitPlan, save_binary
 
 
@@ -33,6 +33,16 @@ def _out_dir(args) -> Path:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
+
+
+def _dests(out_dir, inputs: list[str], name) -> list[Path]:
+    """``out_dir / name(stem)`` for each input's file stem.  Two inputs that
+    would write one file raise, naming both, before anything is written."""
+    dests = [Path(out_dir) / name(Path(src).stem) for src in inputs]
+    for i, dest in enumerate(dests):
+        if dest in dests[:i]:
+            raise ValueError(f"{inputs[dests.index(dest)]} and {inputs[i]} would both write {dest}")
+    return dests
 
 
 def _cmd_synth(args) -> int:
@@ -43,10 +53,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    dests = _dests(args.out_dir, args.inputs, "{}.rlt".format)
     tables = pipeline.load_tables(args.inputs, args.schema)
-    out_dir = _out_dir(args)
-    for src, table in zip(args.inputs, tables):
-        dest = out_dir / (Path(src).stem + ".rlt")
+    _out_dir(args)
+    for src, dest, table in zip(args.inputs, dests, tables):
         save_binary(table, dest)
         print(f"{src} -> {dest} ({table.n_rows} rows)")
     return 0
@@ -64,12 +74,12 @@ def _cmd_adversarial(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
+    dests = _dests(args.out_dir, args.apply_to, "denoised_{}.rlt".format)
     tables = pipeline.load_tables([args.table] + args.apply_to, args.schema)
     out_dir = _out_dir(args)
     estimates, _, transformed = pipeline.denoise_stage(tables, args.tol_rel, out_dir)
     save_binary(transformed[0], out_dir / "denoised.rlt")
-    for src, t in zip(args.apply_to, transformed[1:]):
-        dest = out_dir / f"denoised_{Path(src).stem}.rlt"
+    for src, dest, t in zip(args.apply_to, dests, transformed[1:]):
         save_binary(t, dest)
         print(f"also transformed {src} -> {dest}")
     for e in estimates:
@@ -99,8 +109,7 @@ def _cmd_encode(args) -> int:
     if args.state:
         encoded = enc_mod.apply_encoders(enc_mod.load_states(args.state), table)
     else:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            specs = json.load(fh)
+        specs = read_json(args.spec, enc_mod.EncoderError)
         _, (encoded,) = pipeline.encode_stage([table], specs, out_dir)
     save_binary(encoded, out_dir / "encoded.rlt")
     n_new = len(encoded.schema.names) - len(table.schema.names)
@@ -119,11 +128,7 @@ def _cmd_train(args) -> int:
     tables = pipeline.load_tables(
         [args.table] + ([args.predict] if args.predict else []), args.schema
     )
-    params_doc = {}
-    if args.params:
-        with open(args.params, "r", encoding="utf-8") as fh:
-            params_doc = json.load(fh)
-    params = params_from_json(params_doc)
+    params = params_from_json(read_json(args.params, GbdtError) if args.params else {})
     out_dir = _out_dir(args)
     _, _, model = pipeline.train_stage(
         tables[0], SplitPlan(train_days, args.valid_day), params, out_dir

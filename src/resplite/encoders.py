@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .gbdt.binning import json_float, json_value
+from .report import read_json
 from .tabular import ColumnRole, Table
 
 
@@ -277,8 +278,7 @@ def load_states(path) -> list[EncoderState]:
     """The states that :func:`save_states` wrote to ``path``.  A malformed
     document raises :class:`EncoderError`, naming the bad state's index and
     field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, EncoderError)
     if not isinstance(doc, dict) or not isinstance(doc.get("encoders"), list):
         raise EncoderError(f"{path} is not an object holding an encoders list")
     states = []

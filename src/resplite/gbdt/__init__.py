@@ -14,7 +14,7 @@ from .boosting import (
     predict,
     save_model,
 )
-from .tree import GrownTree, Tree, grow_tree, tree_output
+from .tree import Tree, grow_tree, tree_output
 
 __all__ = [
     "BinMapper",
@@ -22,7 +22,6 @@ __all__ = [
     "GbdtError",
     "GbdtModel",
     "GbdtParams",
-    "GrownTree",
     "NumericBins",
     "Tree",
     "bin_table",

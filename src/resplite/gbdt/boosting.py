@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..metrics import EvalBatch, logloss, sigmoid
+from ..report import read_json
 from ..tabular import ColumnRole, Table
 from .binning import (
     BinMapper,
@@ -211,27 +212,14 @@ def fit(
             subset = np.sort(rng.choice(n_features, size=n_sub, replace=False))
         else:
             subset = np.arange(n_features, dtype=np.int64)
-        grown = grow_tree(
-            binned_train,
-            n_bins_all,
-            is_cat,
-            grad,
-            hess,
-            subset,
-            root_counts,
-            params.num_leaves,
-            params.max_depth,
-            params.min_data_in_leaf,
-            params.lambda_l2,
-            params.learning_rate,
-            order,
-        )
-        if grown is None:
+        # adds the tree's leaf values to the scores of their rows
+        tree = grow_tree(binned_train, n_bins_all, is_cat, grad, hess, subset, root_counts,
+                         params.num_leaves, params.max_depth, params.min_data_in_leaf,
+                         params.lambda_l2, params.learning_rate, scores, order)
+        if tree is None:
             break
-        for rows, value in grown.leaf_updates:
-            scores[rows] += value
-        valid_scores += tree_output(grown.tree, binned_valid)
-        trees.append(grown.tree)
+        valid_scores += tree_output(tree, binned_valid)
+        trees.append(tree)
         sigmoid(scores, out=p_train)
         train_curve.append(logloss(EvalBatch(y_train, p_train)))
         p_valid = sigmoid(valid_scores)
@@ -317,11 +305,7 @@ def load_model(path) -> GbdtModel:
     bin mapper, or a ``best_iteration`` or ``split_counts`` that its trees do
     not give raises :class:`GbdtError` naming the field (and the tree); so
     does a file that is not UTF-8 JSON, naming the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise GbdtError(f"{path} is not a JSON document: {exc}") from None
+    doc = read_json(path, GbdtError)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise GbdtError(f"not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_VERSION:

@@ -36,13 +36,14 @@ leaves no child that can be scanned (too few rows, or at ``max_depth``)
 drops its histogram after its own scan, and its split builds none.  Neither
 can change the tree.  The rows live in one index array that every split
 partitions in place, left rows first, each side in row order: a leaf's rows
-are a contiguous view of it, so a tree allocates no row array that outlives
-a split (per-split arrays of changing sizes fragment the heap).
+are a contiguous view of it, through which its value is added to their
+scores, and a tree allocates no row array that outlives a split (per-split
+arrays of changing sizes fragment the heap).
 
 A tree is held as preorder arrays (:class:`Tree`, after LightGBM's
 ``Tree``): per node ``feature`` (-1 at a leaf) and ``right``, a split's
 right child (its left child is the next node); per split ``left``, the
-packed set of bins it sends left (:func:`_left_set`); per leaf ``value``,
+packed set of bins it sends left, as its scan found it; per leaf ``value``,
 left to right.  With ``before[i]`` the number of leaves among nodes
 0..i-1 (a cumulative sum of the leaf flags), the left subtree of split i,
 nodes i + 1..right[i] - 1, holds leaves ``before[i]`` to
@@ -84,22 +85,16 @@ class Tree:
     left: np.ndarray     # (splits, 32) uint8: the bins each split sends left
     value: np.ndarray    # (leaves,) float64: the leaf values, left to right
 
-
-@dataclass
-class GrownTree:
-    tree: Tree
-    leaf_updates: list[tuple[np.ndarray, float]]  # (train row indices, value)
-    n_leaves: int
+    @property
+    def n_leaves(self) -> int:
+        return len(self.value)
 
 
 @dataclass
 class _Split:
     gain: float
     feature: int      # model feature index
-    kind: str         # "numeric" | "categorical"
-    threshold_bin: int
-    missing_left: bool
-    left_bins: np.ndarray | None
+    left: np.ndarray  # (STRIDE,) bool: the bins it sends left
     grad_left: float
     hess_left: float
     count_left: int
@@ -116,8 +111,7 @@ class _Leaf:
         self.count = count
         self.hist: tuple[np.ndarray, np.ndarray] | None = None  # (G/H sums, counts)
         self.split: _Split | None = None
-        # once split: (the left set of :func:`_left_set`, left leaf, right leaf)
-        self.children: tuple[np.ndarray, _Leaf, _Leaf] | None = None
+        self.children: tuple[_Leaf, _Leaf] | None = None  # (left, right) once split
 
 
 def bin_counts(binned: np.ndarray) -> np.ndarray:
@@ -258,42 +252,33 @@ def _find_best_split(leaf: _Leaf, scan: _Scan, lam, min_data) -> _Split | None:
     pg, ph = stack[:, fpos, b]
     pc = counts[fpos, b]
     if fpos in scan.cat:
-        left_bins = np.sort(order[np.searchsorted(scan.cat, fpos), : b + 1]).astype(np.int64)
-        return _Split(
-            gain=float(gain[fpos, b]), feature=feature, kind="categorical",
-            threshold_bin=0, missing_left=bool(left_bins[0] == 0),
-            left_bins=left_bins, grad_left=float(pg), hess_left=float(ph),
-            count_left=int(pc),
-        )
+        left = _left_set(order[np.searchsorted(scan.cat, fpos), : b + 1])
+        return _Split(gain=float(gain[fpos, b]), feature=feature, left=left,
+                      grad_left=float(pg), hess_left=float(ph), count_left=int(pc))
     missing_left = True
     if fpos in joined:
         missing_left = not bool(use_right[np.searchsorted(joined, fpos), b])
     slot = scan.offsets[fpos]  # the feature's missing bin
     mg, mh = gh[:, slot]
+    left = _left_set(slice(0 if missing_left else 1, b + 2))  # threshold bin b + 1
     return _Split(
-        gain=float(gain[fpos, b]), feature=feature, kind="numeric",
-        threshold_bin=b + 1, missing_left=missing_left, left_bins=None,
+        gain=float(gain[fpos, b]), feature=feature, left=left,
         grad_left=float(pg + (mg if missing_left else 0.0)),
         hess_left=float(ph + (mh if missing_left else 0.0)),
         count_left=int(pc + (hc[slot] if missing_left else 0)),
     )
 
 
-_ALL_BINS = np.arange(STRIDE)
 #: rows scored at a time, so that a block's uint64 words stay in cache
 _SCORE_BLOCK = 1 << 14
 
 
-def _left_set(threshold_bin: int, missing_left: bool, left_bins: np.ndarray | None) -> np.ndarray:
-    """The 256-entry table of the bins a split sends left: finite bins
-    1..``threshold_bin`` and bin 0 if ``missing_left`` for a numeric split
-    (``left_bins`` None), else ``left_bins``."""
-    if left_bins is None:
-        table = _ALL_BINS <= threshold_bin
-        table[0] = missing_left
-        return table
+def _left_set(bins: np.ndarray | slice) -> np.ndarray:
+    """The 256-entry table of the bins a split sends left, ``bins``: a
+    numeric split's are a slice, from bin 0 (missing) or 1 to its threshold
+    bin."""
     table = np.zeros(STRIDE, dtype=bool)
-    table[left_bins] = True
+    table[bins] = True
     return table
 
 
@@ -319,14 +304,15 @@ def grow_tree(
     min_data: int,
     lam: float,
     learning_rate: float,
-    order: np.ndarray | None = None,
-) -> GrownTree | None:
-    """Grow one tree over all rows; returns None when not even the root can
-    be split with positive gain (no further boosting progress is possible).
-    ``root_counts`` is :func:`bin_counts` of ``binned``.  ``order`` is an
-    int64 buffer of one slot per row that the splits partition in place (a
-    new one when not given); the returned leaf updates are views of it, so
-    they hold until it is reused."""
+    scores: np.ndarray,
+    order: np.ndarray,
+) -> Tree | None:
+    """Grow one tree over all rows, adding each leaf's value to the
+    ``scores`` of its rows; returns None, having added nothing, when not
+    even the root can be split with positive gain (no further boosting
+    progress is possible).  ``root_counts`` is :func:`bin_counts` of
+    ``binned``.  ``order`` is an int64 buffer of one slot per row that the
+    splits partition in place."""
     n = binned.shape[1]
     scan = _scan_plan(subset, n_bins_all, is_cat)
 
@@ -343,8 +329,6 @@ def grow_tree(
         ):
             leaf.hist = None
 
-    if order is None:
-        order = np.empty(n, dtype=np.int64)
     order[:] = np.arange(n)
     root = _Leaf(order, 0, float(grad.sum()), float(hess.sum()), n)
     root.hist = _build_hist(binned, scan, slice(None), grad, hess, root_counts)
@@ -361,8 +345,7 @@ def grow_tree(
     while heap and n_leaves < num_leaves:
         _, _, leaf = heapq.heappop(heap)
         split = leaf.split
-        left_set = _left_set(split.threshold_bin, split.missing_left, split.left_bins)
-        mask = left_set[binned[split.feature][leaf.rows]]
+        mask = split.left[binned[split.feature][leaf.rows]]
         rows, n_left = leaf.rows, int(np.count_nonzero(mask))
         right_rows = rows[~mask]
         rows[:n_left] = rows[mask]
@@ -375,7 +358,7 @@ def grow_tree(
             leaf.grad - split.grad_left, leaf.hess - split.hess_left, len(rows_r),
         )
         leaf.rows = None
-        leaf.children = (left_set, left, right)
+        leaf.children = (left, right)
         n_leaves += 1
         if n_leaves == num_leaves:
             break  # the children stay leaves: no histogram, no scan
@@ -399,7 +382,7 @@ def grow_tree(
             rest.hist = None
         del heap[num_leaves - n_leaves :]
 
-    nodes, sets, values, leaf_updates = [], [], [], []
+    nodes, sets, values = [], [], []
     stack = [(root, None)]  # (leaf, the node whose right child it is)
     while stack:  # preorder: a split's left subtree is popped before its right
         leaf, parent = stack.pop()
@@ -407,15 +390,15 @@ def grow_tree(
             parent[1] = len(nodes)
         if leaf.children is None:  # never split: a terminal leaf
             value = float(-leaf.grad / (leaf.hess + lam) * learning_rate)
-            leaf_updates.append((leaf.rows, value))
+            scores[leaf.rows] += value
             values.append(value)
             nodes.append([-1, 0])
         else:
-            left_set, left, right = leaf.children
+            left, right = leaf.children
             nodes.append([leaf.split.feature, 0])
-            sets.append(left_set)
+            sets.append(leaf.split.left)
             stack += [(right, nodes[-1]), (left, None)]
-    return GrownTree(_tree(nodes, sets, values), leaf_updates, n_leaves)
+    return _tree(nodes, sets, values)
 
 
 def _compile(tree: Tree) -> list[tuple[np.ndarray, list]]:
@@ -543,7 +526,7 @@ def tree_from_json(doc: dict, n_bins: np.ndarray, is_cat) -> Tree:
                 raise GbdtError(
                     f"threshold_bin {threshold} of feature {feature} is outside [1, {bins - 2}]"
                 )
-            sets[k] = _left_set(threshold, missing_left, None)
+            sets[k] = _left_set(slice(0 if missing_left else 1, threshold + 1))
             return
         entries = doc["left_bins"]
         if set(map(type, entries)) - {int}:  # name the first entry that is no int
@@ -562,7 +545,7 @@ def tree_from_json(doc: dict, n_bins: np.ndarray, is_cat) -> Tree:
             )
         if missing_left != (left_bins[0] == 0):
             raise GbdtError(f"missing_left of feature {feature} disagrees with its left_bins")
-        sets[k] = _left_set(0, missing_left, left_bins)
+        sets[k] = _left_set(left_bins)
 
     parse(doc)
     return _tree(nodes, sets, values)

@@ -41,6 +41,7 @@ from .gbdt.binning import json_float, json_value
 from .gbdt.boosting import PARAM_TYPES
 from .report import (
     RunReport,
+    read_json,
     report_export,
     save_correlation_csv,
     save_report_json,
@@ -209,8 +210,7 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
     variable that names no key is a config error.  Values must have their
     JSON types (``"false"`` is no bool)."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(source, _config_error)
         base_dir = Path(source).parent
     else:
         doc = json.loads(json.dumps(source))  # private copy
@@ -263,8 +263,7 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
 
 
 def _read_schema(path: str | Path) -> Schema:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Schema.from_json(json.load(fh))
+    return Schema.from_json(read_json(path, TabularError))
 
 
 def load_tables(paths: list[str], schema: Schema | str | Path | None) -> list[Table]:
@@ -349,10 +348,15 @@ def audit_stage(
 def denoise_stage(
     tables: list[Table], tol_rel: float, out_dir: Path
 ) -> tuple[list[denoise_mod.DeltaEstimate], list[list[str]], list[Table]]:
-    """Detect lattices on ``tables[0]``, refine them over every table, write
-    ``delta_estimates.json``, and replace each detected column of every table
-    with categorical codes from one shared dictionary.  Returns the
-    estimates, their groups and the tables."""
+    """Write the continuous features' ``correlation.csv`` of ``tables[0]``
+    (when it has two or more), detect lattices on ``tables[0]``, refine them
+    over every table, write ``delta_estimates.json``, and replace each
+    detected column of every table with categorical codes from one shared
+    dictionary.  Returns the estimates, their groups and the tables."""
+    cont = tables[0].schema.names_of(ColumnRole.CONTINUOUS)
+    if len(cont) >= 2:
+        save_correlation_csv(*denoise_mod.correlation_matrix(tables[0], cont),
+                             out_dir / "correlation.csv")
     estimates = denoise_mod.refine_estimates(
         tables, denoise_mod.detect_all(tables[0], tol_rel=tol_rel)
     )
@@ -534,14 +538,9 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
         }
 
     if config.stages["denoise"]:
-        def denoise():
-            cont = tables[0].schema.names_of(ColumnRole.CONTINUOUS)
-            if len(cont) >= 2:
-                save_correlation_csv(*denoise_mod.correlation_matrix(tables[0], cont),
-                                     out_dir / "correlation.csv")
-            return denoise_stage(tables, config.denoise_tol_rel, out_dir)
-
-        estimates, groups, tables = _timed(report, "denoise", denoise)
+        estimates, groups, tables = _timed(report, "denoise", lambda: denoise_stage(
+            tables, config.denoise_tol_rel, out_dir
+        ))
         report.sections["denoise"] = {
             "estimates": [e.to_json_dict() for e in estimates],
             "groups": groups,

@@ -1,9 +1,10 @@
 """Run reports and their file exports (JSON, CSV, and self-contained SVG).
 
-Every JSON report of the program is written by :func:`write_json` and every
-CSV report by :func:`write_rows`.  A stage writes its CSV and SVG files as
-soon as it has their data, so a failed run keeps those of the stages before
-it; ``report.json`` is written last.  Everything written here is
+Every JSON report of the program is written by :func:`write_json`, every
+CSV report by :func:`write_rows`, and every JSON input is read by
+:func:`read_json`.  A stage writes its CSV and SVG files as soon as it has
+their data, so a failed run keeps those of the stages before it;
+``report.json`` is written last.  Everything written here is
 byte-deterministic for a given report: floats are formatted with fixed
 precision or shortest-round-trip repr, JSON keys are sorted, and the SVG
 writer emits no timestamps or generated ids.  Wall-clock timings, and the
@@ -57,6 +58,16 @@ def write_json(path, doc) -> None:
     one trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def read_json(path, error):
+    """The JSON document in the file ``path``; a file that is not UTF-8
+    JSON raises ``error(message)``, the message naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path} is not a JSON document: {exc}") from None
 
 
 def write_rows(path, header, rows) -> None:

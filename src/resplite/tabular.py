@@ -719,7 +719,10 @@ def load_binary(path: str | Path) -> Table:
         if version != BINARY_VERSION:
             raise TabularError(f"unsupported table format version {version}")
         (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
-        header = json.loads(_read_exact(fh, hlen, "header"))
+        try:
+            header = json.loads(_read_exact(fh, hlen, "header"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise TabularError(f"{path}'s header is not a JSON document: {exc}") from None
         if not isinstance(header, dict) or not isinstance(header.get("schema"), dict):
             raise TabularError("table file header holds no schema object")
         n_rows = header.get("n_rows")

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from resplite import pipeline
 from resplite.cli import main
 from resplite.report import write_predictions_csv
-from resplite.tabular import ColumnRole, load_binary, save_binary
+from resplite.tabular import ColumnRole, TabularError, load_binary, save_binary
 
 from conftest import MALFORMED_SCHEMAS, with_header
 
@@ -78,6 +79,50 @@ def test_malformed_document_fails_with_an_error_line(caches, tmp_path, capsys, c
     assert err.startswith("error: ") and match in err and "Traceback" not in err
 
 
+#: commands that read a JSON document from a path, given the synthetic
+#: data, its caches, that path and an output directory
+_JSON_INPUTS = {
+    "train --params": lambda data, caches, path, out: [
+        "train", "--table", str(caches / "train.rlt"), "--valid-day", "66",
+        "--params", path, "--out-dir", out],
+    "encode --spec": lambda data, caches, path, out: [
+        "encode", "--table", str(caches / "train.rlt"), "--spec", path, "--out-dir", out],
+    "encode --state": lambda data, caches, path, out: [
+        "encode", "--table", str(caches / "train.rlt"), "--state", path, "--out-dir", out],
+    "ingest --schema": lambda data, caches, path, out: [
+        "ingest", "--schema", path, "--out-dir", out, str(data / "train.csv")],
+    "run --config": lambda data, caches, path, out: ["run", "--config", path],
+}
+
+#: file contents that are no UTF-8 JSON document
+_NOT_JSON = {"truncated": b'{"a": ', "not utf-8": b'{"a": "\x80"}'}
+
+
+@pytest.mark.parametrize("content", sorted(_NOT_JSON))
+@pytest.mark.parametrize("command", sorted(_JSON_INPUTS))
+def test_a_json_input_that_is_no_json_document_is_named(data, caches, tmp_path, capsys,
+                                                       command, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(_NOT_JSON[content])
+    argv = _JSON_INPUTS[command](data, caches, str(path), str(tmp_path / "out"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{path} is not a JSON document: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", sorted(_NOT_JSON))
+def test_a_cache_whose_header_is_no_json_document_is_named(caches, tmp_path, capsys, content):
+    blob = (caches / "train.rlt").read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = _NOT_JSON[content]
+    bad = tmp_path / "bad.rlt"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + hlen :])
+    with pytest.raises(TabularError, match=f"{bad}'s header is not a JSON document: "):
+        load_binary(bad)
+    assert main(["correlate", "--table", str(bad), "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}'s header is not a JSON document")
+
+
 def test_run_config_value_of_the_wrong_type_exits_1(data, tmp_path, capsys):
     doc = {"paths": {"train": str(data / "train.csv"), "test": str(data / "test.csv"),
                      "output_dir": str(tmp_path / "out")},
@@ -133,6 +178,20 @@ class TestSynthAndIngest:
         table = load_binary(caches / "train.rlt")
         assert table.n_rows == 150 * 22
         assert table.schema.day_column == "day"
+
+
+    def test_inputs_that_would_write_one_cache_are_rejected(self, data, tmp_path, capsys):
+        # two inputs of one stem: the second's x.rlt would replace the first's
+        first, second = tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"
+        for path, src in ((first, "train.csv"), (second, "test.csv")):
+            path.parent.mkdir()
+            path.write_bytes((data / src).read_bytes())
+        out = tmp_path / "out"
+        assert main(["ingest", "--schema", str(data / "schema.json"), "--out-dir", str(out),
+                     str(first), str(second)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {first} and {second} would both write {out / 'x.rlt'}\n")
+        assert not out.exists()
 
 
 class TestAdversarialCommand:
@@ -196,6 +255,18 @@ class TestDenoiseAndCorrelate:
         finite = np.isfinite(x2)
         decoded = np.array([int(d[c]) for c in t.col("x2")[finite]])
         assert np.allclose(decoded * by_name["x2"]["delta"], x2[finite])
+
+    def test_apply_to_tables_that_would_write_one_file_are_rejected(self, caches, tmp_path,
+                                                                     capsys):
+        other = tmp_path / "other" / "test.rlt"
+        other.parent.mkdir()
+        other.write_bytes((caches / "test.rlt").read_bytes())
+        out = tmp_path / "out"
+        assert main(["denoise", "--table", str(caches / "train.rlt"), "--apply-to",
+                     str(caches / "test.rlt"), str(other), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {caches / 'test.rlt'} and {other} would "
+                                           f"both write {out / 'denoised_test.rlt'}\n")
+        assert not out.exists()
 
     def test_correlate_writes_square_matrix(self, caches, tmp_path):
         out = tmp_path / "corr.csv"
@@ -497,7 +568,7 @@ STAGE_COMMANDS = {
         {"adversarial": False},
         lambda cache: ["denoise", "--table", str(cache / "train.rlt"),
                        "--apply-to", str(cache / "test.rlt"), "--tol-rel", "0.002"],
-        ["delta_estimates.json"],
+        ["delta_estimates.json", "correlation.csv"],
     ),
     "train": (
         {name: name == "train" for name in pipeline.STAGE_NAMES},

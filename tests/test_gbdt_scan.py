@@ -108,24 +108,22 @@ def _reference_split(leaf, subset, n_bins_all, is_cat, lam, min_data):
     for fpos, f in enumerate(subset):
         nb = int(n_bins_all[f])
         args = (*rows[fpos], nb, leaf.grad, leaf.hess, leaf.count, lam, min_data)
+        left = np.zeros(STRIDE, dtype=bool)  # the bins the split sends left
         if is_cat[f]:
             res = _scan_categorical(*args)
             if res is not None and (best is None or res[0] > best.gain):
                 gain, left_bins, gl, hl, cl = res
-                best = _Split(
-                    gain=gain, feature=int(f), kind="categorical",
-                    threshold_bin=0, missing_left=bool(0 in left_bins),
-                    left_bins=left_bins, grad_left=gl, hess_left=hl, count_left=cl,
-                )
+                left[left_bins] = True
+                best = _Split(gain=gain, feature=int(f), left=left,
+                              grad_left=gl, hess_left=hl, count_left=cl)
         else:
             res = _scan_numeric(*args)
             if res is not None and (best is None or res[0] > best.gain):
                 gain, tb, missing_left, gl, hl, cl = res
-                best = _Split(
-                    gain=gain, feature=int(f), kind="numeric",
-                    threshold_bin=tb, missing_left=missing_left,
-                    left_bins=None, grad_left=gl, hess_left=hl, count_left=cl,
-                )
+                left[1 : tb + 1] = True
+                left[0] = missing_left
+                best = _Split(gain=gain, feature=int(f), left=left,
+                              grad_left=gl, hess_left=hl, count_left=cl)
     return best
 
 
@@ -139,6 +137,11 @@ def _fields(split):
             value = (value.dtype.str, value.tolist())
         out[field.name] = (type(value), value)
     return out
+
+
+def _left_bins(split):
+    """The bins the split sends left, ascending."""
+    return np.flatnonzero(split.left).tolist()
 
 
 def _outcome(find, *args):
@@ -240,7 +243,7 @@ def test_ties_keep_lowest_feature_then_lowest_bin_then_missing_left():
     scan = _scan_plan(subset, n_bins_all, is_cat)
     leaf.hist = _build_hist(binned, scan, rows, grad, hess)
     split = _find_best_split(leaf, scan, 1.0, 1)
-    assert (split.feature, split.threshold_bin, split.missing_left) == (0, 2, True)
+    assert (split.feature, _left_bins(split)) == (0, [0, 1, 2])
     assert (split.grad_left, split.hess_left, split.count_left) == (2.0, 2.0, 2)
 
 
@@ -257,9 +260,9 @@ def test_feature_with_a_nan_gain_offers_no_split():
     scan = _scan_plan(subset, np.array([5, 4]), np.array([False, False]))
     leaf.hist = _build_hist(binned, scan, rows, grad, hess)
     split = _find_best_split(leaf, scan, 0.0, 1)
-    assert (split.feature, split.threshold_bin) == (1, 1)
-    assert split == _reference_split(leaf, subset, np.array([5, 4]),
-                                     np.array([False, False]), 0.0, 1)
+    assert (split.feature, _left_bins(split)[-1]) == (1, 1)
+    assert _fields(split) == _fields(_reference_split(
+        leaf, subset, np.array([5, 4]), np.array([False, False]), 0.0, 1))
 
 
 def test_no_threshold_past_a_features_last_bin():
@@ -290,8 +293,8 @@ def test_missing_bin_with_leftover_sums_but_no_rows_is_scanned_on_both_sides():
     gh, hc = leaf.hist
     assert hc[0] == 0 and gh[0, 0] != 0
     split = _find_best_split(leaf, scan, 1.0, 1)
-    assert (split.threshold_bin, split.missing_left) == (1, False)
-    assert split == _reference_split(leaf, subset, n_bins_all, is_cat, 1.0, 1)
+    assert _left_bins(split) == [1]  # threshold 1, missing rows right
+    assert _fields(split) == _fields(_reference_split(leaf, subset, n_bins_all, is_cat, 1.0, 1))
 
 
 def test_empty_categories_sort_after_occupied_ones_with_infinite_keys():
@@ -307,7 +310,7 @@ def test_empty_categories_sort_after_occupied_ones_with_infinite_keys():
     with np.errstate(divide="ignore", invalid="ignore"):
         want = _reference_split(leaf, subset, n_bins_all, is_cat, 1.0, 2)
     split = _find_best_split(leaf, scan, 1.0, 2)
-    assert split.left_bins.tolist() == [0, 3]
+    assert _left_bins(split) == [0, 3]
     assert _fields(split) == _fields(want)
 
 
@@ -369,7 +372,7 @@ def test_the_split_that_fills_the_tree_builds_and_scans_nothing(monkeypatch):
     grown = tree.grow_tree(
         binned, np.full(k, 64), np.zeros(k, dtype=bool), grad, hess, np.arange(k),
         bin_counts(binned), num_leaves=8, max_depth=-1, min_data=20, lam=1.0,
-        learning_rate=0.1,
+        learning_rate=0.1, scores=np.zeros(n), order=np.empty(n, dtype=np.int64),
     )
     assert grown.n_leaves == 8
     # the root, then one histogram and two scans for each split but the last
@@ -410,11 +413,11 @@ def test_a_split_no_child_of_which_can_be_scanned_builds_nothing(
     monkeypatch.setattr(tree, "_build_hist", build)
     case = (binned, np.full(k, 64), np.zeros(k, dtype=bool), grad, hess, np.arange(k),
             bin_counts(binned), 8, max_depth, min_data, 1.0, 0.1)
-    grown = tree.grow_tree(*case)
+    grown, fields = _grow(case)
     assert grown.n_leaves == n_leaves
     assert all(done.hist is None for done in scanned)
     assert calls == {"_build_hist": 2, "_find_best_split": scans}
-    assert _grown_fields(grown, case[2]) == _reference_grow_tree(*case)
+    assert fields == _reference_grow_tree(*case)
 
 
 def _reference_grow_tree(binned, n_bins_all, is_cat, grad, hess, subset, root_counts,
@@ -422,14 +425,17 @@ def _reference_grow_tree(binned, n_bins_all, is_cat, grad, hess, subset, root_co
     """``grow_tree`` as it was before it dropped the histograms of leaves
     past the leaf budget and derived siblings in the parent's buffer: every
     frontier leaf keeps its histogram until it is popped.  Returns the
-    fields of :func:`_grown_fields`, from the tree's JSON node document."""
+    fields of :func:`_tree_fields`: the tree's JSON node document, the
+    scores of :func:`_base_scores` with each leaf's value added to its
+    rows, and the leaves' rows left to right."""
     n = binned.shape[1]
+    scores = _base_scores(n)
     scan = _scan_plan(subset, n_bins_all, is_cat)
     root = _Leaf(np.arange(n, dtype=np.int64), 0, float(grad.sum()), float(hess.sum()), n)
     root.hist = _build_hist(binned, scan, slice(None), grad, hess, root_counts)
     root.split = _find_best_split(root, scan, lam, min_data)
     if root.split is None:
-        return None
+        return _tree_fields(None, scores, None)
     heap = [(-root.split.gain, 0, root)]
     seq = 0
     n_leaves = 1
@@ -437,11 +443,7 @@ def _reference_grow_tree(binned, n_bins_all, is_cat, grad, hess, subset, root_co
     while heap and n_leaves < num_leaves:
         _, _, leaf = heapq.heappop(heap)
         split = leaf.split
-        bins = binned[split.feature][leaf.rows]
-        if split.kind == "numeric":
-            mask = (bins <= split.threshold_bin) & (split.missing_left | (bins != 0))
-        else:
-            mask = np.isin(bins, split.left_bins)
+        mask = np.isin(binned[split.feature][leaf.rows], _left_bins(split))
         rows_l, rows_r = leaf.rows[mask], leaf.rows[~mask]
         left = _Leaf(rows_l, leaf.depth + 1, split.grad_left, split.hess_left, len(rows_l))
         right = _Leaf(rows_r, leaf.depth + 1, leaf.grad - split.grad_left,
@@ -464,38 +466,53 @@ def _reference_grow_tree(binned, n_bins_all, is_cat, grad, hess, subset, root_co
             seq += 1
             heapq.heappush(heap, (-child.split.gain, seq, child))
 
-    leaf_updates = []
+    leaf_rows = []
 
     def finalize(leaf):
         if leaf not in children:
-            value = -leaf.grad / (leaf.hess + lam) * learning_rate
-            leaf_updates.append((leaf.rows, float(value)))
-            return {"leaf": float(value)}
+            value = float(-leaf.grad / (leaf.hess + lam) * learning_rate)
+            scores[leaf.rows] += value
+            leaf_rows.append(leaf.rows)
+            return {"leaf": value}
         split = leaf.split
-        doc = {"feature": split.feature, "missing_left": split.missing_left,
+        bins = _left_bins(split)
+        doc = {"feature": split.feature, "missing_left": bins[0] == 0,
                "left": finalize(children[leaf][0]), "right": finalize(children[leaf][1])}
-        if split.kind == "numeric":
-            doc["threshold_bin"] = split.threshold_bin
+        if is_cat[split.feature]:
+            doc["left_bins"] = bins
         else:
-            doc["left_bins"] = split.left_bins.tolist()
+            assert [b for b in bins if b] == list(range(1, bins[-1] + 1))  # 1..threshold
+            doc["threshold_bin"] = bins[-1]
         return doc
 
-    return _tree_fields(finalize(root), n_leaves, leaf_updates)
+    return _tree_fields(finalize(root), scores, np.concatenate(leaf_rows))
 
 
-def _tree_fields(doc, n_leaves, leaf_updates):
+def _base_scores(n):
+    """The scores that a tree's leaf values are added to: not zero, so that
+    each addition rounds."""
+    return np.random.Generator(np.random.PCG64(n)).standard_normal(n)
+
+
+def _tree_fields(doc, scores, leaf_rows):
+    """A grown tree's JSON node document (None for no tree), every score,
+    floats as their bits, and the leaves' rows."""
     # repr of a float is exact, and json writes it so
-    return (json.dumps(doc, sort_keys=True), n_leaves,
-            [(rows.tolist(), value.hex()) for rows, value in leaf_updates])
+    return (None if doc is None else json.dumps(doc, sort_keys=True),
+            [x.hex() for x in scores.tolist()],
+            None if leaf_rows is None else leaf_rows.tolist())
 
 
-def _grown_fields(grown, is_cat):
-    """Everything a grown tree holds, floats as their bits: its JSON node
-    document, leaf count and leaf updates."""
+def _grow(case):
+    """``grow_tree`` on ``case`` from :func:`_base_scores` with a row buffer
+    of stale rows: the tree, and the fields of :func:`_tree_fields`, the
+    buffer as its leaves' rows."""
+    scores = _base_scores(case[0].shape[1])
+    order = np.full(len(scores), -1, dtype=np.int64)
+    grown = tree.grow_tree(*case, scores, order)
     if grown is None:
-        return None
-    return _tree_fields(tree.tree_to_json(grown.tree, is_cat), grown.n_leaves,
-                        grown.leaf_updates)
+        return None, _tree_fields(None, scores, None)
+    return grown, _tree_fields(tree.tree_to_json(grown, case[2]), scores, order)
 
 
 @st.composite
@@ -524,14 +541,20 @@ def grow_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=grow_cases())
 def test_grow_tree_equals_the_reference_loop(case):
-    want = _reference_grow_tree(*case)
-    assert _grown_fields(tree.grow_tree(*case), case[2]) == want
-    # a reused row buffer, holding stale rows, grows the same tree, and the
-    # leaf updates are views of it
-    order = np.full(case[0].shape[1], -1, dtype=np.int64)
-    grown = tree.grow_tree(*case, order=order)
-    assert _grown_fields(grown, case[2]) == want
-    assert grown is None or all(np.shares_memory(r, order) for r, _ in grown.leaf_updates)
+    # a reused row buffer, holding stale rows, ends as the leaves' rows
+    assert _grow(case)[1] == _reference_grow_tree(*case)
+
+
+def test_a_tree_not_grown_adds_nothing_to_the_scores():
+    # no gradient anywhere: no split has positive gain, not even the root's
+    rng = np.random.Generator(np.random.PCG64(6))
+    n, k = 200, 2
+    binned = rng.integers(0, 16, size=(k, n), dtype=np.uint8)
+    case = (binned, np.full(k, 16), np.array([False, True]), np.zeros(n), np.full(n, 0.25),
+            np.arange(k), bin_counts(binned), 8, -1, 5, 1.0, 0.1)
+    scores = _base_scores(n)
+    assert tree.grow_tree(*case, scores, np.empty(n, dtype=np.int64)) is None
+    assert scores.tobytes() == _base_scores(n).tobytes()
 
 
 def test_grow_tree_holds_at_most_32_histograms_for_63_leaves(monkeypatch):
@@ -562,13 +585,13 @@ def test_grow_tree_holds_at_most_32_histograms_for_63_leaves(monkeypatch):
     monkeypatch.setattr(tree, "_find_best_split", sampled)
     tracemalloc.start()
     try:
-        grown = tree.grow_tree(*case)
+        grown, fields = _grow(case)
     finally:
         tracemalloc.stop()
     assert grown.n_leaves == 63
     assert max(live) <= 32, f"{max(live)} live histograms"
     assert max(live) > 1  # the sampling sees the histograms at all
-    assert _grown_fields(grown, case[2]) == _reference_grow_tree(*case)
+    assert fields == _reference_grow_tree(*case)
 
 
 @pytest.mark.parametrize("n, count_dtype", [
@@ -598,4 +621,4 @@ def test_count_planes_hold_every_row_at_the_dtype_edges(n, count_dtype):
     assert _fields(_find_best_split(root, scan, 1.0, 5)) == _fields(
         _reference_split(root, subset, n_bins_all, is_cat, 1.0, 5))
     case = (binned, n_bins_all, is_cat, grad, hess, subset, root_counts, 15, -1, 5, 1.0, 0.1)
-    assert _grown_fields(tree.grow_tree(*case), is_cat) == _reference_grow_tree(*case)
+    assert _grow(case)[1] == _reference_grow_tree(*case)
