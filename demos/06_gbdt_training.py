@@ -22,7 +22,7 @@ params = GbdtParams(
 )
 model = fit(params, train, valid)
 print(f"\nboosted {len(model.valid_curve)} iterations, kept the first "
-      f"{model.best_iteration} (validation loss minimum)")
+      f"{model.n_trees} (validation loss minimum)")
 
 for name, part in (("valid", valid), ("test ", test_file)):
     batch = metrics.EvalBatch(part.col("is_installed"), predict(model, part))

@@ -2,8 +2,9 @@
 
 For each feature column, rows of the train file (origin 0) and the test file
 (origin 1) are pooled and split into a fit part and a stratified holdout.
-The feature is binned as the GBDT bins it, on the fit part: quantile
-thresholds for numeric features, codes with one overflow bin for
+The feature is binned as the GBDT bins it at its default budget of
+:data:`MAX_BINS` (255) bins, whatever ``gbdt.max_bins`` is, on the fit part:
+quantile thresholds for numeric features, codes with one overflow bin for
 categoricals.  Each holdout row is scored with its bin's smoothed test share
 on the fit part, ``(n_test + 1) / (n + 2)``, a binned estimate of the
 test/train density ratio, and the holdout AUC of those scores measures how

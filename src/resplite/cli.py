@@ -136,8 +136,8 @@ def _cmd_train(args) -> int:
     if args.predict:
         pipeline.predict_stage(model, tables[1], out_dir / "predictions.csv")
     print(
-        f"trees={model.n_trees} best_iteration={model.best_iteration} "
-        f"final_valid_logloss={model.valid_curve[model.best_iteration - 1]:.6f}"
+        f"trees={model.n_trees} best_iteration={model.n_trees} "
+        f"final_valid_logloss={model.valid_curve[model.n_trees - 1]:.6f}"
         if model.n_trees
         else "trees=0 (no splittable signal)"
     )
@@ -246,8 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="fit/apply frequency and target encoders")
     p.add_argument("--table", required=True)
     p.add_argument("--schema")
-    p.add_argument("--spec", help="JSON list of encoder specs (fit mode)")
-    p.add_argument("--state", help="encoders.json to re-apply to a .rlt --table")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--spec", help="JSON list of encoder specs (fit mode)")
+    mode.add_argument("--state", help="encoders.json to re-apply to a .rlt --table")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_encode)
 

@@ -9,7 +9,6 @@ from .boosting import (
     feature_importance,
     fit,
     load_model,
-    loss_grad_hess,
     params_from_json,
     predict,
     save_model,
@@ -30,7 +29,6 @@ __all__ = [
     "fit",
     "grow_tree",
     "load_model",
-    "loss_grad_hess",
     "params_from_json",
     "predict",
     "save_model",

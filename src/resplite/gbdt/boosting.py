@@ -105,12 +105,9 @@ def params_from_json(doc, seed: int = 0) -> GbdtParams:
 @dataclass
 class GbdtModel:
     params: GbdtParams
-    feature_names: tuple[str, ...]
     bin_mapper: BinMapper
     base_score: float
     trees: list[Tree]
-    best_iteration: int
-    split_counts: np.ndarray
     train_curve: list[float] = field(default_factory=list)
     valid_curve: list[float] = field(default_factory=list)
     #: the valid table's probabilities under the kept trees, as :func:`fit`
@@ -133,13 +130,6 @@ def _grad_hess(
     return grad, np.multiply(p, hess, out=hess)
 
 
-def loss_grad_hess(score: float, label: int) -> tuple[float, float]:
-    """Gradient and hessian of the logistic loss at one (score, label), by
-    the body that :func:`fit` runs on every row."""
-    grad, hess = _grad_hess(sigmoid(np.array([score])), np.array([label]))
-    return float(grad[0]), float(hess[0])
-
-
 def _check_features(table: Table, feature_names: list[str]) -> None:
     for name in feature_names:
         role = table.schema.role(name)
@@ -158,8 +148,8 @@ def fit(
     all rows by default), early-stopping on validation log loss.
 
     Keeps trees up to the iteration with the lowest validation loss (first
-    minimum on ties).  The validation table must be non-empty; the train
-    labels must contain both classes.
+    minimum on ties).  The train rows and the validation table must be
+    non-empty, and the train labels must contain both classes.
     """
     if feature_names is None:
         feature_names = list(train.schema.feature_columns())
@@ -174,6 +164,8 @@ def fit(
 
     # 0/1 labels stay uint8: they convert exactly wherever floats meet them
     y_train = train.col(target)[rows]
+    if len(y_train) == 0:
+        raise GbdtError("the train rows are empty; cannot fit")
     y_valid = valid.col(target)
     pos_rate = float(y_train.mean())
     if pos_rate <= 0.0 or pos_rate >= 1.0:
@@ -230,15 +222,11 @@ def fit(
         elif it - best_iter >= params.early_stopping_rounds:
             break
 
-    kept = trees[: best_iter + 1]
     return GbdtModel(
         params=params,
-        feature_names=tuple(feature_names),
         bin_mapper=mapper,
         base_score=base_score,
-        trees=kept,
-        best_iteration=len(kept),
-        split_counts=_split_counts(kept, n_features),
+        trees=trees[: best_iter + 1],
         train_curve=train_curve,
         valid_curve=valid_curve,
         valid_probs=best_valid,
@@ -271,11 +259,10 @@ def predict(model: GbdtModel, table: Table) -> np.ndarray:
 def feature_importance(model: GbdtModel) -> list[tuple[str, int]]:
     """Per-feature split counts over retained trees, sorted descending with
     ties broken by feature index."""
-    order = sorted(
-        range(len(model.feature_names)),
-        key=lambda j: (-int(model.split_counts[j]), j),
-    )
-    return [(model.feature_names[j], int(model.split_counts[j])) for j in order]
+    names = model.bin_mapper.feature_names
+    counts = _split_counts(model.trees, len(names)).tolist()
+    order = sorted(range(len(names)), key=lambda j: (-counts[j], j))
+    return [(names[j], counts[j]) for j in order]
 
 
 def save_model(model: GbdtModel, path) -> None:
@@ -284,11 +271,11 @@ def save_model(model: GbdtModel, path) -> None:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "params": asdict(model.params),
-        "feature_names": list(model.feature_names),
+        "feature_names": list(model.bin_mapper.feature_names),
         "bin_mapper": mapper_to_json(model.bin_mapper),
         "base_score": model.base_score,
-        "best_iteration": model.best_iteration,
-        "split_counts": [int(c) for c in model.split_counts],
+        "best_iteration": model.n_trees,
+        "split_counts": _split_counts(model.trees, model.bin_mapper.n_features).tolist(),
         "trees": [tree_to_json(tree, is_cat) for tree in model.trees],
         "train_curve": model.train_curve,
         "valid_curve": model.valid_curve,
@@ -319,8 +306,7 @@ def load_model(path) -> GbdtModel:
 def _model_from_json(doc: dict) -> GbdtModel:
     params = params_from_json(doc["params"])
     mapper = mapper_from_json(doc["bin_mapper"])
-    feature_names = tuple(doc["feature_names"])
-    if feature_names != mapper.feature_names:
+    if tuple(doc["feature_names"]) != mapper.feature_names:
         raise GbdtError("feature_names disagree with the bin mapper's features")
     split_counts = np.asarray(
         [json_int64(c, "a split_counts entry") for c in doc["split_counts"]], dtype=np.int64
@@ -351,12 +337,9 @@ def _model_from_json(doc: dict) -> GbdtModel:
         raise GbdtError(f"split_counts disagree with the splits in the trees, {counted.tolist()}")
     return GbdtModel(
         params=params,
-        feature_names=feature_names,
         bin_mapper=mapper,
         base_score=base_score,
         trees=trees,
-        best_iteration=best_iteration,
-        split_counts=split_counts,
         train_curve=[json_float(x, "a train_curve entry") for x in doc["train_curve"]],
         valid_curve=[json_float(x, "a valid_curve entry") for x in doc["valid_curve"]],
     )

@@ -232,6 +232,8 @@ def load_config(source: str | Path | dict, env: dict[str, str] | None = None) ->
 
     v = {key.path: _value(doc, key) for key in CONFIG_KEYS if not key.path.startswith("gbdt.")}
     _reject_unknown_keys(doc)
+    if v["schema"] is not None and v["schema_path"] is not None:
+        raise _config_error("schema and schema_path are both given; give at most one")
     if v["schema"] is not None:
         schema = _built("schema: ", lambda: Schema.from_json(v["schema"]))
     elif v["schema_path"] is not None:
@@ -567,8 +569,8 @@ def run(config: PipelineConfig, tables: list[Table] | None = None) -> RunReport:
             tables[0], plan, config.gbdt, out_dir
         ))
         report.sections["training"] = {
-            "features": list(model.feature_names),
-            "best_iteration": model.best_iteration,
+            "features": list(model.bin_mapper.feature_names),
+            "best_iteration": model.n_trees,
             "trees": model.n_trees,
             "train_rows": len(train_rows),
             "valid_rows": valid.n_rows,

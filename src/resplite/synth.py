@@ -147,7 +147,6 @@ class GroundTruth:
 
     install_probs: np.ndarray
     click_probs: np.ndarray
-    logits: np.ndarray
     deltas: dict[str, float]                 # column name -> planted delta
     multipliers: dict[str, np.ndarray]       # column name -> per-row k
     arithmetic_effects: dict[str, np.ndarray]  # column name -> per-k effect table
@@ -235,16 +234,14 @@ def generate(spec: SynthSpec) -> tuple[Table, GroundTruth]:
     multipliers: dict[str, np.ndarray] = {}
     deltas: dict[str, float] = {}
     effects: dict[str, np.ndarray] = {}
-    k_by_index: dict[int, np.ndarray] = {}
     for a in spec.arithmetic:
         k = rng.integers(0, a.max_multiplier + 1, size=n)
         table = rng.standard_normal(a.max_multiplier + 1)
         X[:, a.index] = k.astype(np.float64) * a.delta
         name = cont_name(a.index)
-        multipliers[name] = k.astype(np.int64)
+        multipliers[name] = k
         deltas[name] = a.delta
         effects[name] = table
-        k_by_index[a.index] = k
     shifts: dict[str, float] = {}
     for s in spec.shifted:
         X[final_rows, s.index] += s.magnitude
@@ -253,8 +250,8 @@ def generate(spec: SynthSpec) -> tuple[Table, GroundTruth]:
     # logit assembly over latent scores
     z = np.full(n, 0.0)
     for j, coef in sorted(spec.label_model.continuous.items()):
-        if j in k_by_index:
-            z += coef * effects[cont_name(j)][k_by_index[j]]
+        if cont_name(j) in multipliers:
+            z += coef * effects[cont_name(j)][multipliers[cont_name(j)]]
         else:
             z += coef * X[:, j]
     category_scores: dict[str, np.ndarray] = {}
@@ -293,7 +290,6 @@ def generate(spec: SynthSpec) -> tuple[Table, GroundTruth]:
     truth = GroundTruth(
         install_probs=p_install,
         click_probs=p_click,
-        logits=z,
         deltas=deltas,
         multipliers=multipliers,
         arithmetic_effects=effects,

@@ -148,6 +148,8 @@ def test_run_config_value_out_of_range_fails_the_config_stage(data, tmp_path, ca
     doc = {"paths": {"train": str(data / "train.csv"), "test": str(data / "test.csv"),
                      "output_dir": str(tmp_path / "out")},
            "schema_path": str(data / "schema.json"), "split": {"valid_day": 66}}
+    if section == "schema":
+        del doc["schema_path"]  # a config may not give both
     doc[section] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -155,6 +157,21 @@ def test_run_config_value_out_of_range_fails_the_config_stage(data, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("stage config: " + match)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("schema_file", ["schema.json", "absent.json"])
+def test_run_config_giving_schema_and_schema_path_fails_the_config_stage(data, tmp_path, capsys,
+                                                                        schema_file):
+    doc = {"paths": {"train": str(data / "train.csv"), "test": str(data / "test.csv"),
+                     "output_dir": str(tmp_path / "out")},
+           "schema": json.loads((data / "schema.json").read_text()),
+           "schema_path": str(data / schema_file), "split": {"valid_day": 66}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stage config: schema and schema_path are both given")
+    assert not (tmp_path / "out").exists()
 
 
 def test_encode_spec_smoothing_of_the_wrong_type_exits_1(caches, tmp_path, capsys):
@@ -331,6 +348,24 @@ class TestEncodeCommand:
         assert err.startswith("error: encoder state 0: ") and match in err
         assert not (tmp_path / "re" / "encoded.rlt").exists()
 
+    @pytest.mark.parametrize("both", [False, True])
+    def test_exactly_one_of_spec_and_state_is_taken(self, caches, tmp_path, capsys, both):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps([{"feature": "c0", "kind": "frequency"}]))
+        fit_dir = tmp_path / "fit"
+        assert main(["encode", "--table", str(caches / "train.rlt"),
+                     "--spec", str(spec_path), "--out-dir", str(fit_dir)]) == 0
+        capsys.readouterr()
+        mode = ["--spec", str(spec_path), "--state", str(fit_dir / "encoders.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", "--table", str(caches / "test.rlt"), *(mode if both else []),
+                  "--out-dir", str(tmp_path / "re")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        last = err.splitlines()[-1]
+        assert err.startswith("usage: ") and "--spec" in last and "--state" in last
+        assert not (tmp_path / "re").exists()
+
     def test_reapply_to_a_delimited_table_fails(self, data, caches, tmp_path, capsys):
         # a fresh ingest of test.csv codes c2 on its own, so states fitted on
         # train.rlt's codes would encode other categories' statistics
@@ -498,6 +533,17 @@ class TestRunAndAblate:
         rc = main(["run", "--config", str(config)])
         assert rc == 1
         assert "stage split" in capsys.readouterr().err
+
+    def test_run_on_train_days_that_hold_no_rows_fails_in_train(self, data, tmp_path, capsys):
+        config = self.make_config(data, tmp_path / "out", tmp_path)
+        doc = json.loads(config.read_text())
+        doc["split"]["train_days"] = [10, 11]
+        config.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage train: the train rows are empty; cannot fit")
+        assert not (tmp_path / "out" / "model.json").exists()
+        assert not (tmp_path / "out" / "valid_predictions.csv").exists()
 
     def test_ablate_command(self, data, tmp_path, capsys):
         config = self.make_config(data, tmp_path / "ab", tmp_path)

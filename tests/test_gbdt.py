@@ -15,7 +15,6 @@ from resplite.gbdt import (
     feature_importance,
     fit,
     load_model,
-    loss_grad_hess,
     params_from_json,
     predict,
     save_model,
@@ -51,6 +50,13 @@ def separable_tables(n_train=2000, n_valid=400, seed=1):
     table = make_table(days, x, y)
     idx = np.arange(n_train + n_valid)
     return table.take(idx[:n_train]), table.take(idx[n_train:])
+
+
+def loss_grad_hess(score: float, label: int) -> tuple[float, float]:
+    """Gradient and hessian of the logistic loss at one (score, label), by
+    :func:`_grad_hess`, the body that ``fit`` runs on every row."""
+    grad, hess = _grad_hess(metrics.sigmoid(np.array([score])), np.array([label]))
+    return float(grad[0]), float(hess[0])
 
 
 class TestLossGradHess:
@@ -157,6 +163,15 @@ class TestFit:
         with pytest.raises(GbdtError, match="empty"):
             fit(GbdtParams(num_leaves=4), train, empty, ["x0"])
 
+    @pytest.mark.parametrize("rows", [np.empty(0, dtype=np.int64), slice(5, 5), None])
+    def test_empty_train_rows_error(self, rows):
+        # None: a train table of no rows, all of which are given
+        train, valid = separable_tables(200, 50)
+        if rows is None:
+            train, rows = train.take(np.empty(0, dtype=np.int64)), slice(None)
+        with pytest.raises(GbdtError, match="^the train rows are empty; cannot fit$"):
+            fit(GbdtParams(num_leaves=4), train, valid, ["x0"], rows=rows)
+
     def test_label_as_feature_rejected(self):
         train, valid = separable_tables(100, 40)
         with pytest.raises(GbdtError, match="cannot"):
@@ -206,7 +221,7 @@ class TestFit:
         )
         probs = predict(model, train)
         external = metrics.logloss(metrics.EvalBatch(train.col("y"), probs))
-        assert external == model.train_curve[model.best_iteration - 1]
+        assert external == model.train_curve[model.n_trees - 1]
 
 
 class TestEarlyStopping:
@@ -229,8 +244,7 @@ class TestEarlyStopping:
         )
         model = fit(params, train, valid, ["x0"])
         curve = np.asarray(model.valid_curve)
-        assert model.best_iteration == int(np.argmin(curve)) + 1
-        assert model.n_trees == model.best_iteration
+        assert model.n_trees == int(np.argmin(curve)) + 1
         # early stopping must have fired before the cap
         assert len(curve) < params.num_iterations
 
@@ -245,7 +259,7 @@ class TestEarlyStopping:
         p1 = predict(m1, valid)
         p2 = predict(m2, valid)
         assert np.array_equal(p1, p2)
-        assert m1.best_iteration == m2.best_iteration
+        assert m1.n_trees == m2.n_trees
 
 
 class TestPredict:
@@ -282,12 +296,9 @@ class TestPredict:
         )
         model = GbdtModel(
             params=GbdtParams(num_leaves=2),
-            feature_names=("x0",),
             bin_mapper=mapper,
             base_score=base,
             trees=[stump],
-            best_iteration=1,
-            split_counts=np.array([1]),
         )
         table = make_table([45, 45], [-1.0, 2.0], [0, 1])
         probs = predict(model, table)
@@ -390,9 +401,10 @@ class TestImportance:
         oracle = np.zeros(2, dtype=int)
         for doc in tree_docs(model):
             walk(doc, oracle)
-        assert model.split_counts.tolist() == oracle.tolist()
-        assert model.split_counts.sum() == total_leaves(model) - model.n_trees
         ranked = feature_importance(model)
+        counts = dict(ranked)
+        assert [counts["x0"], counts["x1"]] == oracle.tolist()
+        assert sum(counts.values()) == total_leaves(model) - model.n_trees
         assert ranked[0][1] >= ranked[1][1]
 
     def test_leaf_budget_respected(self):
@@ -556,8 +568,24 @@ class TestModelIO:
         save_model(model, path)
         again = load_model(path)
         assert np.array_equal(predict(model, valid), predict(again, valid))
-        assert again.best_iteration == model.best_iteration
-        assert again.split_counts.tolist() == model.split_counts.tolist()
+        assert again.n_trees == model.n_trees
+        assert feature_importance(again) == feature_importance(model)
+
+    def test_a_model_built_from_trees_and_a_mapper_round_trips(self, tmp_path):
+        # the saved tree count, split counts and feature names come from the
+        # trees and the mapper, so load_model's checks of them pass
+        rng = np.random.Generator(np.random.PCG64(29))
+        model = _random_model(rng, 3, 40)
+        table = _scoring_table(rng, 500)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        again = load_model(path)
+        assert doc["best_iteration"] == again.n_trees == 3
+        assert doc["feature_names"] == ["x0", "c0", "x1"]
+        assert sum(doc["split_counts"]) == 3 * 39
+        assert feature_importance(again) == feature_importance(model)
+        assert predict(again, table).tobytes() == predict(model, table).tobytes()
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "nope.json"
@@ -709,9 +737,7 @@ def _random_model(rng, n_trees, n_leaves) -> GbdtModel:
     is_cat = mapper.is_cat()
     trees = [tree_from_json(_random_tree(rng, n_leaves, n_bins, is_cat), n_bins, is_cat)
              for _ in range(n_trees)]
-    return GbdtModel(params=GbdtParams(), feature_names=mapper.feature_names,
-                     bin_mapper=mapper, base_score=-1.3, trees=trees,
-                     best_iteration=n_trees, split_counts=np.zeros(3, dtype=np.int64))
+    return GbdtModel(params=GbdtParams(), bin_mapper=mapper, base_score=-1.3, trees=trees)
 
 
 class TestRowBlockScoring:

@@ -1,4 +1,5 @@
-"""No module under ``src/`` calls BLAS or LAPACK.
+"""No module under ``src/`` calls BLAS or LAPACK, or imports anything but
+the standard library, numpy and resplite itself.
 
 numpy hands matrix products and linear algebra to BLAS, whose threaded
 kernels add in an order that follows the thread count, so one such call
@@ -7,6 +8,7 @@ reductions (``np.add.reduce``, ``.sum()``), which add in one order.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,47 @@ def test_the_scan_sees_every_form():
 @pytest.mark.parametrize("module", MODULES, ids=[str(m.relative_to(SRC)) for m in MODULES])
 def test_module_makes_no_blas_call(module):
     assert blas_uses(ast.parse(module.read_text(encoding="utf-8"))) == []
+
+
+#: the top-level packages that src/ may import besides the standard library
+ALLOWED_PACKAGES = {"numpy", "resplite"}
+
+
+def foreign_imports(tree: ast.AST) -> list[str]:
+    """``line: import what`` for every absolute import, at any depth, of a
+    package that is neither in the standard library nor allowed, in line
+    order.  A relative import stays inside resplite."""
+    found = []
+    for node in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{node.lineno}: import {name}" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names | ALLOWED_PACKAGES]
+    return found
+
+
+def test_the_import_scan_sees_every_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, pandas\n"
+        "import numpy.random as npr\n"
+        "from scipy.special import expit\n"
+        "from . import tabular\n"
+        "from .gbdt import fit\n"
+        "from resplite.report import read_json\n"
+        "def f():\n"
+        "    import sklearn\n"
+        "    from numpyx import y\n"
+    )
+    assert foreign_imports(ast.parse(source)) == [
+        "2: import pandas", "4: import scipy.special", "9: import sklearn", "10: import numpyx",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[str(m.relative_to(SRC)) for m in MODULES])
+def test_module_imports_only_the_standard_library_and_numpy(module):
+    assert foreign_imports(ast.parse(module.read_text(encoding="utf-8"))) == []
